@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, replace
+from math import isfinite
 
 import numpy as np
 
@@ -131,9 +132,9 @@ def load_channel_csv(path, period_s=None, ts_col="timestamp", power_col="power_w
 
     Timestamps must be strictly increasing and on a regular grid; up to
     MAX_FILL_SAMPLES consecutive missing samples are forward-filled, larger
-    gaps are rejected. Negative watts are clamped to zero (counted in one
-    warning). The sampling period is inferred from the first two rows when
-    not given.
+    gaps are rejected. NaN and infinite watts are rejected with their line.
+    Negative watts are clamped to zero (counted in one warning). The
+    sampling period is inferred from the first two rows when not given.
     """
     path = str(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -160,6 +161,8 @@ def load_channel_csv(path, period_s=None, ts_col="timestamp", power_col="power_w
                 value = float(row[pw_idx])
             except (ValueError, IndexError):
                 raise DataError(f"{path}:{lineno}: unparsable row {row!r}") from None
+            if not isfinite(value):
+                raise DataError(f"{path}:{lineno}: non-finite watts {row[pw_idx]!r}")
             if timestamps and ts <= timestamps[-1]:
                 raise DataError(
                     f"{path}:{lineno}: timestamp {ts} not after {timestamps[-1]}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PowerSeries, denormalize_target, standardize_input
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 REPORT_COLUMNS = ("appliance", "mae_w", "sae_w", "precision", "recall", "f1",
                   "threshold_w", "period_len_k")
@@ -80,7 +80,8 @@ def disaggregate(model, aggregate: PowerSeries, export_attention=False,
     Returns (prediction PowerSeries, attention) where attention is None or
     an (alphas (N, L), starts (N,)) pair of per-window attention weights.
     The model must carry normalization metadata; the output has the same
-    length, period, and origin as the input and is clamped at 0 W.
+    length, period, and origin as the input and is clamped at 0 W. A
+    non-finite model output raises NumericalError.
     """
     meta = model.norm_meta
     if meta is None:
@@ -98,6 +99,9 @@ def disaggregate(model, aggregate: PowerSeries, export_attention=False,
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
         result = model.forward(views[lo:hi])
+        if not np.isfinite(result.output).all():
+            raise NumericalError(
+                f"model output is non-finite in windows {lo}..{hi - 1}")
         outputs[lo:hi] = result.output
         if export_attention:
             alphas[lo:hi] = result.attention

@@ -68,7 +68,7 @@ class ForwardResult:
     """Outputs of one forward pass, all in normalized units."""
     output: np.ndarray       # gated power estimate, (B, L)
     power: np.ndarray        # regression branch output, (B, L)
-    state: np.ndarray        # on probability, (B, L), in (0, 1)
+    state: np.ndarray        # on probability, (B, L), in [0, 1], ends included
     attention: np.ndarray    # attention weights, (B, L)
 
 
@@ -233,7 +233,12 @@ class GatedAttentionModel:
         return power, alpha
 
     def forward_classification(self, window):
-        """On/off probability, strictly inside (0, 1)."""
+        """On/off probability in [0, 1].
+
+        In float32 the sigmoid rounds to exactly 1.0 above an input of about
+        17 and to exactly 0.0 below about -20, so both ends occur; bce_loss
+        clamps its prediction to [eps, 1 - eps] before taking logs.
+        """
         x, single = self._as_batch(window)
         self._check_window(x)
         state = self.classification.forward(x)

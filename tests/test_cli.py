@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nilmnet import cli, data, evaluation as ev
-from nilmnet.checkpoint import load_checkpoint
+from nilmnet.checkpoint import load_checkpoint, save_checkpoint
 from nilmnet.errors import DataError
 
 CONFIG = """\
@@ -185,6 +185,17 @@ class TestDisaggregate:
                         "--input", house / "aggregate.csv", "--out", out]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_nan_weight_exits_3(self, trained, tmp_path):
+        config, house, ckpt = trained
+        model = load_checkpoint(ckpt)
+        model.regression.fc2.params.weights["W"][0, 0] = np.nan
+        broken = tmp_path / "nan.ckpt"
+        save_checkpoint(broken, model)
+        assert run(["disaggregate", "--checkpoint", broken,
+                    "--input", house / "aggregate.csv",
+                    "--out", tmp_path / "pred.csv"]) == 3
+        assert not (tmp_path / "pred.csv").exists()
 
 
 class TestEvaluate:

@@ -49,6 +49,13 @@ class TestChannelCsv:
         with pytest.raises(DataError, match=r":3"):
             data.load_channel_csv(path)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_watts_rejected_with_line(self, tmp_path, text):
+        path = tmp_path / "ch.csv"
+        path.write_text(f"timestamp,power_w\n100,1.0\n103,{text}\n106,2.0\n")
+        with pytest.raises(DataError, match=r"ch\.csv:3: non-finite"):
+            data.load_channel_csv(path)
+
     def test_negative_watts_clamped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "ch.csv"
         path.write_text("timestamp,power_w\n0,-5.0\n3,-1.0\n6,2.0\n")

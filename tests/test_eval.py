@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilmnet import data, evaluation as ev
-from nilmnet.errors import DataError
+from nilmnet.errors import DataError, NumericalError
 from nilmnet.model import ClassificationConfig, GatedAttentionModel, RegressionConfig
 
 from oracles import confusion_direct, median_reconstruct_direct, sae_direct
@@ -212,6 +212,18 @@ class TestDisaggregate:
         np.testing.assert_array_equal(starts, np.arange(33))
         np.testing.assert_allclose(alphas.sum(axis=1), 1.0, atol=1e-5)
         assert prediction.values.min() >= 0.0
+
+    def test_non_finite_model_output_raises(self):
+        reg = RegressionConfig(window=16, filters=2, kernel=4, hidden=3)
+        cls_cfg = ClassificationConfig(window=16, filters=(3, 3, 4, 5, 5, 5),
+                                       kernels=(10, 8, 6, 5, 5, 5), dense_units=16)
+        model = GatedAttentionModel.init(reg, cls_cfg, appliance="toy", seed=5)
+        model.norm_meta = data.NormalizationMeta(10.0, 2.0, 0.0, 100.0)
+        model.regression.fc2.params.weights["W"][3, 0] = np.nan
+        aggregate = data.PowerSeries(
+            "agg", 3, 0, np.abs(np.random.default_rng(5).normal(size=48)) * 20)
+        with pytest.raises(NumericalError, match="non-finite"):
+            ev.disaggregate(model, aggregate)
 
     def test_output_never_negative(self):
         model = self.zero_model()

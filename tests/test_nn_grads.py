@@ -132,6 +132,46 @@ class TestBiLSTMBackward:
             np.testing.assert_allclose(layer.fw.params.grads[key],
                                        fw.params.grads[key], atol=1e-14)
 
+    def test_matches_unrolled_cells_at_nontrivial_shape(self):
+        """Output, input grad and every weight grad equal step-by-step cells."""
+        b_sz, steps, d, hs = 3, 7, 4, 5
+        rng = np.random.default_rng(12)
+        layer = nn.BiLSTM("b", d, hs, rng=rng, dtype=np.float64)
+        nn.randomize_biases(layer.param_list, rng)
+        x = rng.normal(size=(b_sz, steps, d))
+        upstream = rng.normal(size=(b_sz, steps, 2 * hs))
+        out = layer.forward(x)
+        d_x = layer.backward(upstream)
+
+        cells = [nn.LSTMCell(n, d, hs, dtype=np.float64) for n in ("f", "w")]
+        for cell, fused in zip(cells, (layer.fw, layer.bw)):
+            for key in ("W", "U", "b"):
+                cell.params.weights[key][...] = fused.params.weights[key]
+        want_out = np.zeros_like(out)
+        want_dx = np.zeros_like(x)
+        orders = (range(steps), range(steps - 1, -1, -1))
+        for k, (cell, order) in enumerate(zip(cells, orders)):
+            cols = slice(k * hs, (k + 1) * hs)
+            h = c = np.zeros((b_sz, hs))
+            caches = []
+            for t in order:
+                h, c, cache = cell.step(x[:, t, :], h, c)
+                caches.append(cache)
+                want_out[:, t, cols] = h
+            d_h = d_c = np.zeros((b_sz, hs))
+            for t, cache in zip(reversed(order), reversed(caches)):
+                dx_t, d_h, d_c = cell.step_backward(
+                    d_h + upstream[:, t, cols], d_c, cache)
+                want_dx[:, t, :] += dx_t
+
+        np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d_x, want_dx, rtol=0, atol=1e-12)
+        for cell, fused in zip(cells, (layer.fw, layer.bw)):
+            for key in ("W", "U", "b"):
+                np.testing.assert_allclose(fused.params.grads[key],
+                                           cell.params.grads[key],
+                                           rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("seed", range(N_SEEDS))
     def test_finite_differences(self, seed):
         rng = np.random.default_rng(seed)

@@ -227,6 +227,27 @@ class TestAttention:
             np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
 
 
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_extremes_saturate_without_warnings(self, dtype):
+        x = np.array([-1e4, -50.0, 0.0, 50.0, 1e4], dtype=dtype)
+        with np.errstate(all="raise"):
+            out = nn.sigmoid(x)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out[[0, 2, 4]], [0.0, 0.5, 1.0])
+        assert np.all((out >= 0.0) & (out <= 1.0))
+
+    def test_point_symmetry(self):
+        x = np.random.default_rng(0).normal(scale=10.0, size=1000)
+        np.testing.assert_allclose(nn.sigmoid(-x), 1.0 - nn.sigmoid(x),
+                                   rtol=0, atol=1e-12)
+
+    def test_matches_logistic_formula(self):
+        x = np.linspace(-30.0, 30.0, 601)
+        np.testing.assert_allclose(nn.sigmoid(x), 1.0 / (1.0 + np.exp(-x)),
+                                   rtol=0, atol=1e-15)
+
+
 class TestSoftmax:
     @pytest.mark.parametrize("seed", range(N_SEEDS))
     def test_matches_direct(self, seed):
