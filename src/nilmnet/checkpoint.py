@@ -26,7 +26,8 @@ import numpy as np
 
 from .data import NormalizationMeta
 from .errors import DataError
-from .model import ClassificationConfig, GatedAttentionModel, RegressionConfig
+from .model import (ClassificationConfig, GatedAttentionModel, RegressionConfig,
+                    parameter_count)
 
 MAGIC = b"LDWA"
 VERSION = 1
@@ -111,21 +112,35 @@ def load_checkpoint(path) -> GatedAttentionModel:
             f"{path}: unsupported checkpoint version {version} "
             f"(this build reads version {VERSION})")
     appliance = reader.string()
-    reg = RegressionConfig(reader.u32(), reader.u32(), reader.u32(), reader.u32())
+    reg_dims = [reader.u32() for _ in range(4)]
     cls_window = reader.u32()
     n_conv = reader.u32()
     pairs = [(reader.u32(), reader.u32()) for _ in range(n_conv)]
     dense_units = reader.u32()
-    cls_cfg = ClassificationConfig(
-        window=cls_window,
-        filters=tuple(f for f, _ in pairs),
-        kernels=tuple(k for _, k in pairs),
-        dense_units=dense_units,
-    )
+    try:
+        reg = RegressionConfig(*reg_dims)
+        cls_cfg = ClassificationConfig(
+            window=cls_window,
+            filters=tuple(f for f, _ in pairs),
+            kernels=tuple(k for _, k in pairs),
+            dense_units=dense_units,
+        )
+    except ValueError as exc:
+        raise DataError(f"{path}: invalid model config: {exc}") from None
+    if reg.window != cls_cfg.window:
+        raise DataError(f"{path}: regression window {reg.window} differs from "
+                        f"classification window {cls_cfg.window}")
     meta = None
     if reader.u8():
         meta = NormalizationMeta(reader.f64(), reader.f64(),
                                  reader.f64(), reader.f64())
+    # Refuse a header whose parameters cannot fit in the rest of the file
+    # before the model for it is allocated.
+    needed = 4 * parameter_count(reg, cls_cfg)
+    left = len(reader.blob) - reader.offset
+    if needed > left:
+        raise DataError(f"{path}: truncated checkpoint: the header implies "
+                        f"{needed} bytes of float32 parameters, {left} bytes left")
     model = GatedAttentionModel.zeros(reg, cls_cfg, appliance=appliance,
                                       dtype=np.float32)
     model.norm_meta = meta

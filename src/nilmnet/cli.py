@@ -330,8 +330,7 @@ def cmd_gradcheck(args):
     def grad_fn():
         loss = model.train_step_grads(windows, target_power, target_state)
         if args.inject_fault:
-            first = model.all_params()[0]
-            first.grads[next(iter(first.grads))].reshape(-1)[0] += 1.0
+            nn.pack_params(model.all_params())[1][0] += 1.0
         return loss
 
     entries = nn.gradient_check(model.all_params(), loss_fn, grad_fn,

@@ -31,7 +31,16 @@ def reconstruct_median(windows, starts, total_len):
     """Combine overlapped windows: output[t] = median of all values covering t.
 
     Even coverage counts take the mean of the two middle values. Every
-    position in [0, total_len) must be covered by at least one window.
+    position in [0, total_len) must be covered by at least one window, and
+    every window value must be finite.
+
+    Window i's value at offset k goes to row starts[i] + k, slot k + L * r_i,
+    where r_i ranks window i among the windows sharing its start, so no two
+    values share a slot; unused slots hold +inf. Each row is sorted and its
+    two middle values are read at (count - 1) // 2 and count // 2. A row has
+    L times the largest start multiplicity slots, so heavily repeated starts
+    cost memory and time in proportion; rows go in chunks of about
+    _MEDIAN_CHUNK_VALUES values.
     """
     windows = np.asarray(windows, dtype=np.float64)
     starts = np.asarray(starts, dtype=np.int64)
@@ -39,37 +48,33 @@ def reconstruct_median(windows, starts, total_len):
         raise DataError("windows must be (N, L) with one start per window")
     if windows.shape[0] == 0:
         raise DataError("no windows to reconstruct from")
-    window = windows.shape[1]
+    n, window = windows.shape
     if starts.min() < 0 or (starts + window).max() > total_len:
         raise DataError("window extends outside [0, total_len)")
-    if np.unique(starts).size != starts.size:
-        return _median_slow(windows, starts, total_len)
+    if not np.isfinite(windows).all():
+        raise DataError("window values must be finite")
+    # values covering each position: the start histogram summed over a window
+    covered = np.cumsum(np.bincount(starts, minlength=total_len))
+    count = covered - np.concatenate([np.zeros(window, np.int64), covered[:-window]])
+    if count.min() == 0:
+        raise DataError(f"position {int(np.argmin(count))} is covered by no window")
+    order = np.argsort(starts, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n) - np.searchsorted(starts[order], starts[order])
+    slots = window * (int(rank.max()) + 1)
     out = np.empty(total_len, dtype=np.float64)
-    chunk = max(window, _MEDIAN_CHUNK_VALUES // window)
+    chunk = max(1, _MEDIAN_CHUNK_VALUES // slots)
     for lo in range(0, total_len, chunk):
         hi = min(lo + chunk, total_len)
-        mat = np.full((window, hi - lo), np.nan)
+        mat = np.full((hi - lo, slots), np.inf)
         for k in range(window):
             pos = starts + k
             inside = (pos >= lo) & (pos < hi)
-            mat[k, pos[inside] - lo] = windows[inside, k]
-        if np.all(np.isnan(mat), axis=0).any():
-            uncovered = lo + int(np.flatnonzero(np.all(np.isnan(mat), axis=0))[0])
-            raise DataError(f"position {uncovered} is covered by no window")
-        out[lo:hi] = np.nanmedian(mat, axis=0)
-    return out
-
-
-def _median_slow(windows, starts, total_len):
-    covering = [[] for _ in range(total_len)]
-    for win, start in zip(windows, starts):
-        for k, value in enumerate(win):
-            covering[start + k].append(value)
-    out = np.empty(total_len, dtype=np.float64)
-    for t, values in enumerate(covering):
-        if not values:
-            raise DataError(f"position {t} is covered by no window")
-        out[t] = np.median(values)
+            mat[pos[inside] - lo, k + window * rank[inside]] = windows[inside, k]
+        mat.sort(axis=1)
+        rows = np.arange(hi - lo)
+        c = count[lo:hi]
+        out[lo:hi] = (mat[rows, (c - 1) // 2] + mat[rows, c // 2]) / 2
     return out
 
 
@@ -98,7 +103,7 @@ def disaggregate(model, aggregate: PowerSeries, export_attention=False,
     alphas = np.empty((n, window), dtype=np.float64) if export_attention else None
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
-        result = model.forward(views[lo:hi])
+        result = model.forward(views[lo:hi], cache=False)
         if not np.isfinite(result.output).all():
             raise NumericalError(
                 f"model output is non-finite in windows {lo}..{hi - 1}")

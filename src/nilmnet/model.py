@@ -63,6 +63,26 @@ class ClassificationConfig:
             raise ValueError("layer table entries must be positive")
 
 
+def parameter_count(reg_cfg: RegressionConfig, cls_cfg: ClassificationConfig):
+    """Number of parameters of the model the two configs describe.
+
+    Computed from the dims alone, so a checkpoint loader can check a header
+    against the file length before allocating anything.
+    """
+    f, k, h = reg_cfg.filters, reg_cfg.kernel, reg_cfg.hidden
+    count = (f * k + f) + 3 * (f * f * k + f)          # four conv layers
+    count += 2 * 4 * h * (f + h + 1)                   # BiLSTM, W U b per direction
+    count += 2 * h * h + 2 * h                         # attention W b v
+    count += (2 * h * h + h) + (h + 1) * reg_cfg.window  # fc1, fc2
+    prev = 1
+    for filters, kernel in zip(cls_cfg.filters, cls_cfg.kernels):
+        count += filters * prev * kernel + filters
+        prev = filters
+    count += (prev * cls_cfg.window + 1) * cls_cfg.dense_units
+    count += (cls_cfg.dense_units + 1) * cls_cfg.window
+    return count
+
+
 @dataclass
 class ForwardResult:
     """Outputs of one forward pass, all in normalized units."""
@@ -88,14 +108,14 @@ class RegressionNet:
         self.fc1 = nn.Dense("reg.fc1", 2 * h, h, "relu", rng, dtype)
         self.fc2 = nn.Dense("reg.fc2", h, cfg.window, "linear", rng, dtype)
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
         """x: (B, L) standardized windows -> (power (B, L), alpha (B, L))."""
         feats = x[:, None, :]
         for conv in self.convs:
-            feats = conv.forward(feats)
-        hidden = self.bilstm.forward(feats.transpose(0, 2, 1))
-        context, alpha = self.attention.forward(hidden)
-        return self.fc2.forward(self.fc1.forward(context)), alpha
+            feats = conv.forward(feats, cache)
+        hidden = self.bilstm.forward(feats.transpose(0, 2, 1), cache)
+        context, alpha = self.attention.forward(hidden, cache)
+        return self.fc2.forward(self.fc1.forward(context, cache), cache), alpha
 
     def backward(self, d_power):
         d_context = self.fc1.backward(self.fc2.backward(d_power))
@@ -129,14 +149,14 @@ class ClassificationNet:
                             rng, dtype)
         self._feat_shape = None
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
         """x: (B, L) standardized windows -> on probabilities (B, L)."""
         feats = x[:, None, :]
         for conv in self.convs:
-            feats = conv.forward(feats)
+            feats = conv.forward(feats, cache)
         self._feat_shape = feats.shape
         flat = feats.reshape(feats.shape[0], -1)
-        return self.fc2.forward(self.fc1.forward(flat))
+        return self.fc2.forward(self.fc1.forward(flat, cache), cache)
 
     def backward(self, d_state):
         d_flat = self.fc1.backward(self.fc2.backward(d_state))
@@ -183,6 +203,7 @@ class GatedAttentionModel:
         self.norm_meta = norm_meta
         self.regression = RegressionNet(reg_cfg, rng, dtype)
         self.classification = ClassificationNet(cls_cfg, rng, dtype)
+        self._weights, self._grads = nn.pack_params(self.all_params())
         self._gate_cache = None
 
     @classmethod
@@ -208,12 +229,11 @@ class GatedAttentionModel:
         return self.regression.param_list + self.classification.param_list
 
     def zero_grads(self):
-        for p in self.all_params():
-            p.zero_grads()
+        self._grads.fill(0.0)
 
     @property
     def n_params(self):
-        return sum(p.n_params for p in self.all_params())
+        return self._weights.size
 
     def _as_batch(self, x):
         x = np.asarray(x, dtype=self.dtype)
@@ -244,14 +264,19 @@ class GatedAttentionModel:
         state = self.classification.forward(x)
         return state[0] if single else state
 
-    def forward(self, window) -> ForwardResult:
-        """Full gated forward pass: output[t] = power[t] * state[t]."""
+    def forward(self, window, cache=True) -> ForwardResult:
+        """Full gated forward pass: output[t] = power[t] * state[t].
+
+        cache=False keeps no backward caches (inference): every layer then
+        frees its activations as soon as the next layer has used them, and
+        a backward that follows raises instead of reusing stale caches.
+        """
         x, single = self._as_batch(window)
         self._check_window(x)
-        power, alpha = self.regression.forward(x)
-        state = self.classification.forward(x)
+        power, alpha = self.regression.forward(x, cache)
+        state = self.classification.forward(x, cache)
         output = power * state
-        self._gate_cache = (power, state)
+        self._gate_cache = (power, state) if cache else None
         if single:
             return ForwardResult(output[0], power[0], state[0], alpha[0])
         return ForwardResult(output, power, state, alpha)
@@ -290,7 +315,7 @@ class GatedAttentionModel:
 
     def batch_loss(self, windows, target_power, target_state):
         """Joint loss without touching gradients (validation path)."""
-        result = self.forward(windows)
+        result = self.forward(windows, cache=False)
         loss, _, _ = joint_loss(
             result.output, result.state,
             np.asarray(target_power, dtype=self.dtype),
@@ -304,13 +329,8 @@ class GatedAttentionModel:
                 f"{self.window}")
 
     def snapshot_weights(self):
-        """Deep copy of all weights, for best-epoch checkpointing."""
-        return [
-            {key: w.copy() for key, w in p.weights.items()}
-            for p in self.all_params()
-        ]
+        """Copy of the flat weight vector, for best-epoch checkpointing."""
+        return self._weights.copy()
 
     def restore_weights(self, snapshot):
-        for p, saved in zip(self.all_params(), snapshot):
-            for key, w in saved.items():
-                p.weights[key][...] = w
+        self._weights[...] = snapshot

@@ -5,7 +5,8 @@ forward pass and an analytic backward pass: 1-D convolution, dense layers,
 LSTM cells, a bidirectional LSTM, the feed-forward attention unit, the two
 losses, and SGD with Nesterov momentum. There is no general autodiff graph;
 layers cache whatever their own backward pass needs, so a forward call must
-be paired with the matching backward call on the same instance.
+be paired with the matching backward call on the same instance. A forward
+with cache=False keeps nothing, for inference; a backward after it fails.
 
 Arrays are batch-first throughout:
 
@@ -16,9 +17,19 @@ Arrays are batch-first throughout:
 
 Training runs in float32; tests instantiate everything in float64 so that
 analytic gradients can be compared against central finite differences.
+
+Parameters live in one arena per model: pack_params copies every weight
+tensor into one flat vector and every gradient into a twin vector, and
+leaves each LayerParams with reshaped views into them. The optimizer,
+snapshots and the gradient check work on the two vectors; layers keep
+reading and writing their named views. Assign into a view in place
+(w[...] = x, w += d) and never rebind p.weights[k] or p.grads[k], or the
+tensor drops out of the arena.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,16 +90,18 @@ def _activation_grad(d_out, pre, out, activation):
 
 
 class LayerParams:
-    """Named weight tensors of one layer plus matching gradient buffers."""
+    """Named weight tensors of one layer plus matching gradient buffers.
+
+    Once packed, weights[k] and grads[k] are views into the arena's two
+    vectors and arena is (ids of the packed list, weights, grads); assign in
+    place and never rebind them.
+    """
 
     def __init__(self, name, weights):
         self.name = name
         self.weights = dict(weights)
         self.grads = {k: np.zeros_like(v) for k, v in self.weights.items()}
-
-    def zero_grads(self):
-        for g in self.grads.values():
-            g[...] = 0.0
+        self.arena = None
 
     @property
     def n_params(self):
@@ -97,6 +110,39 @@ class LayerParams:
     def __repr__(self):
         shapes = {k: v.shape for k, v in self.weights.items()}
         return f"LayerParams({self.name!r}, {shapes})"
+
+
+def pack_params(param_list):
+    """Flat weight and grad vectors of param_list; its tensors become views.
+
+    The weights and any grads already set are copied in, in list and key
+    order. A list packed before (the same LayerParams in the same order)
+    gets its vectors back without a copy; a LayerParams packed with another
+    list is refused.
+    """
+    params = tuple(param_list)
+    # The arena records ids, not the LayerParams, so no reference cycle
+    # keeps a dropped model's vectors alive until the cycle collector runs.
+    ids = tuple(map(id, params))
+    arena = params[0].arena
+    if arena is not None and arena[0] == ids and all(p.arena is arena for p in params):
+        return arena[1:]
+    if any(p.arena is not None for p in params):
+        raise ValueError("a parameter group already belongs to another arena")
+    weights = np.concatenate([w.reshape(-1) for p in params for w in p.weights.values()])
+    grads = np.zeros_like(weights)  # zero grads are skipped: their pages stay untouched
+    arena = (ids, weights, grads)
+    offset = 0
+    for p in params:
+        for key, w in p.weights.items():
+            segment = slice(offset, offset + w.size)
+            if p.grads[key].any():
+                grads[segment] = p.grads[key].reshape(-1)
+            p.weights[key] = weights[segment].reshape(w.shape)
+            p.grads[key] = grads[segment].reshape(w.shape)
+            offset = segment.stop
+        p.arena = arena
+    return weights, grads
 
 
 def he_uniform(rng, shape, fan_in, dtype):
@@ -143,7 +189,7 @@ class Conv1D:
         })
         self._cache = None
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
         """x: (B, C_in, L) -> (B, F, L)."""
         if x.ndim != 3 or x.shape[1] != self.in_channels:
             raise ShapeError(
@@ -158,7 +204,7 @@ class Conv1D:
         w = self.params.weights["W"].reshape(self.filters, -1)
         pre = cols @ w.T + self.params.weights["b"]
         out = _apply_activation(pre, self.activation)
-        self._cache = (cols, pre, out, x.shape)
+        self._cache = (cols, pre, out, x.shape) if cache else None
         return out.transpose(0, 2, 1)
 
     def backward(self, d_out):
@@ -208,14 +254,14 @@ class Dense:
         })
         self._cache = None
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
         """x: (B, n) -> (B, m)."""
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(
                 f"{self.params.name}: expected (B, {self.in_features}), got {x.shape}")
         pre = x @ self.params.weights["W"].T + self.params.weights["b"]
         out = _apply_activation(pre, self.activation)
-        self._cache = (x, pre, out)
+        self._cache = (x, pre, out) if cache else None
         return out
 
     def backward(self, d_out):
@@ -375,7 +421,7 @@ class BiLSTM:
              range(steps - 1, -1, -1), 1),
         )
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
         """x: (B, T, d) -> (B, T, 2H). Initial states are zero."""
         if x.ndim != 3 or x.shape[2] != self.input_size:
             raise ShapeError(f"bilstm: expected (B, T, {self.input_size}), got {x.shape}")
@@ -404,7 +450,7 @@ class BiLSTM:
                     c_prev = cells[t + offset, :, h_cols]
                 _lstm_gates(z, c_prev, cells[t, :, h_cols], tanh_c[t, :, h_cols],
                             hidden[t, :, h_cols])
-        self._cache = (x_tm, gates, cells, tanh_c, hidden, x.shape)
+        self._cache = (x_tm, gates, cells, tanh_c, hidden, x.shape) if cache else None
         return np.ascontiguousarray(hidden.transpose(1, 0, 2))
 
     def backward(self, d_out):
@@ -474,7 +520,7 @@ class Attention:
         })
         self._cache = None
 
-    def forward(self, hidden):
+    def forward(self, hidden, cache=True):
         """hidden: (B, T, S) -> (context (B, S), weights (B, T))."""
         if hidden.ndim != 3 or hidden.shape[2] != self.state_size:
             raise ShapeError(
@@ -486,7 +532,7 @@ class Attention:
         scores = m @ v                      # (B, T)
         alpha = softmax(scores, axis=-1)
         context = np.einsum("bt,bts->bs", alpha, hidden)
-        self._cache = (hidden, m, alpha)
+        self._cache = (hidden, m, alpha) if cache else None
         return context, alpha
 
     def backward(self, d_context):
@@ -556,6 +602,10 @@ def bce_loss(pred, target):
     return loss, grad
 
 
+# Elements per optimizer step block, small enough to stay in cache.
+STEP_BLOCK = 32768
+
+
 class SgdNesterov:
     """SGD with Nesterov momentum in the look-ahead form.
 
@@ -570,15 +620,13 @@ class SgdNesterov:
     """
 
     def __init__(self, param_list, base_lr=0.01, momentum=0.9, decay=1e-6):
-        self.param_list = list(param_list)
+        self.weights, self.grads = pack_params(param_list)
+        self.velocity = np.zeros_like(self.weights)
+        self._scratch = np.empty_like(self.weights[:STEP_BLOCK])
         self.base_lr = base_lr
         self.momentum = momentum
         self.decay = decay
         self.step_count = 0
-        self.velocity = {
-            (p.name, key): np.zeros_like(w)
-            for p in self.param_list for key, w in p.weights.items()
-        }
 
     @property
     def effective_lr(self):
@@ -587,29 +635,27 @@ class SgdNesterov:
     def step(self):
         lr = self.effective_lr
         mu = self.momentum
-        for p in self.param_list:
-            for key, w in p.weights.items():
-                g = p.grads[key]
-                v = self.velocity[(p.name, key)]
-                v *= mu
-                v -= lr * g
-                w += mu * v - lr * g
+        for lo in range(0, self.weights.size, STEP_BLOCK):
+            g = self.grads[lo:lo + STEP_BLOCK]
+            v = self.velocity[lo:lo + STEP_BLOCK]
+            s = self._scratch[:g.size]
+            # Same roundings as v = mu*v - lr*g; w += mu*v - lr*g.
+            g *= lr
+            v *= mu
+            v -= g
+            np.multiply(v, mu, out=s)
+            s -= g
+            self.weights[lo:lo + STEP_BLOCK] += s
         self.step_count += 1
-        for p in self.param_list:
-            p.zero_grads()
+        self.grads.fill(0.0)
 
 
+@dataclass(frozen=True)
 class GradCheckEntry:
-    """Result of checking one parameter tensor against finite differences."""
-
-    def __init__(self, name, max_rel_err, ok):
-        self.name = name
-        self.max_rel_err = max_rel_err
-        self.ok = ok
-
-    def __repr__(self):
-        status = "ok" if self.ok else "FAIL"
-        return f"{self.name}: max_rel_err={self.max_rel_err:.3e} [{status}]"
+    """Result of checking one parameter group against finite differences."""
+    name: str
+    max_rel_err: float
+    ok: bool
 
 
 def randomize_biases(param_list, rng, scale=0.2):
@@ -633,33 +679,28 @@ def gradient_check(param_list, loss_fn, grad_fn, step=1e-5, tol=1e-4):
     parameter buffers. Perturbation and comparison happen entry by entry
     in 64-bit, so the caller should build the model in float64.
 
-    Returns one GradCheckEntry per parameter tensor.
+    Returns one GradCheckEntry per parameter group of param_list.
     """
-    for p in param_list:
-        p.zero_grads()
+    weights, grads = pack_params(param_list)
+    grads.fill(0.0)
     grad_fn()
-    analytic = {
-        (p.name, key): p.grads[key].copy()
-        for p in param_list for key in p.weights
-    }
+    analytic = grads.copy()
     results = []
+    offset = 0
     for p in param_list:
         worst = 0.0
-        for key, w in p.weights.items():
-            ana = analytic[(p.name, key)]
-            flat = w.reshape(-1)
-            for idx in range(flat.size):
-                orig = flat[idx]
-                flat[idx] = orig + step
-                loss_plus = loss_fn()
-                flat[idx] = orig - step
-                loss_minus = loss_fn()
-                flat[idx] = orig
-                numeric = (loss_plus - loss_minus) / (2.0 * step)
-                a = ana.reshape(-1)[idx]
-                denom = max(abs(a), abs(numeric), 1e-8)
-                worst = max(worst, abs(a - numeric) / denom)
+        for idx in range(offset, offset + p.n_params):
+            orig = weights[idx]
+            weights[idx] = orig + step
+            loss_plus = loss_fn()
+            weights[idx] = orig - step
+            loss_minus = loss_fn()
+            weights[idx] = orig
+            numeric = (loss_plus - loss_minus) / (2.0 * step)
+            a = analytic[idx]
+            denom = max(abs(a), abs(numeric), 1e-8)
+            worst = max(worst, abs(a - numeric) / denom)
         results.append(GradCheckEntry(p.name, worst, worst < tol))
-    for p in param_list:
-        p.zero_grads()
+        offset += p.n_params
+    grads.fill(0.0)
     return results

@@ -7,6 +7,8 @@ from nilmnet import cli, data, evaluation as ev
 from nilmnet.checkpoint import load_checkpoint, save_checkpoint
 from nilmnet.errors import DataError
 
+from test_checkpoint import checkpoint_header
+
 CONFIG = """\
 [appliance heater]
 window_l = 16
@@ -195,6 +197,15 @@ class TestDisaggregate:
         assert run(["disaggregate", "--checkpoint", broken,
                     "--input", house / "aggregate.csv",
                     "--out", tmp_path / "pred.csv"]) == 3
+        assert not (tmp_path / "pred.csv").exists()
+
+    def test_hostile_checkpoint_header_exits_2(self, trained, tmp_path):
+        config, house, ckpt = trained
+        hostile = tmp_path / "hostile.ckpt"
+        hostile.write_bytes(checkpoint_header(hidden=2048))
+        assert run(["disaggregate", "--checkpoint", hostile,
+                    "--input", house / "aggregate.csv",
+                    "--out", tmp_path / "pred.csv"]) == 2
         assert not (tmp_path / "pred.csv").exists()
 
 

@@ -46,6 +46,33 @@ class TestReconstructMedian:
         want = median_reconstruct_direct(windows, starts, 5)
         np.testing.assert_allclose(out, want, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("starts", [[0, 1, 2], [0, 0, 1, 2]])
+    def test_non_finite_value_rejected(self, bad, starts):
+        windows = np.ones((len(starts), 3))
+        windows[-1, 1] = bad
+        with pytest.raises(DataError, match="finite"):
+            ev.reconstruct_median(windows, np.array(starts), 5)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_brute_force_on_any_start_multiset(self, draw):
+        total = draw.draw(st.integers(1, 40))
+        window = draw.draw(st.integers(1, total))
+        last = total - window
+        # A tiling covers every position; extra starts repeat and overlap.
+        tiling = sorted({*range(0, last + 1, window), last})
+        extra = draw.draw(st.lists(st.integers(0, last), max_size=3 * total))
+        starts = np.array(draw.draw(st.permutations(tiling + extra)))
+        values = st.one_of(st.integers(-3, 3).map(float),
+                           st.floats(-1e6, 1e6, allow_subnormal=False))
+        windows = np.array(draw.draw(st.lists(
+            st.lists(values, min_size=window, max_size=window),
+            min_size=starts.size, max_size=starts.size)))
+        out = ev.reconstruct_median(windows, starts, total)
+        want = median_reconstruct_direct(windows, starts, total)
+        np.testing.assert_array_equal(out, want)
+
     def test_uncovered_position_rejected(self):
         with pytest.raises(DataError, match="covered"):
             ev.reconstruct_median(np.ones((1, 2)), np.array([0]), 5)
@@ -212,6 +239,21 @@ class TestDisaggregate:
         np.testing.assert_array_equal(starts, np.arange(33))
         np.testing.assert_allclose(alphas.sum(axis=1), 1.0, atol=1e-5)
         assert prediction.values.min() >= 0.0
+
+    def test_keeps_no_backward_caches(self):
+        reg = RegressionConfig(window=16, filters=2, kernel=4, hidden=3)
+        cls_cfg = ClassificationConfig(window=16, filters=(3, 3, 4, 5, 5, 5),
+                                       kernels=(10, 8, 6, 5, 5, 5), dense_units=16)
+        model = GatedAttentionModel.init(reg, cls_cfg, appliance="toy", seed=5)
+        model.norm_meta = data.NormalizationMeta(10.0, 2.0, 0.0, 100.0)
+        aggregate = data.PowerSeries(
+            "agg", 3, 0, np.abs(np.random.default_rng(5).normal(size=48)) * 20)
+        ev.disaggregate(model, aggregate)
+        convs = model.regression.convs + model.classification.convs
+        assert all(conv._cache is None for conv in convs)
+        assert model.regression.bilstm._cache is None
+        with pytest.raises(RuntimeError, match="before forward"):
+            model.backward(np.zeros((1, 16), dtype=np.float32))
 
     def test_non_finite_model_output_raises(self):
         reg = RegressionConfig(window=16, filters=2, kernel=4, hidden=3)

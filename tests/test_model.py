@@ -1,5 +1,8 @@
 """Contracts of the assembled gated attention model."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,31 @@ class TestForward:
             model.classification.fc1.forward(flat))
         np.testing.assert_array_equal(state, state_ref)
 
+    def test_uncached_forward_is_bit_identical_and_keeps_nothing(self):
+        model = toy_model(14)
+        windows = np.random.default_rng(15).normal(size=(4, 16))
+        cached = model.forward(windows)
+        uncached = model.forward(windows, cache=False)
+        for field in ("output", "power", "state", "attention"):
+            np.testing.assert_array_equal(getattr(uncached, field),
+                                          getattr(cached, field))
+        layers = (model.regression.convs + model.classification.convs
+                  + [model.regression.bilstm, model.regression.attention,
+                     model.regression.fc1, model.regression.fc2,
+                     model.classification.fc1, model.classification.fc2])
+        assert all(layer._cache is None for layer in layers)
+        with pytest.raises(RuntimeError, match="before forward"):
+            model.backward(np.zeros((4, 16), dtype=np.float32))
+
+    def test_backward_after_batch_loss_raises(self):
+        model = toy_model(16)
+        windows = np.random.default_rng(17).normal(size=(4, 16))
+        targets = np.zeros((4, 16))
+        model.train_step_grads(windows, targets, targets)
+        model.batch_loss(windows, targets, targets)
+        with pytest.raises(RuntimeError, match="before forward"):
+            model.backward(np.zeros((4, 16), dtype=np.float32))
+
     def test_wrong_window_length_raises(self):
         model = toy_model(13)
         with pytest.raises(ShapeError):
@@ -175,6 +203,57 @@ class TestParameterCounts:
                 ClassificationConfig(window=32), seed=seed)
             counts.add(sum(p.n_params for p in model.classification.param_list))
         assert len(counts) == 1
+
+
+class TestParameterArena:
+    def test_every_tensor_is_a_view_in_all_params_order(self):
+        model = toy_model(5)
+        weights, grads = nn.pack_params(model.all_params())
+        offset = 0
+        for p in model.all_params():
+            for key, w in p.weights.items():
+                for view, flat in ((w, weights), (p.grads[key], grads)):
+                    assert view.base is flat
+                    assert (view.__array_interface__["data"][0]
+                            == flat.__array_interface__["data"][0]
+                            + offset * flat.itemsize)
+                offset += w.size
+        assert offset == weights.size == grads.size == model.n_params
+
+    def test_optimizer_copies_nothing_and_restore_is_bit_exact(self):
+        model = toy_model(6)
+        weights, grads = nn.pack_params(model.all_params())
+        opt = nn.SgdNesterov(model.all_params(), base_lr=0.05)
+        assert opt.weights is weights and opt.grads is grads
+        saved = model.snapshot_weights()
+        assert not np.shares_memory(saved, weights)
+        rng = np.random.default_rng(7)
+        for _ in range(2):
+            model.train_step_grads(rng.normal(size=(4, 16)),
+                                   rng.normal(size=(4, 16)),
+                                   rng.integers(0, 2, size=(4, 16)))
+            opt.step()
+        assert weights.tobytes() != saved.tobytes()
+        model.restore_weights(saved)
+        assert weights.tobytes() == saved.tobytes()
+        first = model.all_params()[0].weights["W"]
+        np.testing.assert_array_equal(first.reshape(-1), saved[:first.size])
+
+    def test_dropped_model_is_freed_without_the_cycle_collector(self):
+        model = toy_model(9)
+        group = weakref.ref(model.all_params()[0])
+        weights = weakref.ref(nn.pack_params(model.all_params())[0])
+        gc.disable()
+        try:
+            del model
+            assert group() is None and weights() is None
+        finally:
+            gc.enable()
+
+    def test_repacking_part_of_an_arena_is_refused(self):
+        model = toy_model(8)
+        with pytest.raises(ValueError, match="arena"):
+            nn.pack_params(model.regression.param_list)
 
 
 class TestDeterminism:

@@ -26,8 +26,7 @@ def check_params_and_input(layer, x, forward_fn, seeds_upstream_rng, tol=GRAD_TO
 
     loss()  # populate cache
     layer_params = layer.param_list if hasattr(layer, "param_list") else [layer.params]
-    for p in layer_params:
-        p.zero_grads()
+    nn.pack_params(layer_params)[1].fill(0.0)
     d_in = layer.backward(probe)
     for p in layer_params:
         for key, w in p.weights.items():
