@@ -61,7 +61,12 @@ class _Reader:
         return struct.unpack("<d", self.take(8))[0]
 
     def string(self):
-        return self.take(self.u32()).decode("utf-8")
+        start = self.offset
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{self.path}: string at byte {start} is not "
+                            f"UTF-8") from None
 
     def done(self):
         if self.offset != len(self.blob):

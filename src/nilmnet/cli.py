@@ -98,6 +98,8 @@ def load_run_config(path) -> RunConfig:
             parser.read_file(fh)
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"config {path} is not UTF-8 text ({exc.reason})") from None
     except configparser.Error as exc:
         raise DataError(f"malformed config {path}: {exc}") from None
     cfg = RunConfig()
@@ -202,10 +204,7 @@ def cmd_train(args):
     window = spec.window_l
     states = data.make_state_sequence(appliance, spec)
     all_windows = data.sliding_windows(aggregate.values, appliance.values,
-                                       states, window, hop=1)
-    if train_cfg.window_stride > 1:
-        all_windows = all_windows.take(
-            np.arange(0, len(all_windows), train_cfg.window_stride))
+                                       states, window, hop=train_cfg.window_stride)
     if len(all_windows) == 0:
         raise DataError("no training windows: series shorter than the window")
     train_ws, val_ws = data.split_train_val(

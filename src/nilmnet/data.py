@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from array import array
 from dataclasses import dataclass, replace
 from math import isfinite
 
@@ -89,6 +90,9 @@ class NormalizationMeta:
     target_max: float
 
     def __post_init__(self):
+        if not all(map(isfinite, (self.input_mean, self.input_std,
+                                  self.target_min, self.target_max))):
+            raise DataError("normalization statistics must be finite")
         if not self.input_std > 0:
             raise DataError("input_std must be positive")
         if not (self.target_max > self.target_min >= 0):
@@ -126,82 +130,79 @@ def denormalize_target(y_norm, meta: NormalizationMeta):
     return np.maximum(watts, 0.0)
 
 
-def load_channel_csv(path, period_s=None, ts_col="timestamp", power_col="power_w",
-                     name=None):
-    """Read a channel CSV into a uniform PowerSeries.
+def load_channel_csv(path, name=None):
+    """Read a ``timestamp,power_w`` channel CSV into a uniform PowerSeries.
 
-    Timestamps must be strictly increasing and on a regular grid; up to
-    MAX_FILL_SAMPLES consecutive missing samples are forward-filled, larger
-    gaps are rejected. NaN and infinite watts are rejected with their line.
-    Negative watts are clamped to zero (counted in one warning). The
-    sampling period is inferred from the first two rows when not given.
+    The sampling period is the step between the first two rows. Timestamps
+    must be strictly increasing and on that grid; up to MAX_FILL_SAMPLES
+    consecutive missing samples are forward-filled, larger gaps are
+    rejected. Unparsable rows (timestamps outside int64 included), NaN and
+    infinite watts and non-increasing timestamps are rejected with their
+    line. Negative watts are clamped to zero (counted in one warning).
     """
     path = str(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        try:
-            ts_idx = header.index(ts_col)
-            pw_idx = header.index(power_col)
-        except ValueError:
-            raise DataError(
-                f"{path}:1: header {header!r} lacks columns "
-                f"{ts_col!r}/{power_col!r}") from None
-        timestamps = []
-        watts = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+    timestamps = array("q")
+    watts = array("d")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                ts = int(row[ts_idx])
-                value = float(row[pw_idx])
-            except (ValueError, IndexError):
-                raise DataError(f"{path}:{lineno}: unparsable row {row!r}") from None
-            if not isfinite(value):
-                raise DataError(f"{path}:{lineno}: non-finite watts {row[pw_idx]!r}")
-            if timestamps and ts <= timestamps[-1]:
-                raise DataError(
-                    f"{path}:{lineno}: timestamp {ts} not after {timestamps[-1]}")
-            timestamps.append(ts)
-            watts.append(value)
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            try:
+                ts_idx, pw_idx = map(header.index, CSV_HEADER)
+            except ValueError:
+                raise DataError(f"{path}:1: header {header!r} lacks columns "
+                                f"{CSV_HEADER[0]!r}/{CSV_HEADER[1]!r}") from None
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    ts = int(row[ts_idx])
+                    value = float(row[pw_idx])
+                    timestamps.append(ts)  # OverflowError outside int64
+                except (ValueError, IndexError, OverflowError):
+                    raise DataError(
+                        f"{path}:{lineno}: unparsable row {row!r}") from None
+                if not isfinite(value):
+                    raise DataError(
+                        f"{path}:{lineno}: non-finite watts {row[pw_idx]!r}")
+                if len(timestamps) > 1 and ts <= timestamps[-2]:
+                    raise DataError(f"{path}:{lineno}: timestamp {ts} not after "
+                                    f"{timestamps[-2]}")
+                watts.append(value)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not timestamps:
         raise DataError(f"{path}: no data rows")
-    if period_s is None:
-        if len(timestamps) < 2:
-            raise DataError(f"{path}: cannot infer period from a single row")
-        period_s = timestamps[1] - timestamps[0]
-
-    values = []
-    clamped = 0
-    prev_ts = None
-    prev_value = 0.0
-    for ts, value in zip(timestamps, watts):
-        if value < 0:
-            value = 0.0
-            clamped += 1
-        if prev_ts is not None:
-            gap = ts - prev_ts
-            if gap % period_s != 0:
-                raise DataError(
-                    f"{path}: timestamp {ts} is off the {period_s}-second grid")
-            missing = gap // period_s - 1
-            if missing > MAX_FILL_SAMPLES:
-                raise DataError(
-                    f"{path}: gap of {missing} samples before t={ts} exceeds "
-                    f"the fill limit of {MAX_FILL_SAMPLES}")
-            values.extend([prev_value] * missing)
-        values.append(value)
-        prev_ts = ts
-        prev_value = value
+    if len(timestamps) < 2:
+        raise DataError(f"{path}: cannot infer period from a single row")
+    # Increasing int64 values differ by less than 2**64, so their
+    # differences taken as uint64 are exact.
+    steps = np.diff(np.frombuffer(timestamps, dtype=np.uint64))
+    period = int(steps[0])
+    if period > np.iinfo(np.int64).max:
+        raise DataError(f"{path}: period of {period} s is outside the int64 range")
+    off_grid = steps % period != 0
+    counts = steps // period  # samples from each row up to the next one
+    bad = off_grid | (counts > MAX_FILL_SAMPLES + 1)
+    if bad.any():
+        i = int(bad.argmax())
+        ts = timestamps[i + 1]
+        if off_grid[i]:
+            raise DataError(f"{path}: timestamp {ts} is off the {period}-second grid")
+        raise DataError(f"{path}: gap of {counts[i] - 1} samples before t={ts} "
+                        f"exceeds the fill limit of {MAX_FILL_SAMPLES}")
+    values = np.frombuffer(watts)
+    clamped = np.count_nonzero(values < 0)
     if clamped:
+        values[values < 0] = 0.0
         log.warning("%s: clamped %d negative power values to 0 W", path, clamped)
-    series_name = name if name is not None else path
-    return PowerSeries(series_name, int(period_s), timestamps[0],
-                       np.array(values, dtype=np.float64))
+    # Forward-fill: each row's value repeats up to the next row.
+    filled = np.repeat(values, np.append(counts.astype(np.intp), 1))
+    return PowerSeries(name if name is not None else path, period, timestamps[0],
+                       filled)
 
 
 def write_channel_csv(path, series: PowerSeries):

@@ -159,7 +159,8 @@ def grid_search(train_ws, val_ws, window, cfg: TrainConfig,
         raise DataError("hyperparameter grid is empty")
     if cls_cfg is None:
         cls_cfg = ClassificationConfig(window=window)
-    results = []
+    leaderboard = []
+    best_key = best = None
     for index, (f, k, h) in enumerate(points):
         reg_cfg = RegressionConfig(window=window, filters=f, kernel=k, hidden=h)
         model = GatedAttentionModel.init(reg_cfg, cls_cfg, appliance,
@@ -167,9 +168,11 @@ def grid_search(train_ws, val_ws, window, cfg: TrainConfig,
         print(f"grid point={index + 1}/{len(points)} f={f} k={k} h={h} "
               f"params={model.n_params}")
         model, record = train(model, train_ws, val_ws, replace(cfg))
-        results.append((reg_cfg, model, record, model.n_params, index))
+        leaderboard.append((reg_cfg, record.best_val_loss, model.n_params))
         print(f"grid f={f} k={k} h={h} val_loss={record.best_val_loss:.6g}")
-    best = min(results, key=lambda r: (r[2].best_val_loss, r[3], r[4]))
-    leaderboard = [(cfg_i, rec.best_val_loss, n_params)
-                   for cfg_i, _, rec, n_params, _ in results]
-    return GridResult(best[0], best[1], best[2], leaderboard)
+        # Only the best model so far is kept, not one per grid point.
+        key = (record.best_val_loss, model.n_params, index)
+        if best_key is None or key < best_key:
+            best_key, best = key, (reg_cfg, model, record)
+        del model
+    return GridResult(*best, leaderboard)

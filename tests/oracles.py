@@ -5,7 +5,11 @@ possible formulas, deliberately independent of the vectorized code paths
 in the package. Slow and obviously correct.
 """
 
+import math
+
 import numpy as np
+
+from nilmnet.errors import DataError
 
 
 def conv1d_direct(x, w, b, activation="linear"):
@@ -151,6 +155,69 @@ def median_reconstruct_direct(windows, starts, total_len):
         else:
             out[t] = 0.5 * (values[n // 2 - 1] + values[n // 2])
     return out
+
+
+def load_channel_csv_direct(path, fill_limit=3):
+    """Row-by-row channel CSV reading: (period_s, t0, values, clamped).
+
+    Lines are split on commas. Blank lines are skipped, the period is the
+    step between the first two rows, each gap of up to fill_limit missing
+    samples repeats the previous value, and negative watts become 0.0.
+    Errors are DataErrors with the loader's messages.
+    """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if text == "":
+        raise DataError(f"{path}: empty file")
+    lines = text.split("\n")
+    header = [h.strip() for h in lines[0].split(",")]
+    if "timestamp" not in header or "power_w" not in header:
+        raise DataError(f"{path}:1: header {header!r} lacks columns "
+                        f"'timestamp'/'power_w'")
+    ts_idx = header.index("timestamp")
+    pw_idx = header.index("power_w")
+    rows = []
+    for lineno in range(2, len(lines) + 1):
+        line = lines[lineno - 1]
+        if line == "":
+            continue
+        row = line.split(",")
+        try:
+            ts = int(row[ts_idx])
+            value = float(row[pw_idx])
+        except (ValueError, IndexError):
+            raise DataError(f"{path}:{lineno}: unparsable row {row!r}") from None
+        if math.isnan(value) or math.isinf(value):
+            raise DataError(f"{path}:{lineno}: non-finite watts {row[pw_idx]!r}")
+        if rows and ts <= rows[-1][0]:
+            raise DataError(
+                f"{path}:{lineno}: timestamp {ts} not after {rows[-1][0]}")
+        rows.append((ts, value))
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    if len(rows) == 1:
+        raise DataError(f"{path}: cannot infer period from a single row")
+    period = rows[1][0] - rows[0][0]
+    values = []
+    clamped = 0
+    for index, (ts, value) in enumerate(rows):
+        if index > 0:
+            gap = ts - rows[index - 1][0]
+            if gap % period != 0:
+                raise DataError(
+                    f"{path}: timestamp {ts} is off the {period}-second grid")
+            missing = gap // period - 1
+            if missing > fill_limit:
+                raise DataError(
+                    f"{path}: gap of {missing} samples before t={ts} exceeds "
+                    f"the fill limit of {fill_limit}")
+            for _ in range(missing):
+                values.append(values[-1])
+        if value < 0:
+            value = 0.0
+            clamped += 1
+        values.append(value)
+    return period, rows[0][0], values, clamped
 
 
 def sae_direct(y, y_hat, period):

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nilmnet import checkpoint as ckpt
 from nilmnet.data import NormalizationMeta
@@ -154,9 +156,62 @@ class TestFormatGuards:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
+    def test_non_finite_normalization_rejected(self, tmp_path):
+        model = random_model(1)
+        path = tmp_path / "model.ckpt"
+        ckpt.save_checkpoint(path, model)
+        blob = path.read_bytes()
+        mean = struct.pack("<d", model.norm_meta.input_mean)
+        assert blob.count(mean) == 1
+        path.write_bytes(blob.replace(mean, struct.pack("<d", float("nan"))))
+        with pytest.raises(DataError, match="finite"):
+            ckpt.load_checkpoint(path)
+
     @pytest.mark.parametrize("fields", [{"hidden": 0}, {"cls_window": 64}])
     def test_invalid_header_config_is_data_error(self, fields, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(checkpoint_header(**fields))
         with pytest.raises(DataError, match="window|config"):
             ckpt.load_checkpoint(path)
+
+
+def small_checkpoint_bytes(tmp_path):
+    reg = RegressionConfig(window=8, filters=1, kernel=2, hidden=1)
+    cls_cfg = ClassificationConfig(window=8, filters=(1,) * 6,
+                                   kernels=(10, 8, 6, 5, 5, 5), dense_units=2)
+    model = GatedAttentionModel.init(reg, cls_cfg, appliance="kettle", seed=3)
+    model.norm_meta = NormalizationMeta(200.0, 300.0, 0.0, 2500.0)
+    path = tmp_path / "small.ckpt"
+    ckpt.save_checkpoint(path, model)
+    return path.read_bytes()
+
+
+class TestCorruption:
+    """Any corrupted file either loads or raises DataError, nothing else."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_single_byte_change(self, tmp_path, data):
+        blob = bytearray(small_checkpoint_bytes(tmp_path))
+        position = data.draw(st.integers(0, len(blob) - 1))
+        blob[position] = data.draw(st.integers(0, 255))
+        try:
+            ckpt.load_checkpoint(self.write(tmp_path, bytes(blob)))
+        except DataError:
+            pass
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_truncation(self, tmp_path, data):
+        blob = small_checkpoint_bytes(tmp_path)
+        length = data.draw(st.integers(0, len(blob) - 1))
+        with pytest.raises(DataError):
+            ckpt.load_checkpoint(self.write(tmp_path, blob[:length]))
+
+    @staticmethod
+    def write(tmp_path, blob):
+        path = tmp_path / "corrupt.ckpt"
+        path.write_bytes(blob)
+        return path

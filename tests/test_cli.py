@@ -209,6 +209,37 @@ class TestDisaggregate:
         assert not (tmp_path / "pred.csv").exists()
 
 
+class TestNonUtf8Input:
+    """A non-UTF-8 byte in any file the CLI reads is a data error (exit 2)."""
+
+    def test_channel_csv_exits_2(self, trained, tmp_path, capsys):
+        config, house, ckpt = trained
+        bad = tmp_path / "aggregate.csv"
+        bad.write_bytes((house / "aggregate.csv").read_bytes() + b"\xff,1.0\n")
+        assert run(["disaggregate", "--checkpoint", ckpt, "--input", bad,
+                    "--out", tmp_path / "pred.csv"]) == 2
+        assert "aggregate.csv: not UTF-8" in capsys.readouterr().err
+
+    def test_config_section_name_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(b"[appliance h\xffater]\nwindow_l = 16\n")
+        assert run(["synth", "--config", bad, "--out", tmp_path / "house",
+                    "--duration-s", "300"]) == 2
+        assert "bad.ini is not UTF-8" in capsys.readouterr().err
+
+    def test_checkpoint_appliance_name_exits_2(self, trained, tmp_path, capsys):
+        config, house, ckpt = trained
+        blob = bytearray(ckpt.read_bytes())
+        assert blob[12:18] == b"heater"
+        blob[12] = 0xFF
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(blob))
+        assert run(["disaggregate", "--checkpoint", bad,
+                    "--input", house / "aggregate.csv",
+                    "--out", tmp_path / "pred.csv"]) == 2
+        assert "bad.ckpt: string at byte 8 is not UTF-8" in capsys.readouterr().err
+
+
 class TestEvaluate:
     def test_identical_files_perfect_scores(self, trained, tmp_path):
         config, house, _ = trained

@@ -1,16 +1,64 @@
 """Data pipeline: CSV round-trips, alignment, labeling, windows, synthesis."""
 
+import logging
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nilmnet import data
 from nilmnet.errors import DataError
 
+from oracles import load_channel_csv_direct
+
 
 def series(values, period=3, t0=0, name="s"):
     return data.PowerSeries(name, period, t0, np.asarray(values, dtype=float))
+
+
+LOADER_FAULTS = ("off_grid", "long_gap", "not_increasing", "non_finite",
+                 "unparsable")
+
+
+@st.composite
+def channel_csv_texts(draw):
+    """A channel file with blank lines, negative and -0.0 watts, gaps of 0-3
+    missing samples, either column order, and at most one injected fault."""
+    fault = draw(st.none() | st.sampled_from(LOADER_FAULTS))
+    period = draw(st.integers(2 if fault == "off_grid" else 1, 7))
+    n = draw(st.integers(1 if fault is None else 3, 20))
+    stamps = [draw(st.integers(-10**6, 10**6))]
+    for i in range(1, n):
+        # the first step is the period; later steps skip 0-3 samples
+        stamps.append(stamps[-1] + period * (1 + (i > 1) * draw(st.integers(0, 3))))
+    watts = [repr(draw(st.floats(-50.0, 5000.0) | st.sampled_from([-0.0, 0.0])))
+             for _ in range(n)]
+    fields = [[str(ts), w] for ts, w in zip(stamps, watts)]
+    at = draw(st.integers(1, n - 1)) if n > 1 else 0
+    if fault in ("off_grid", "long_gap"):
+        # a new step before row `at`, later rows shifted with it; an
+        # off-grid step may also skip more than 3 samples (the grid error wins)
+        step = (draw(st.integers(1, 7 * period).filter(lambda k: k % period))
+                if fault == "off_grid" else period * draw(st.integers(5, 7)))
+        shift = stamps[at - 1] + step - stamps[at]
+        for row in fields[at:]:
+            row[0] = str(int(row[0]) + shift)
+    elif fault == "not_increasing":
+        fields[at][0] = str(stamps[at - 1] - draw(st.integers(0, 2 * period)))
+    elif fault == "non_finite":
+        fields[at][1] = draw(st.sampled_from(["nan", "inf", "-inf", "Infinity"]))
+    elif fault == "unparsable":
+        fields[at] = draw(st.sampled_from([[fields[at][0], "oops"],
+                                           ["1.5", fields[at][1]],
+                                           [fields[at][0]]]))
+    columns = draw(st.sampled_from([(0, 1), (1, 0)]))
+    header = ",".join(data.CSV_HEADER[c] for c in columns)
+    lines = [header]
+    for row in fields:
+        lines.extend([""] * draw(st.integers(0, 2)))
+        lines.append(",".join(row[c] for c in columns if c < len(row)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
 
 
 class TestChannelCsv:
@@ -88,6 +136,60 @@ class TestChannelCsv:
         with pytest.raises(DataError, match="header"):
             data.load_channel_csv(path)
 
+    @given(channel_csv_texts())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_row_by_row_oracle(self, tmp_path, caplog, text):
+        path = str(tmp_path / "ch.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            period, t0, values, clamped = load_channel_csv_direct(path)
+        except DataError as exc:
+            with pytest.raises(DataError) as raised:
+                data.load_channel_csv(path)
+            assert str(raised.value) == str(exc)
+            return
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="nilmnet.data"):
+            loaded = data.load_channel_csv(path, name="ch")
+        assert (loaded.name, loaded.period_s, loaded.t0) == ("ch", period, t0)
+        assert loaded.values.tobytes() == np.array(values, dtype=np.float64).tobytes()
+        warnings = [r.getMessage() for r in caplog.records]
+        assert warnings == ([f"{path}: clamped {clamped} negative power values "
+                             f"to 0 W"] if clamped else [])
+
+    @pytest.mark.parametrize("row", ["9223372036854775808,1.0",
+                                     "-9223372036854775809,1.0"])
+    def test_timestamp_outside_int64_rejected_with_line(self, tmp_path, row):
+        path = tmp_path / "ch.csv"
+        path.write_text(f"timestamp,power_w\n\n{row}\n")
+        with pytest.raises(DataError, match=r"ch\.csv:3: unparsable"):
+            data.load_channel_csv(path)
+
+    def test_int64_extremes_load(self, tmp_path):
+        lo, hi = -2**63, 2**63 - 1
+        path = tmp_path / "ch.csv"
+        path.write_text(f"timestamp,power_w\n{lo},1.0\n{lo + 4},2.0\n"
+                        f"{hi - 3},3.0\n{hi},4.0\n")
+        with pytest.raises(DataError, match="gap"):
+            data.load_channel_csv(path)
+        path.write_text(f"timestamp,power_w\n{hi - 8},1.0\n{hi - 4},2.0\n{hi},3.0\n")
+        loaded = data.load_channel_csv(path)
+        assert loaded.timestamps()[-1] == hi
+
+    def test_period_outside_int64_rejected(self, tmp_path):
+        path = tmp_path / "ch.csv"
+        path.write_text(f"timestamp,power_w\n{-2**63},1.0\n{2**63 - 1},2.0\n")
+        with pytest.raises(DataError, match="period .*int64"):
+            data.load_channel_csv(path)
+
+    def test_non_utf8_row_rejected(self, tmp_path):
+        path = tmp_path / "ch.csv"
+        path.write_bytes(b"timestamp,power_w\n0,1.0\n3,\xff\n")
+        with pytest.raises(DataError, match=r"ch\.csv: not UTF-8"):
+            data.load_channel_csv(path)
+
 
 class TestAlign:
     def test_identical_series_unchanged(self):
@@ -137,6 +239,37 @@ class TestAlign:
         assert agg.t0 == app.t0 == 6
         np.testing.assert_array_equal(agg.values, [3, 4, 5])
         np.testing.assert_array_equal(app.values, [10, 20, 30])
+
+    @given(st.lists(st.floats(0.0, 5000.0), max_size=40), st.integers(1, 6),
+           st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_downsample_mean_pools_each_block(self, values, period, factor):
+        pooled = data.resample(series(values, period=period), period * factor)
+        blocks = [values[i:i + factor]
+                  for i in range(0, len(values) - factor + 1, factor)]
+        assert pooled.period_s == period * factor
+        assert pooled.values.tolist() == [sum(b) / factor for b in blocks]
+
+    @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40),
+           st.sampled_from([2, 4]), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_upsample_then_downsample_is_identity(self, values, factor, scale):
+        coarse = series(values, period=factor * scale)
+        fine = data.resample(coarse, scale)
+        assert len(fine) == factor * len(coarse)
+        back = data.resample(fine, factor * scale)
+        assert back.values.tobytes() == coarse.values.tobytes()
+
+    @given(st.integers(2, 12), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_upsample_past_fill_limit_refused(self, factor, scale):
+        coarse = series([1.0, 2.0], period=factor * scale)
+        if factor - 1 > data.MAX_FILL_SAMPLES:
+            with pytest.raises(DataError, match="forward-fill"):
+                data.resample(coarse, scale)
+        else:
+            filled = data.resample(coarse, scale)
+            assert filled.values.tolist() == [1.0] * factor + [2.0] * factor
 
     @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 10),
            st.integers(0, 10))
@@ -283,6 +416,14 @@ class TestNormalization:
     def test_denormalize_clamps_at_zero(self):
         out = data.denormalize_target(np.array([-0.5]), self.meta)
         assert out[0] == 0.0
+
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_statistics_rejected(self, field, bad):
+        stats = [10.0, 2.0, 0.0, 50.0]
+        stats[field] = bad
+        with pytest.raises(DataError, match="finite"):
+            data.NormalizationMeta(*stats)
 
     def test_fit_matches_hand_computation(self):
         agg = np.array([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0, 6.0, 4.0])

@@ -1,9 +1,12 @@
 """Training loop behavior: convergence, early stopping, determinism, grid search."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from nilmnet import data
+from nilmnet import data, training
 from nilmnet.errors import DataError, NumericalError
 from nilmnet.model import ClassificationConfig, GatedAttentionModel, RegressionConfig
 from nilmnet.training import TrainConfig, grid_search, train
@@ -150,6 +153,25 @@ class TestGridSearch:
         # leaderboard points: (1,4,1), (1,4,8), (4,4,1), (4,4,8)
         assert result.best_config.filters == 4
         assert result.best_config.hidden == 8
+
+    def test_only_the_best_model_outlives_its_grid_point(self, monkeypatch):
+        train_ws, val_ws = toy_windows()
+        earlier = []
+        alive_at_start = []
+
+        def tracking_train(model, *args):
+            gc.collect()
+            alive_at_start.append(sum(ref() is not None for ref in earlier))
+            earlier.append(weakref.ref(model))
+            return train(model, *args)
+
+        monkeypatch.setattr(training, "train", tracking_train)
+        cfg = TrainConfig(max_epochs=1, patience=1, seed=8)
+        result = grid_search(train_ws, val_ws, 16, cfg, f_values=[1, 2],
+                             k_values=[4], h_values=[1, 2], cls_cfg=TOY_CLS)
+        assert alive_at_start == [0, 1, 1, 1]
+        assert len(result.leaderboard) == 4
+        assert any(ref() is result.best_model for ref in earlier)
 
     def test_empty_grid_rejected(self):
         train_ws, val_ws = toy_windows()
