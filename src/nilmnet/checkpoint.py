@@ -130,7 +130,7 @@ def load_checkpoint(path) -> GatedAttentionModel:
             kernels=tuple(k for _, k in pairs),
             dense_units=dense_units,
         )
-    except ValueError as exc:
+    except DataError as exc:
         raise DataError(f"{path}: invalid model config: {exc}") from None
     if reg.window != cls_cfg.window:
         raise DataError(f"{path}: regression window {reg.window} differs from "

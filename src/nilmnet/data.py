@@ -155,7 +155,7 @@ def load_channel_csv(path, name=None):
             except ValueError:
                 raise DataError(f"{path}:1: header {header!r} lacks columns "
                                 f"{CSV_HEADER[0]!r}/{CSV_HEADER[1]!r}") from None
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 try:
@@ -164,13 +164,13 @@ def load_channel_csv(path, name=None):
                     timestamps.append(ts)  # OverflowError outside int64
                 except (ValueError, IndexError, OverflowError):
                     raise DataError(
-                        f"{path}:{lineno}: unparsable row {row!r}") from None
+                        f"{path}:{reader.line_num}: unparsable row {row!r}") from None
                 if not isfinite(value):
                     raise DataError(
-                        f"{path}:{lineno}: non-finite watts {row[pw_idx]!r}")
+                        f"{path}:{reader.line_num}: non-finite watts {row[pw_idx]!r}")
                 if len(timestamps) > 1 and ts <= timestamps[-2]:
-                    raise DataError(f"{path}:{lineno}: timestamp {ts} not after "
-                                    f"{timestamps[-2]}")
+                    raise DataError(f"{path}:{reader.line_num}: timestamp {ts} "
+                                    f"not after {timestamps[-2]}")
                 watts.append(value)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None

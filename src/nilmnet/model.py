@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 
 CLS_FILTERS = (30, 30, 40, 50, 50, 50)
 CLS_KERNELS = (10, 8, 6, 5, 5, 5)
@@ -39,7 +39,7 @@ class RegressionConfig:
     def __post_init__(self):
         for name in ("window", "filters", "kernel", "hidden"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
+                raise DataError(f"{name} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,11 @@ class ClassificationConfig:
 
     def __post_init__(self):
         if self.window < 1:
-            raise ValueError("window must be a positive integer")
+            raise DataError("window must be a positive integer")
         if len(self.filters) != len(self.kernels):
-            raise ValueError("filters and kernels must have equal length")
+            raise DataError("filters and kernels must have equal length")
         if any(v < 1 for v in self.filters) or any(v < 1 for v in self.kernels):
-            raise ValueError("layer table entries must be positive")
+            raise DataError("layer table entries must be positive")
 
 
 def parameter_count(reg_cfg: RegressionConfig, cls_cfg: ClassificationConfig):
@@ -147,20 +147,18 @@ class ClassificationNet:
         self.fc1 = nn.Dense("cls.fc1", flat, cfg.dense_units, "relu", rng, dtype)
         self.fc2 = nn.Dense("cls.fc2", cfg.dense_units, cfg.window, "sigmoid",
                             rng, dtype)
-        self._feat_shape = None
 
     def forward(self, x, cache=True):
         """x: (B, L) standardized windows -> on probabilities (B, L)."""
         feats = x[:, None, :]
         for conv in self.convs:
             feats = conv.forward(feats, cache)
-        self._feat_shape = feats.shape
         flat = feats.reshape(feats.shape[0], -1)
         return self.fc2.forward(self.fc1.forward(flat, cache), cache)
 
     def backward(self, d_state):
         d_flat = self.fc1.backward(self.fc2.backward(d_state))
-        d_feats = d_flat.reshape(self._feat_shape)
+        d_feats = d_flat.reshape(len(d_flat), -1, self.cfg.window)
         for conv in reversed(self.convs):
             d_feats = conv.backward(d_feats)
         return d_feats[:, 0, :]

@@ -15,6 +15,9 @@ Arrays are batch-first throughout:
     BiLSTM     (B, T, d)    -> (B, T, 2H)
     Attention  (B, T, 2H)   -> context (B, 2H), weights (B, T)
 
+Conv1D computes channels-first, as it is called: its im2col columns are
+(B, C_in*K, L) and its output is a contiguous (B, F, L) array.
+
 Training runs in float32; tests instantiate everything in float64 so that
 analytic gradients can be compared against central finite differences.
 
@@ -100,7 +103,7 @@ class LayerParams:
     def __init__(self, name, weights):
         self.name = name
         self.weights = dict(weights)
-        self.grads = {k: np.zeros_like(v) for k, v in self.weights.items()}
+        self.grads = {k: np.zeros(v.shape, v.dtype) for k, v in self.weights.items()}
         self.arena = None
 
     @property
@@ -130,7 +133,9 @@ def pack_params(param_list):
     if any(p.arena is not None for p in params):
         raise ValueError("a parameter group already belongs to another arena")
     weights = np.concatenate([w.reshape(-1) for p in params for w in p.weights.values()])
-    grads = np.zeros_like(weights)  # zero grads are skipped: their pages stay untouched
+    # np.zeros, unlike np.zeros_like, leaves the pages untouched, and zero
+    # grads are skipped below, so an inference-only model never touches them.
+    grads = np.zeros(weights.shape, weights.dtype)
     arena = (ids, weights, grads)
     offset = 0
     for p in params:
@@ -166,7 +171,13 @@ def same_padding(kernel):
 
 
 class Conv1D:
-    """1-D convolution over the last axis, stride 1, length-preserving."""
+    """1-D convolution over the last axis, stride 1, length-preserving.
+
+    One GEMM over im2col columns (Chellapilla, Puri & Simard 2006), in the
+    layout the layer is given: the (F, C_in*K) filters times (B, C_in*K, L)
+    columns write the (B, F, L) output directly, so no layout conversion
+    goes in or out, forward or backward.
+    """
 
     def __init__(self, name, in_channels, filters, kernel, activation="relu",
                  rng=None, dtype=np.float32):
@@ -195,40 +206,40 @@ class Conv1D:
             raise ShapeError(
                 f"{self.params.name}: expected (B, {self.in_channels}, L), got {x.shape}")
         b_sz, _, length = x.shape
-        k = self.kernel
-        pl, pr = same_padding(k)
-        xp = np.pad(x, ((0, 0), (0, 0), (pl, pr)))
-        # im2col: (B, L, C_in*K) patches against (F, C_in*K) filters
-        patches = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
-        cols = patches.transpose(0, 2, 1, 3).reshape(b_sz, length, -1)
+        xp = np.pad(x, ((0, 0), (0, 0), same_padding(self.kernel)))
+        # im2col in the given layout: the K length-L windows of xp, one per
+        # kernel offset, as (B, C_in*K, L) columns whose rows run in (c, k)
+        # order, the order of W.reshape(F, C_in*K).
+        windows = np.lib.stride_tricks.sliding_window_view(xp, length, axis=2)
+        cols = windows.reshape(b_sz, -1, length)
         w = self.params.weights["W"].reshape(self.filters, -1)
-        pre = cols @ w.T + self.params.weights["b"]
+        pre = w @ cols
+        pre += self.params.weights["b"][:, None]
         out = _apply_activation(pre, self.activation)
-        self._cache = (cols, pre, out, x.shape) if cache else None
-        return out.transpose(0, 2, 1)
+        self._cache = (cols, pre, out) if cache else None
+        return out
 
     def backward(self, d_out):
         """d_out: (B, F, L) -> gradient w.r.t. the input, (B, C_in, L)."""
-        cols, pre, out, x_shape = self._cache
-        b_sz, c_in, length = x_shape
-        if d_out.shape != (b_sz, self.filters, length):
+        cols, pre, out = self._cache
+        if d_out.shape != out.shape:
             raise ShapeError(
                 f"{self.params.name}: upstream shape {d_out.shape} does not match "
-                f"forward output {(b_sz, self.filters, length)}")
-        d_pre = _activation_grad(d_out.transpose(0, 2, 1), pre, out, self.activation)
+                f"forward output {out.shape}")
+        d_pre = _activation_grad(d_out, pre, out, self.activation)
         w = self.params.weights["W"].reshape(self.filters, -1)
-        flat_pre = d_pre.reshape(-1, self.filters)
-        flat_cols = cols.reshape(-1, cols.shape[-1])
-        self.params.grads["W"] += (flat_pre.T @ flat_cols).reshape(
-            self.params.weights["W"].shape)
-        self.params.grads["b"] += flat_pre.sum(axis=0)
-        d_cols = (d_pre @ w).reshape(b_sz, length, c_in, self.kernel)
-        d_cols = d_cols.transpose(0, 2, 1, 3)          # (B, C_in, L, K)
+        # One GEMM per batch item with its columns as a transposed operand
+        # (no copy), summed over the batch.
+        d_w = (d_pre @ cols.swapaxes(1, 2)).sum(axis=0)
+        self.params.grads["W"] += d_w.reshape(self.params.grads["W"].shape)
+        self.params.grads["b"] += d_pre.sum(axis=(0, 2))
+        b_sz, _, length = out.shape
         k = self.kernel
-        pl, pr = same_padding(k)
-        d_xp = np.zeros((b_sz, c_in, length + pl + pr), dtype=d_out.dtype)
+        d_cols = (w.T @ d_pre).reshape(b_sz, self.in_channels, k, length)
+        d_xp = np.zeros((b_sz, self.in_channels, length + k - 1), dtype=d_out.dtype)
         for j in range(k):
-            d_xp[:, :, j:j + length] += d_cols[:, :, :, j]
+            d_xp[:, :, j:j + length] += d_cols[:, :, j]
+        pl = same_padding(k)[0]
         return d_xp[:, :, pl:pl + length]
 
 

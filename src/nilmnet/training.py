@@ -43,6 +43,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise DataError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise DataError("max_epochs must be >= 1")
         if self.patience < 1:
             raise DataError("patience must be >= 1")
         if self.window_stride < 1:
@@ -154,15 +156,17 @@ def grid_search(train_ws, val_ws, window, cfg: TrainConfig,
     by grid order. Points are independent of each other, so they could run
     in parallel; this implementation trains them sequentially.
     """
-    points = list(itertools.product(f_values, k_values, h_values))
+    # Every point is checked before the first one trains.
+    points = [RegressionConfig(window=window, filters=f, kernel=k, hidden=h)
+              for f, k, h in itertools.product(f_values, k_values, h_values)]
     if not points:
         raise DataError("hyperparameter grid is empty")
     if cls_cfg is None:
         cls_cfg = ClassificationConfig(window=window)
     leaderboard = []
     best_key = best = None
-    for index, (f, k, h) in enumerate(points):
-        reg_cfg = RegressionConfig(window=window, filters=f, kernel=k, hidden=h)
+    for index, reg_cfg in enumerate(points):
+        f, k, h = reg_cfg.filters, reg_cfg.kernel, reg_cfg.hidden
         model = GatedAttentionModel.init(reg_cfg, cls_cfg, appliance,
                                          seed=cfg.seed, dtype=dtype)
         print(f"grid point={index + 1}/{len(points)} f={f} k={k} h={h} "

@@ -298,6 +298,11 @@ class TestGradcheckCommand:
         assert len(lines) == 17
         assert all("status=ok" in l for l in lines)
 
+    def test_classification_branch_without_convs_passes(self, capsys):
+        args = self.ARGS[:-4] + ["--cls-filters", "", "--cls-dense", "8"]
+        assert run(args) == 0
+        assert "all 11 parameter tensors" in capsys.readouterr().out
+
     def test_injected_fault_fails_with_exit_3(self, capsys):
         assert run(self.ARGS + ["--inject-fault"]) == 3
         assert "FAIL" in capsys.readouterr().out
@@ -330,6 +335,47 @@ class TestUsageErrors:
                     "--appliance-name", "heater",
                     "--out", tmp_path / "o.ckpt",
                     "--grid", "Q=1,2"]) == 2
+
+
+class TestBadModelDims:
+    """Unusable model dims or epoch counts exit 2 with an error line."""
+
+    def train(self, config, house, out, *extra):
+        return run(["train", "--config", config,
+                    "--aggregate", house / "aggregate.csv",
+                    "--appliance", house / "heater.csv",
+                    "--appliance-name", "heater", "--out", out, *extra])
+
+    def test_zero_filters_in_grid_flag_exits_2_before_training(
+            self, trained, tmp_path, capsys):
+        config, house, _ = trained
+        out = tmp_path / "g.ckpt"
+        assert self.train(config, house, out, "--grid", "F=2,0;K=4;H=2") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "grid point=" not in captured.out
+        assert not out.exists()
+
+    def test_zero_filters_in_model_section_exits_2(self, trained, tmp_path, capsys):
+        _, house, _ = trained
+        config = tmp_path / "run.ini"
+        config.write_text(CONFIG.replace("filters = 2", "filters = 0"))
+        assert self.train(config, house, tmp_path / "m.ckpt") == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_zero_max_epochs_exits_2_without_checkpoint(self, trained, tmp_path,
+                                                        capsys):
+        _, house, _ = trained
+        config = tmp_path / "run.ini"
+        config.write_text(CONFIG.replace("max_epochs = 3", "max_epochs = 0"))
+        out = tmp_path / "e.ckpt"
+        assert self.train(config, house, out) == 2
+        assert "max_epochs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gradcheck_zero_hidden_exits_2(self, capsys):
+        assert run(["gradcheck", "--hidden", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestRunConfig:

@@ -97,6 +97,12 @@ class TestChannelCsv:
         with pytest.raises(DataError, match=r":3"):
             data.load_channel_csv(path)
 
+    def test_line_numbers_count_lines_inside_quoted_fields(self, tmp_path):
+        path = tmp_path / "ch.csv"
+        path.write_text('timestamp,power_w,note\n0,1.0,"a\nb"\n3,oops,x\n')
+        with pytest.raises(DataError, match=r"ch\.csv:4: unparsable"):
+            data.load_channel_csv(path)
+
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "Infinity"])
     def test_non_finite_watts_rejected_with_line(self, tmp_path, text):
         path = tmp_path / "ch.csv"

@@ -6,6 +6,7 @@ import pytest
 from nilmnet import nn
 
 from oracles import finite_difference, max_rel_err
+from test_nn_layers import CONV_CASES
 
 GRAD_TOL = 1e-5
 FD_STEP = 1e-5
@@ -70,6 +71,16 @@ class TestConv1DBackward:
         layer = nn.Conv1D("c", 2, 2, kernel, activation, rng=rng, dtype=np.float64)
         layer.params.weights["b"][:] = rng.normal(size=2)
         x = rng.normal(size=(2, 2, 5))
+        check_params_and_input(layer, x, layer.forward, rng)
+
+    @pytest.mark.parametrize("batch, c_in, kernel, length", CONV_CASES)
+    @pytest.mark.parametrize("activation", ["linear", "relu"])
+    def test_finite_differences_batched_and_long_kernels(self, batch, c_in, kernel,
+                                                         length, activation):
+        rng = np.random.default_rng(kernel * length)
+        layer = nn.Conv1D("c", c_in, 3, kernel, activation, rng=rng, dtype=np.float64)
+        layer.params.weights["b"][:] = rng.normal(size=3)
+        x = rng.normal(size=(batch, c_in, length))
         check_params_and_input(layer, x, layer.forward, rng)
 
 

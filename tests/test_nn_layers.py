@@ -17,6 +17,9 @@ from oracles import (
 )
 
 N_SEEDS = 25
+# Conv1D shapes (batch, C_in, kernel, length): batches and channels above
+# 1, even kernels, and kernels longer than the sequence.
+CONV_CASES = [(3, 1, 2, 7), (2, 3, 4, 6), (4, 2, 8, 3), (2, 2, 5, 2), (3, 2, 6, 1)]
 
 
 def make_conv(seed, c_in=2, filters=3, kernel=3, activation="linear"):
@@ -56,6 +59,21 @@ class TestConv1D:
         expected = conv1d_direct(x[0], layer.params.weights["W"],
                                  layer.params.weights["b"], "relu")
         assert np.max(np.abs(out[0] - expected)) < 1e-10
+
+    @pytest.mark.parametrize("batch, c_in, kernel, length", CONV_CASES)
+    @pytest.mark.parametrize("activation", ["linear", "relu"])
+    def test_batched_multichannel_matches_direct(self, batch, c_in, kernel, length,
+                                                 activation):
+        layer, rng = make_conv(kernel * length, c_in=c_in, kernel=kernel,
+                               activation=activation)
+        x = rng.normal(size=(batch, c_in, length))
+        out = layer.forward(x)
+        assert out.shape == (batch, 3, length)
+        assert out.flags.c_contiguous
+        for item in range(batch):
+            expected = conv1d_direct(x[item], layer.params.weights["W"],
+                                     layer.params.weights["b"], activation)
+            assert np.max(np.abs(out[item] - expected)) < 1e-10
 
     def test_channel_mismatch_raises(self):
         layer, _ = make_conv(0)
