@@ -271,16 +271,18 @@ def cmd_disaggregate(args):
     if args.export_attention:
         alphas, starts = attention
         attention_path = Path(args.out).with_suffix(".attention.csv")
-        window = alphas.shape[1]
-        with open(attention_path, "w", encoding="utf-8") as fh:
-            header = ",".join(["window_start"]
-                              + [f"alpha_{i}" for i in range(window)])
-            fh.write(header + "\n")
-            for start, row in zip(starts, alphas):
-                fh.write(str(int(start)) + ","
-                         + ",".join(repr(float(v)) for v in row) + "\n")
+        write_attention_csv(attention_path, alphas, starts)
         print(f"attention={attention_path} ({alphas.shape[0]} windows)")
     return EXIT_OK
+
+
+def write_attention_csv(path, alphas, starts):
+    """One row per window: its start, then its L weights as float reprs."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(["window_start"]
+                          + [f"alpha_{i}" for i in range(alphas.shape[1])]) + "\n")
+        for start, row in zip(starts.tolist(), alphas):
+            fh.write(f"{start},{','.join(map(repr, row.tolist()))}\n")
 
 
 def cmd_evaluate(args):

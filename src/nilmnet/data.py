@@ -22,6 +22,7 @@ log = logging.getLogger(__name__)
 
 CSV_HEADER = ("timestamp", "power_w")
 MAX_FILL_SAMPLES = 3
+WRITE_BLOCK_ROWS = 65536
 
 # Default window lengths (samples) per dataset/appliance.
 DEFAULT_WINDOW_LENGTHS = {
@@ -206,10 +207,18 @@ def load_channel_csv(path, name=None):
 
 
 def write_channel_csv(path, series: PowerSeries):
+    """Write a channel CSV, each watt value as the repr of its Python float.
+
+    Rows are formatted from .tolist() blocks of WRITE_BLOCK_ROWS, so the
+    Python objects in hand stay bounded however long the series is.
+    """
+    timestamps = series.timestamps()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
-        for ts, value in zip(series.timestamps(), series.values):
-            fh.write(f"{ts},{float(value)}\n")
+        for lo in range(0, len(series), WRITE_BLOCK_ROWS):
+            block = slice(lo, lo + WRITE_BLOCK_ROWS)
+            fh.write("".join(f"{ts},{value!r}\n" for ts, value in zip(
+                timestamps[block].tolist(), series.values[block].tolist())))
 
 
 def resample(series: PowerSeries, target_period_s: int) -> PowerSeries:

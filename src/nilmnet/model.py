@@ -326,9 +326,19 @@ class GatedAttentionModel:
                 f"window length {x.shape[1]} does not match model window "
                 f"{self.window}")
 
-    def snapshot_weights(self):
-        """Copy of the flat weight vector, for best-epoch checkpointing."""
-        return self._weights.copy()
+    def snapshot_weights(self, out=None):
+        """Copy of the flat weight vector, for best-epoch checkpointing.
+
+        With out given (an earlier snapshot), the weights are copied into it
+        and out is returned, so no new buffer is mapped per call.
+        """
+        if out is None:
+            return self._weights.copy()
+        if out.shape != self._weights.shape:
+            raise ShapeError(f"snapshot buffer {out.shape} does not match "
+                             f"{self._weights.shape}")
+        out[...] = self._weights
+        return out
 
     def restore_weights(self, snapshot):
         self._weights[...] = snapshot

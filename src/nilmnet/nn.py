@@ -16,7 +16,10 @@ Arrays are batch-first throughout:
     Attention  (B, T, 2H)   -> context (B, 2H), weights (B, T)
 
 Conv1D computes channels-first, as it is called: its im2col columns are
-(B, C_in*K, L) and its output is a contiguous (B, F, L) array.
+(B, C_in*K, L) and its output is a contiguous (B, F, L) array. BiLSTM
+computes direction-major: its buffers are (2, T, B, .) with the backward
+direction in reversed time, so one step loop runs both directions as one
+slab, and the four gate activations of a step take a single tanh.
 
 Training runs in float32; tests instantiate everything in float64 so that
 analytic gradients can be compared against central finite differences.
@@ -32,6 +35,7 @@ tensor drops out of the arena.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,23 +292,47 @@ class Dense:
 
 
 def _split_gates(z):
-    """Views (i, f, g, o) of the four gate blocks of a (B, 4H) array."""
-    hs = z.shape[1] // 4
-    return tuple(z[:, k * hs:(k + 1) * hs] for k in range(4))
+    """Views (i, f, g, o) of the four gate blocks along the last axis of z."""
+    hs = z.shape[-1] // 4
+    return tuple(z[..., k * hs:(k + 1) * hs] for k in range(4))
+
+
+@functools.lru_cache(maxsize=16)
+def _gate_scale_shift(hs, dtype):
+    """Per-column scale (1/2, 1/2, 1, 1/2) and shift (1/2, 1/2, -0, 1/2) of
+    a 4H gate row in gate order (i, f, g, o), read-only."""
+    scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=dtype), hs)
+    shift = np.repeat(np.array([0.5, 0.5, -0.0, 0.5], dtype=dtype), hs)
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
+
+
+def _gate_activations(z):
+    """All four gate activations of z (..., 4H) in place, with one tanh.
+
+    sigmoid(x) = tanh(x / 2) / 2 + 1/2, so the sigmoid gates' inputs are
+    halved (exact in binary floating point), one tanh runs over all four
+    blocks, and the sigmoid blocks are halved and shifted by 1/2. Each
+    value rounds as sigmoid() rounds it; the candidate block is scaled by 1
+    and shifted by -0.0, which leaves tanh and the sign of a zero intact.
+    """
+    scale, shift = _gate_scale_shift(z.shape[-1] // 4, z.dtype)
+    z *= scale
+    np.tanh(z, out=z)
+    z *= scale
+    z += shift
+    return z
 
 
 def _lstm_gates(z, c_prev, c, tanh_c, h):
     """The LSTM cell equations for one step, in place on preallocated arrays.
 
-    z holds the pre-activations (B, 4H) in gate order (i, f, g, o) and is
+    z holds the pre-activations (..., 4H) in gate order (i, f, g, o) and is
     overwritten with the activations; c, tanh(c) and h are written to the
-    given (B, H) arrays. Every argument may be a strided view.
+    given (..., H) arrays. Leading axes stack independent cells, as the
+    BiLSTM's (2, B) direction slabs do. Every argument may be a strided view.
     """
-    hs = c.shape[1]
-    sigmoid(z[:, :2 * hs], out=z[:, :2 * hs])
-    np.tanh(z[:, 2 * hs:3 * hs], out=z[:, 2 * hs:3 * hs])
-    sigmoid(z[:, 3 * hs:], out=z[:, 3 * hs:])
-    i, f, g, o = _split_gates(z)
+    i, f, g, o = _split_gates(_gate_activations(z))
     np.multiply(f, c_prev, out=c)
     c += i * g
     np.tanh(c, out=tanh_c)
@@ -314,22 +342,22 @@ def _lstm_gates(z, c_prev, c, tanh_c, h):
 def _lstm_gates_backward(d_h, d_c, gates, c_prev, tanh_c, d_z):
     """Backward through the cell equations of one step.
 
-    gates holds the activations (B, 4H) of the step; d_h and d_c are the
+    gates holds the activations (..., 4H) of the step; d_h and d_c are the
     gradients reaching its h and c. Writes the pre-activation gradient into
-    d_z (B, 4H) and returns the gradient of the previous cell state.
+    d_z (..., 4H) and returns the gradient of the previous cell state.
     """
-    hs = c_prev.shape[1]
+    hs = c_prev.shape[-1]
     i, f, g, o = _split_gates(gates)
     d_c = d_c + d_h * o * (1.0 - tanh_c * tanh_c)
-    np.multiply(d_c, g, out=d_z[:, :hs])
-    np.multiply(d_c, c_prev, out=d_z[:, hs:2 * hs])
-    np.multiply(d_c, i, out=d_z[:, 2 * hs:3 * hs])
-    np.multiply(d_h, tanh_c, out=d_z[:, 3 * hs:])
+    np.multiply(d_c, g, out=d_z[..., :hs])
+    np.multiply(d_c, c_prev, out=d_z[..., hs:2 * hs])
+    np.multiply(d_c, i, out=d_z[..., 2 * hs:3 * hs])
+    np.multiply(d_h, tanh_c, out=d_z[..., 3 * hs:])
     # Activation slopes over all four blocks at once: s * (1 - s) for the
     # sigmoid gates, then 1 - g * g over the candidate block.
     slope = 1.0 - gates
     slope *= gates
-    slope_g = np.multiply(g, g, out=slope[:, 2 * hs:3 * hs])
+    slope_g = np.multiply(g, g, out=slope[..., 2 * hs:3 * hs])
     np.subtract(1.0, slope_g, out=slope_g)
     d_z *= slope
     return d_c * f
@@ -398,18 +426,23 @@ class BiLSTM:
 
     Laid out the way cuDNN runs recurrent layers (Appleyard, Kocisky &
     Blunsom 2016, arXiv:1604.01946): only the recurrent product h @ U.T
-    depends on the previous step, so everything else leaves the time loop.
+    depends on the previous step, so everything else leaves the time loop,
+    and the two directions, which do not depend on each other, run together.
 
-    - forward projects the whole sequence for both directions with one
-      (B*T, d) @ (d, 8H) GEMM, straight into a time-major gate buffer
-      (T, B, 8H) whose columns hold the forward cell's gates, then the
-      backward cell's. Each step adds its recurrent product in place and
-      applies the cell equations there, writing c, tanh(c) and h into
-      preallocated (T, B, 2H) buffers.
-    - backward runs only the elementwise gate gradients and one recurrent
-      GEMM d_z @ U per step, keeping d_z of every step in a (T, B, 8H)
-      buffer. After the loop, dW, dU, db and the input gradient are each
-      one large GEMM or sum over all steps.
+    Every buffer is direction-major, (2, T, B, .): row 0 is the forward
+    cell in natural time, row 1 the backward cell in reversed time, so
+    buffer step s is time s forward and time T-1-s backward, and each
+    direction's buffer is one contiguous slab.
+
+    - forward projects the inputs, stacked as (2, T*B, d) with the second
+      copy time-reversed, with one batched (2, d, 4H) GEMM straight into
+      the gate buffer. Step s then adds one batched (2, B, H) @ (2, H, 4H)
+      recurrent product and applies the cell equations, one tanh for all
+      four gates, to both directions' (2, B, 4H) slab at once.
+    - backward runs the same fused loop: the elementwise gate gradients and
+      one batched recurrent GEMM d_z @ U per step, keeping d_z of every step.
+      After the loop, dW, dU, db and the input gradient are each one batched
+      GEMM or sum over the per-direction slabs.
 
     The cell equations are the ones LSTMCell.step uses, so the layer equals
     an unrolled composition of the two cells' steps.
@@ -422,86 +455,78 @@ class BiLSTM:
         self.bw = LSTMCell(f"{name}.bw", input_size, hidden_size, rng, dtype)
         self._cache = None
 
-    def _directions(self, steps):
-        """Per direction: the cell, its gate and state columns, the order it
-        visits the steps in, and the offset from a step to the one before."""
-        hs = self.hidden_size
-        return (
-            (self.fw, slice(0, 4 * hs), slice(0, hs), range(steps), -1),
-            (self.bw, slice(4 * hs, 8 * hs), slice(hs, 2 * hs),
-             range(steps - 1, -1, -1), 1),
-        )
+    def _stacked(self, key, transpose=False):
+        """The two cells' key tensors as one C-contiguous (2, ...) array."""
+        return np.array([c.params.weights[key].T if transpose else c.params.weights[key]
+                         for c in (self.fw, self.bw)])
 
     def forward(self, x, cache=True):
         """x: (B, T, d) -> (B, T, 2H). Initial states are zero."""
         if x.ndim != 3 or x.shape[2] != self.input_size:
             raise ShapeError(f"bilstm: expected (B, T, {self.input_size}), got {x.shape}")
-        b_sz, steps, _ = x.shape
+        b_sz, steps, d = x.shape
         if steps < 1:
             raise ShapeError("bilstm: empty sequence")
         hs = self.hidden_size
-        fw, bw = self.fw.params.weights, self.bw.params.weights
-        x_tm = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(steps * b_sz, -1)
-        gates = x_tm @ np.concatenate([fw["W"], bw["W"]]).T
-        gates += np.concatenate([fw["b"], bw["b"]])
-        gates = gates.reshape(steps, b_sz, 8 * hs)
+        x_tm = x.transpose(1, 0, 2)
+        xs = np.stack([x_tm, x_tm[::-1]]).reshape(2, steps * b_sz, d)
+        w = self._stacked("W")
+        gates = np.empty((2, steps, b_sz, 4 * hs), dtype=np.result_type(x, w))
+        np.matmul(xs, w.transpose(0, 2, 1), out=gates.reshape(2, steps * b_sz, 4 * hs))
+        gates += self._stacked("b")[:, None, None]
         cells, tanh_c, hidden = (
-            np.empty((steps, b_sz, 2 * hs), dtype=gates.dtype) for _ in range(3))
-        zeros = np.zeros((b_sz, hs), dtype=gates.dtype)
-        for cell, g_cols, h_cols, order, offset in self._directions(steps):
-            # A contiguous U.T runs the small per-step GEMM about a fifth
-            # faster than the transposed view.
-            u_t = np.ascontiguousarray(cell.params.weights["U"].T)
-            for t in order:
-                z = gates[t, :, g_cols]
-                if t == order[0]:
-                    c_prev = zeros
-                else:
-                    z += hidden[t + offset, :, h_cols] @ u_t
-                    c_prev = cells[t + offset, :, h_cols]
-                _lstm_gates(z, c_prev, cells[t, :, h_cols], tanh_c[t, :, h_cols],
-                            hidden[t, :, h_cols])
-        self._cache = (x_tm, gates, cells, tanh_c, hidden, x.shape) if cache else None
-        return np.ascontiguousarray(hidden.transpose(1, 0, 2))
+            np.empty((2, steps, b_sz, hs), dtype=gates.dtype) for _ in range(3))
+        zeros = np.zeros((2, b_sz, hs), dtype=gates.dtype)
+        recurrent = np.empty((2, b_sz, 4 * hs), dtype=gates.dtype)
+        # A C-contiguous U.T runs the small per-step GEMM about a fifth
+        # faster than the transposed layout, whose GEMM also rounds
+        # differently at small batches, so a one-window batch would no
+        # longer match its row in a larger batch.
+        u_t = self._stacked("U", transpose=True)
+        for s in range(steps):
+            z = gates[:, s]
+            if s:
+                z += np.matmul(hidden[:, s - 1], u_t, out=recurrent)
+            _lstm_gates(z, cells[:, s - 1] if s else zeros, cells[:, s], tanh_c[:, s],
+                        hidden[:, s])
+        self._cache = (xs, w, gates, cells, tanh_c, hidden) if cache else None
+        out = np.empty((b_sz, steps, 2 * hs), dtype=gates.dtype)
+        return np.concatenate([hidden[0].transpose(1, 0, 2),
+                               hidden[1, ::-1].transpose(1, 0, 2)], axis=2, out=out)
 
     def backward(self, d_out):
         """d_out: (B, T, 2H) -> gradient w.r.t. the input sequence."""
-        x_tm, gates, cells, tanh_c, hidden, x_shape = self._cache
-        b_sz, steps, _ = x_shape
-        hs = self.hidden_size
+        xs, w, gates, cells, tanh_c, hidden = self._cache
+        _, steps, b_sz, hs = hidden.shape
         if d_out.shape != (b_sz, steps, 2 * hs):
             raise ShapeError(f"bilstm: upstream shape {d_out.shape} does not match "
                              f"{(b_sz, steps, 2 * hs)}")
-        d_out_tm = d_out.transpose(1, 0, 2)
+        u = self._stacked("U")
         d_z = np.empty_like(gates)
-        zeros = np.zeros((b_sz, hs), dtype=gates.dtype)
-        for cell, g_cols, h_cols, order, offset in self._directions(steps):
-            u = cell.params.weights["U"]
-            d_h, d_c = zeros, zeros
-            # Unwind the steps in the reverse of their forward visit order.
-            for t in reversed(order):
-                first = t == order[0]
-                c_prev = zeros if first else cells[t + offset, :, h_cols]
-                d_c = _lstm_gates_backward(
-                    d_out_tm[t, :, h_cols] + d_h, d_c, gates[t, :, g_cols],
-                    c_prev, tanh_c[t, :, h_cols], d_z[t, :, g_cols])
-                if not first:
-                    d_h = d_z[t, :, g_cols] @ u
-            # h_prev of every step but the first visited, as one matrix.
-            visited = slice(1, None) if offset < 0 else slice(None, -1)
-            previous = slice(None, -1) if offset < 0 else slice(1, None)
-            cell.params.grads["U"] += (
-                d_z[visited, :, g_cols].reshape(-1, 4 * hs).T
-                @ hidden[previous, :, h_cols].reshape(-1, hs))
-        flat_d_z = d_z.reshape(steps * b_sz, 8 * hs)
-        d_w = flat_d_z.T @ x_tm
-        d_b = flat_d_z.sum(axis=0)
-        for cell, g_cols, *_ in self._directions(steps):
-            cell.params.grads["W"] += d_w[g_cols]
-            cell.params.grads["b"] += d_b[g_cols]
-        w = np.concatenate([self.fw.params.weights["W"], self.bw.params.weights["W"]])
-        d_x = (flat_d_z @ w).reshape(steps, b_sz, -1)
-        return np.ascontiguousarray(d_x.transpose(1, 0, 2))
+        zeros = np.zeros((2, b_sz, hs), dtype=gates.dtype)
+        d_h, d_c = zeros.copy(), zeros
+        # Unwind the buffer steps backwards; d_h holds the recurrent
+        # gradient and gains step s's upstream gradient for each direction.
+        for s in range(steps - 1, -1, -1):
+            d_h[0] += d_out[:, s, :hs]
+            d_h[1] += d_out[:, steps - 1 - s, hs:]
+            d_c = _lstm_gates_backward(d_h, d_c, gates[:, s], cells[:, s - 1] if s else zeros,
+                                       tanh_c[:, s], d_z[:, s])
+            if s:
+                np.matmul(d_z[:, s], u, out=d_h)
+        flat_d_z = d_z.reshape(2, steps * b_sz, 4 * hs)
+        # Every step but the first against the h it read: views, no copies.
+        d_u = (d_z[:, 1:].reshape(2, (steps - 1) * b_sz, 4 * hs).transpose(0, 2, 1)
+               @ hidden[:, :-1].reshape(2, (steps - 1) * b_sz, hs))
+        d_w = flat_d_z.transpose(0, 2, 1) @ xs
+        d_b = flat_d_z.sum(axis=1)
+        for k, cell in enumerate((self.fw, self.bw)):
+            cell.params.grads["W"] += d_w[k]
+            cell.params.grads["U"] += d_u[k]
+            cell.params.grads["b"] += d_b[k]
+        d_xs = (flat_d_z @ w).reshape(2, steps, b_sz, -1)
+        return np.add(d_xs[0].transpose(1, 0, 2), d_xs[1, ::-1].transpose(1, 0, 2),
+                      order="C")
 
     @property
     def param_list(self):

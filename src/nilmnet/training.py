@@ -123,7 +123,7 @@ def train(model: GatedAttentionModel, train_ws, val_ws, cfg: TrainConfig):
         if val_loss < best_val:
             best_val = val_loss
             record.best_epoch = epoch
-            best_weights = model.snapshot_weights()
+            model.snapshot_weights(out=best_weights)
             bad_epochs = 0
         else:
             bad_epochs += 1

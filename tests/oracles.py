@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from nilmnet import nn
+from nilmnet.data import CSV_HEADER
 from nilmnet.errors import DataError
 
 
@@ -95,6 +97,54 @@ def bilstm_direct(x, fw_params, bw_params):
         h, c = lstm_step_direct(x[t], h, c, *bw_params)
         out[t, hidden:] = h
     return out
+
+
+def _lstm_gates_per_block(z, c_prev, c, tanh_c, h):
+    """The cell equations on (B, 4H) with one sigmoid or tanh call per block."""
+    hs = c.shape[1]
+    nn.sigmoid(z[:, :2 * hs], out=z[:, :2 * hs])
+    np.tanh(z[:, 2 * hs:3 * hs], out=z[:, 2 * hs:3 * hs])
+    nn.sigmoid(z[:, 3 * hs:], out=z[:, 3 * hs:])
+    i, f, g, o = (z[:, k * hs:(k + 1) * hs] for k in range(4))
+    np.multiply(f, c_prev, out=c)
+    c += i * g
+    np.tanh(c, out=tanh_c)
+    np.multiply(o, tanh_c, out=h)
+
+
+def bilstm_forward_per_direction(layer, x):
+    """BiLSTM forward that runs one direction after the other.
+
+    The earlier kernel of nn.BiLSTM, kept as a bit-level float32 reference:
+    one (T*B, d) @ (d, 8H) input GEMM into a time-major (T, B, 8H) gate
+    buffer, then a step loop per direction over its column block, with
+    one sigmoid or tanh call per gate block.
+    """
+    b_sz, steps, _ = x.shape
+    hs = layer.hidden_size
+    fw, bw = layer.fw.params.weights, layer.bw.params.weights
+    x_tm = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(steps * b_sz, -1)
+    gates = x_tm @ np.concatenate([fw["W"], bw["W"]]).T
+    gates += np.concatenate([fw["b"], bw["b"]])
+    gates = gates.reshape(steps, b_sz, 8 * hs)
+    cells, tanh_c, hidden = (
+        np.empty((steps, b_sz, 2 * hs), dtype=gates.dtype) for _ in range(3))
+    zeros = np.zeros((b_sz, hs), dtype=gates.dtype)
+    directions = ((fw, 0, range(steps), -1), (bw, 1, range(steps - 1, -1, -1), 1))
+    for weights, k, order, offset in directions:
+        g_cols = slice(4 * hs * k, 4 * hs * (k + 1))
+        h_cols = slice(hs * k, hs * (k + 1))
+        u_t = np.ascontiguousarray(weights["U"].T)
+        for t in order:
+            z = gates[t, :, g_cols]
+            if t == order[0]:
+                c_prev = zeros
+            else:
+                z += hidden[t + offset, :, h_cols] @ u_t
+                c_prev = cells[t + offset, :, h_cols]
+            _lstm_gates_per_block(z, c_prev, cells[t, :, h_cols],
+                                  tanh_c[t, :, h_cols], hidden[t, :, h_cols])
+    return np.ascontiguousarray(hidden.transpose(1, 0, 2))
 
 
 def attention_direct(hidden, w, b, v):
@@ -218,6 +268,25 @@ def load_channel_csv_direct(path, fill_limit=3):
             clamped += 1
         values.append(value)
     return period, rows[0][0], values, clamped
+
+
+def write_channel_csv_direct(path, series):
+    """Row-by-row channel CSV writer: one f-string per numpy scalar."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(CSV_HEADER) + "\n")
+        for ts, value in zip(series.timestamps(), series.values):
+            fh.write(f"{ts},{float(value)}\n")
+
+
+def write_attention_csv_direct(path, alphas, starts):
+    """Row-by-row attention CSV writer: repr of each weight as a float."""
+    with open(path, "w", encoding="utf-8") as fh:
+        header = ",".join(["window_start"]
+                          + [f"alpha_{i}" for i in range(alphas.shape[1])])
+        fh.write(header + "\n")
+        for start, row in zip(starts, alphas):
+            fh.write(str(int(start)) + ","
+                     + ",".join(repr(float(v)) for v in row) + "\n")
 
 
 def sae_direct(y, y_hat, period):

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nilmnet import cli, data, evaluation as ev
 from nilmnet.checkpoint import load_checkpoint, save_checkpoint
 from nilmnet.errors import DataError
 
+from oracles import write_attention_csv_direct
 from test_checkpoint import checkpoint_header
+from test_data import WRITTEN_FLOATS
 
 CONFIG = """\
 [appliance heater]
@@ -207,6 +211,23 @@ class TestDisaggregate:
                     "--input", house / "aggregate.csv",
                     "--out", tmp_path / "pred.csv"]) == 2
         assert not (tmp_path / "pred.csv").exists()
+
+
+class TestAttentionCsvWriter:
+    @given(st.integers(0, 6), st.integers(1, 5), st.data(),
+           st.sampled_from([np.float64, np.float32]))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_match_row_by_row_writer(self, tmp_path, n, window, draw, dtype):
+        values = draw.draw(st.lists(WRITTEN_FLOATS | WRITTEN_FLOATS.map(lambda v: -v),
+                                    min_size=n * window, max_size=n * window))
+        with np.errstate(over="ignore"):
+            alphas = np.array(values, dtype=dtype).reshape(n, window)
+        starts = np.array(draw.draw(st.lists(st.integers(0, 10**9), min_size=n,
+                                             max_size=n)), dtype=np.int64)
+        cli.write_attention_csv(tmp_path / "new.csv", alphas, starts)
+        write_attention_csv_direct(tmp_path / "ref.csv", alphas, starts)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestNonUtf8Input:

@@ -10,12 +10,19 @@ from hypothesis import strategies as st
 from nilmnet import data
 from nilmnet.errors import DataError
 
-from oracles import load_channel_csv_direct
+from oracles import load_channel_csv_direct, write_channel_csv_direct
 
 
 def series(values, period=3, t0=0, name="s"):
     return data.PowerSeries(name, period, t0, np.asarray(values, dtype=float))
 
+
+# Written values: any non-negative float, -0.0, integral watts, and the
+# subnormal, tiny, huge and infinite ends of the float64 range.
+WRITTEN_FLOATS = (st.floats(min_value=0.0) | st.just(-0.0)
+                  | st.integers(0, 10**7).map(float)
+                  | st.sampled_from([5e-324, 2.2250738585072014e-308, 1e-300,
+                                     1e300, 1.7976931348623157e308]))
 
 LOADER_FAULTS = ("off_grid", "long_gap", "not_increasing", "non_finite",
                  "unparsable")
@@ -195,6 +202,20 @@ class TestChannelCsv:
         path.write_bytes(b"timestamp,power_w\n0,1.0\n3,\xff\n")
         with pytest.raises(DataError, match=r"ch\.csv: not UTF-8"):
             data.load_channel_csv(path)
+
+
+class TestChannelCsvWriter:
+    @given(st.lists(WRITTEN_FLOATS, max_size=30), st.integers(1, 3600),
+           st.integers(-10**12, 10**12), st.integers(1, 8))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_match_row_by_row_writer(self, tmp_path, monkeypatch,
+                                           values, period, t0, block_rows):
+        monkeypatch.setattr(data, "WRITE_BLOCK_ROWS", block_rows)
+        s = series(values, period=period, t0=t0)
+        data.write_channel_csv(tmp_path / "new.csv", s)
+        write_channel_csv_direct(tmp_path / "ref.csv", s)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestAlign:

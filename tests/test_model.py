@@ -239,6 +239,16 @@ class TestParameterArena:
         first = model.all_params()[0].weights["W"]
         np.testing.assert_array_equal(first.reshape(-1), saved[:first.size])
 
+    def test_snapshot_into_out_refreshes_that_buffer(self):
+        model = toy_model(6)
+        buffer = model.snapshot_weights()
+        model.all_params()[0].weights["W"] += 1.0
+        assert buffer.tobytes() != model.snapshot_weights().tobytes()
+        assert model.snapshot_weights(out=buffer) is buffer
+        assert buffer.tobytes() == model.snapshot_weights().tobytes()
+        with pytest.raises(ShapeError):
+            model.snapshot_weights(out=buffer[:-1])
+
     def test_dropped_model_is_freed_without_the_cycle_collector(self):
         model = toy_model(9)
         group = weakref.ref(model.all_params()[0])

@@ -144,7 +144,19 @@ class TestBiLSTMBackward:
 
     def test_matches_unrolled_cells_at_nontrivial_shape(self):
         """Output, input grad and every weight grad equal step-by-step cells."""
-        b_sz, steps, d, hs = 3, 7, 4, 5
+        self.check_against_unrolled_cells(3, 7, 4, 5)
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_matches_unrolled_cells_at_one_and_two_steps(self, steps):
+        """T=1, where the first step is also the last and no step reads a
+        previous h (an empty dU slab), and T=2, the shortest recurrence."""
+        layer = self.check_against_unrolled_cells(3, steps, 4, 5)
+        if steps == 1:
+            for cell in (layer.fw, layer.bw):
+                assert np.all(cell.params.grads["U"] == 0.0)
+
+    @staticmethod
+    def check_against_unrolled_cells(b_sz, steps, d, hs):
         rng = np.random.default_rng(12)
         layer = nn.BiLSTM("b", d, hs, rng=rng, dtype=np.float64)
         nn.randomize_biases(layer.param_list, rng)
@@ -181,6 +193,7 @@ class TestBiLSTMBackward:
                 np.testing.assert_allclose(fused.params.grads[key],
                                            cell.params.grads[key],
                                            rtol=0, atol=1e-12)
+        return layer
 
     @pytest.mark.parametrize("seed", range(N_SEEDS))
     def test_finite_differences(self, seed):

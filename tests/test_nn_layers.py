@@ -9,6 +9,7 @@ from oracles import (
     attention_direct,
     bce_direct,
     bilstm_direct,
+    bilstm_forward_per_direction,
     conv1d_direct,
     dense_direct,
     lstm_step_direct,
@@ -204,6 +205,46 @@ class TestBiLSTM:
         with pytest.raises(nn.ShapeError):
             layer.forward(np.zeros((1, 0, 2)))
 
+    # (B, T, d, H): the toy acceptance dims at a disaggregation batch, at
+    # one window and at a small batch, whose GEMMs take other BLAS kernels,
+    # and an odd shape where no dimension is a power of two.
+    @pytest.mark.parametrize("shape", [(256, 64, 8, 32), (1, 64, 8, 32),
+                                       (8, 64, 8, 32), (3, 7, 5, 6)])
+    def test_float32_bit_identical_to_per_direction_kernel(self, shape):
+        b_sz, steps, d, hs = shape
+        rng = np.random.default_rng(21)
+        layer = nn.BiLSTM("b", d, hs, rng=rng)
+        nn.randomize_biases(layer.param_list, rng)
+        x = rng.normal(size=(b_sz, steps, d)).astype(np.float32)
+        out = layer.forward(x)
+        want = bilstm_forward_per_direction(layer, x)
+        assert out.dtype == want.dtype == np.float32 and out.flags.c_contiguous
+        assert np.array_equal(out, want)
+        assert out.tobytes() == want.tobytes()
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(23)
+        layer = nn.BiLSTM("b", 8, 32, rng=rng)
+        x = rng.normal(size=(4, 64, 8)).astype(np.float32)
+        batched = layer.forward(x)
+        for k in range(len(x)):
+            assert layer.forward(x[k:k + 1])[0].tobytes() == batched[k].tobytes()
+
+    def test_each_direction_reads_only_its_own_past(self):
+        b_sz, steps, d, hs, t0 = 3, 9, 4, 5, 4
+        rng = np.random.default_rng(22)
+        layer = nn.BiLSTM("b", d, hs, rng=rng)
+        x = rng.normal(size=(b_sz, steps, d)).astype(np.float32)
+        before = layer.forward(x)
+        x[:, t0] += 1.0
+        after = layer.forward(x)
+        # The forward half before t0 and the backward half after it have
+        # not seen step t0; both halves at t0 have.
+        assert after[:, :t0, :hs].tobytes() == before[:, :t0, :hs].tobytes()
+        assert after[:, t0 + 1:, hs:].tobytes() == before[:, t0 + 1:, hs:].tobytes()
+        assert not np.array_equal(after[:, t0, :hs], before[:, t0, :hs])
+        assert not np.array_equal(after[:, t0, hs:], before[:, t0, hs:])
+
 
 class TestAttention:
     def test_single_step_returns_that_state(self):
@@ -264,6 +305,23 @@ class TestSigmoid:
         x = np.linspace(-30.0, 30.0, 601)
         np.testing.assert_allclose(nn.sigmoid(x), 1.0 / (1.0 + np.exp(-x)),
                                    rtol=0, atol=1e-15)
+
+
+class TestGateActivations:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_tanh_rounds_as_sigmoid_and_tanh(self, dtype):
+        """0.5 * tanh(0.5 * x) + 0.5, as the gate pass computes it, is
+        sigmoid(x) bit for bit, and the candidate block is tanh(x)."""
+        special = [0.0, -0.0, 1e-40, -1e-40, 1.0, -1.0, 20.0, -20.0,
+                   1e30, -1e30, np.inf, -np.inf]
+        x = np.concatenate([np.linspace(-40.0, 40.0, 80001), special]).astype(dtype)
+        z = np.tile(x, 4).reshape(1, -1)
+        i, f, g, o = nn._split_gates(nn._gate_activations(z))
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        want = nn.sigmoid(x).view(bits)
+        for block in (i, f, o):
+            assert np.array_equal(block[0].view(bits), want)
+        assert np.array_equal(g[0].view(bits), np.tanh(x).view(bits))
 
 
 class TestSoftmax:
