@@ -264,36 +264,30 @@ def cmd_train(args):
 def cmd_disaggregate(args):
     model = load_checkpoint(args.checkpoint)
     aggregate = data.load_channel_csv(args.input, name="aggregate")
-    prediction, attention = evaluation.disaggregate(
+    prediction, alphas = evaluation.disaggregate(
         model, aggregate, export_attention=args.export_attention)
     data.write_channel_csv(args.out, prediction)
     print(f"disaggregate: wrote {len(prediction)} samples to {args.out}")
     if args.export_attention:
-        alphas, starts = attention
         attention_path = Path(args.out).with_suffix(".attention.csv")
-        write_attention_csv(attention_path, alphas, starts)
+        write_attention_csv(attention_path, alphas)
         print(f"attention={attention_path} ({alphas.shape[0]} windows)")
     return EXIT_OK
 
 
-def write_attention_csv(path, alphas, starts):
-    """One row per window: its start, then its L weights as float reprs."""
+def write_attention_csv(path, alphas):
+    """One row per hop-1 window: its start i, then its L weights as reprs."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(["window_start"]
                           + [f"alpha_{i}" for i in range(alphas.shape[1])]) + "\n")
-        for start, row in zip(starts.tolist(), alphas):
+        for start, row in enumerate(alphas):
             fh.write(f"{start},{','.join(map(repr, row.tolist()))}\n")
 
 
 def cmd_evaluate(args):
-    threshold = args.threshold_w
-    period = args.period_k
-    if args.config:
-        cfg = load_run_config(args.config)
-        threshold = threshold if threshold is not None else cfg.threshold_w
-        period = period if period is not None else cfg.period_len_k
-    threshold = threshold if threshold is not None else evaluation.DEFAULT_THRESHOLD_W
-    period = period if period is not None else evaluation.DEFAULT_PERIOD_LEN_K
+    cfg = load_run_config(args.config) if args.config else RunConfig()
+    threshold = cfg.threshold_w if args.threshold_w is None else args.threshold_w
+    period = cfg.period_len_k if args.period_k is None else args.period_k
     truth = data.load_channel_csv(args.truth, name="truth")
     prediction = data.load_channel_csv(args.prediction, name="prediction")
     if len(truth) != len(prediction):

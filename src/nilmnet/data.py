@@ -34,7 +34,10 @@ DEFAULT_WINDOW_LENGTHS = {
 
 @dataclass
 class PowerSeries:
-    """Uniformly sampled real-power channel (aggregate or one appliance)."""
+    """Uniformly sampled real-power channel (aggregate or one appliance).
+
+    Values are finite and non-negative watts.
+    """
     name: str
     period_s: int
     t0: int
@@ -46,8 +49,13 @@ class PowerSeries:
             raise DataError(f"{self.name}: series values must be 1-D")
         if self.period_s < 1:
             raise DataError(f"{self.name}: sampling period must be >= 1 s")
-        if self.values.size and self.values.min() < 0:
-            raise DataError(f"{self.name}: negative power values")
+        if self.values.size:
+            # NaN spreads to both extremes, and +-inf shows in one of them
+            lo, hi = self.values.min(), self.values.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise DataError(f"{self.name}: non-finite power values")
+            if lo < 0:
+                raise DataError(f"{self.name}: negative power values")
 
     def __len__(self):
         return self.values.size

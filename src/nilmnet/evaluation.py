@@ -25,68 +25,58 @@ DEFAULT_PERIOD_LEN_K = 1200
 
 # memory cap for the median matrix, in values per chunk
 _MEDIAN_CHUNK_VALUES = 8_000_000
+# windows per forward pass in disaggregate
+_FORWARD_BATCH = 256
 
 
-def reconstruct_median(windows, starts, total_len):
-    """Combine overlapped windows: output[t] = median of all values covering t.
+def reconstruct_median(windows):
+    """Combine hop-1 windows: output[t] = median of all values covering t.
 
-    Even coverage counts take the mean of the two middle values. Every
-    position in [0, total_len) must be covered by at least one window, and
-    every window value must be finite.
+    Window i of the (N, L) array covers samples i..i+L-1, so the output has
+    N + L - 1 samples and sample t is covered by min(t+1, N+L-1-t, L, N)
+    values. Even counts take the mean of the two middle values. Every
+    window value must be finite.
 
-    Window i's value at offset k goes to row starts[i] + k, slot k + L * r_i,
-    where r_i ranks window i among the windows sharing its start, so no two
-    values share a slot; unused slots hold +inf. Each row is sorted and its
-    two middle values are read at (count - 1) // 2 and count // 2. A row has
-    L times the largest start multiplicity slots, so heavily repeated starts
-    cost memory and time in proportion; rows go in chunks of about
-    _MEDIAN_CHUNK_VALUES values.
+    Row t of the median matrix holds windows[t-k, k] in slot k, for each
+    offset k whose window exists, and +inf in the other slots. Each row is
+    sorted and its two middle values are read at (count - 1) // 2 and
+    count // 2. Rows go in chunks of about _MEDIAN_CHUNK_VALUES values, and
+    a chunk reads only the windows that cover it.
     """
     windows = np.asarray(windows, dtype=np.float64)
-    starts = np.asarray(starts, dtype=np.int64)
-    if windows.ndim != 2 or starts.ndim != 1 or windows.shape[0] != starts.size:
-        raise DataError("windows must be (N, L) with one start per window")
+    if windows.ndim != 2:
+        raise DataError("windows must be an (N, L) array")
     if windows.shape[0] == 0:
         raise DataError("no windows to reconstruct from")
-    n, window = windows.shape
-    if starts.min() < 0 or (starts + window).max() > total_len:
-        raise DataError("window extends outside [0, total_len)")
     if not np.isfinite(windows).all():
         raise DataError("window values must be finite")
-    # values covering each position: the start histogram summed over a window
-    covered = np.cumsum(np.bincount(starts, minlength=total_len))
-    count = covered - np.concatenate([np.zeros(window, np.int64), covered[:-window]])
-    if count.min() == 0:
-        raise DataError(f"position {int(np.argmin(count))} is covered by no window")
-    order = np.argsort(starts, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n) - np.searchsorted(starts[order], starts[order])
-    slots = window * (int(rank.max()) + 1)
-    out = np.empty(total_len, dtype=np.float64)
-    chunk = max(1, _MEDIAN_CHUNK_VALUES // slots)
-    for lo in range(0, total_len, chunk):
-        hi = min(lo + chunk, total_len)
-        mat = np.full((hi - lo, slots), np.inf)
+    n, window = windows.shape
+    total = n + window - 1
+    out = np.empty(total, dtype=np.float64)
+    chunk = max(1, _MEDIAN_CHUNK_VALUES // window)
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        mat = np.full((hi - lo, window), np.inf)
         for k in range(window):
-            pos = starts + k
-            inside = (pos >= lo) & (pos < hi)
-            mat[pos[inside] - lo, k + window * rank[inside]] = windows[inside, k]
+            a, b = max(lo, k), min(hi, n + k)
+            if a < b:  # a negative slice bound would wrap around
+                mat[a - lo:b - lo, k] = windows[a - k:b - k, k]
         mat.sort(axis=1)
+        t = np.arange(lo, hi)
+        c = np.minimum(np.minimum(t + 1, total - t), min(window, n))
         rows = np.arange(hi - lo)
-        c = count[lo:hi]
         out[lo:hi] = (mat[rows, (c - 1) // 2] + mat[rows, c // 2]) / 2
     return out
 
 
-def disaggregate(model, aggregate: PowerSeries, export_attention=False,
-                 batch_size=256):
+def disaggregate(model, aggregate: PowerSeries, export_attention=False):
     """Predict the appliance load under the aggregate, sample for sample.
 
-    Returns (prediction PowerSeries, attention) where attention is None or
-    an (alphas (N, L), starts (N,)) pair of per-window attention weights.
-    The model must carry normalization metadata; the output has the same
-    length, period, and origin as the input and is clamped at 0 W. A
-    non-finite model output raises NumericalError.
+    Returns (prediction PowerSeries, alphas) where alphas is None or the
+    (N, L) attention weights of the N hop-1 windows; row i is the window
+    that starts at sample i. The model must carry normalization metadata;
+    the output has the same length, period, and origin as the input and is
+    at least 0 W. A non-finite model output raises NumericalError.
     """
     meta = model.norm_meta
     if meta is None:
@@ -99,23 +89,22 @@ def disaggregate(model, aggregate: PowerSeries, export_attention=False,
     standardized = standardize_input(aggregate.values, meta)
     views = np.lib.stride_tricks.sliding_window_view(standardized, window)
     n = views.shape[0]
-    outputs = np.empty((n, window), dtype=np.float64)
+    watts = np.empty((n, window), dtype=np.float64)
     alphas = np.empty((n, window), dtype=np.float64) if export_attention else None
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
+    for lo in range(0, n, _FORWARD_BATCH):
+        hi = min(lo + _FORWARD_BATCH, n)
         result = model.forward(views[lo:hi], cache=False)
         if not np.isfinite(result.output).all():
             raise NumericalError(
                 f"model output is non-finite in windows {lo}..{hi - 1}")
-        outputs[lo:hi] = result.output
+        # clamped at 0 W, so the median of each sample is too
+        watts[lo:hi] = denormalize_target(result.output, meta)
         if export_attention:
             alphas[lo:hi] = result.attention
-    watts = denormalize_target(outputs, meta)
-    starts = np.arange(n, dtype=np.int64)
-    reconstructed = np.maximum(reconstruct_median(watts, starts, total), 0.0)
     prediction = PowerSeries(model.appliance or "prediction",
-                             aggregate.period_s, aggregate.t0, reconstructed)
-    return prediction, ((alphas, starts) if export_attention else None)
+                             aggregate.period_s, aggregate.t0,
+                             reconstruct_median(watts))
+    return prediction, alphas
 
 
 def mae(y, y_hat):
@@ -202,6 +191,9 @@ class EvalReport:
 def evaluate(appliance, y_true, y_pred, threshold_w=DEFAULT_THRESHOLD_W,
              period_len_k=DEFAULT_PERIOD_LEN_K) -> EvalReport:
     y_true = np.asarray(y_true, dtype=np.float64)
+    y_pred = np.asarray(y_pred, dtype=np.float64)
+    if not (np.isfinite(y_true).all() and np.isfinite(y_pred).all()):
+        raise DataError("metric inputs must be finite")
     scores = classification_scores(y_true, y_pred, threshold_w)
     return EvalReport(
         appliance=appliance,

@@ -223,10 +223,8 @@ class TestAttentionCsvWriter:
                                     min_size=n * window, max_size=n * window))
         with np.errstate(over="ignore"):
             alphas = np.array(values, dtype=dtype).reshape(n, window)
-        starts = np.array(draw.draw(st.lists(st.integers(0, 10**9), min_size=n,
-                                             max_size=n)), dtype=np.int64)
-        cli.write_attention_csv(tmp_path / "new.csv", alphas, starts)
-        write_attention_csv_direct(tmp_path / "ref.csv", alphas, starts)
+        cli.write_attention_csv(tmp_path / "new.csv", alphas)
+        write_attention_csv_direct(tmp_path / "ref.csv", alphas, np.arange(n))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -303,6 +301,28 @@ class TestEvaluate:
         assert row["sae_w"] == pytest.approx(ev.sae(truth.values, pred.values, 30))
         scores = ev.classification_scores(truth.values, pred.values, 15.0)
         assert row["f1"] == pytest.approx(scores.f1)
+
+
+    @pytest.mark.parametrize("flags,with_config,want", [
+        ([], False, (15.0, 1200)),
+        ([], True, (25.0, 60)),
+        (["--threshold-w", "40"], True, (40.0, 60)),
+        (["--period-k", "100"], True, (25.0, 100)),
+        (["--threshold-w", "40", "--period-k", "100"], False, (40.0, 100)),
+    ])
+    def test_flag_beats_metrics_section_beats_default(self, tmp_path, flags,
+                                                      with_config, want):
+        series = data.PowerSeries("heater", 3, 0, np.arange(1300.0) % 50)
+        data.write_channel_csv(tmp_path / "heater.csv", series)
+        config = tmp_path / "run.ini"
+        config.write_text("[metrics]\nthreshold_w = 25\nperiod_len_k = 60\n")
+        out = tmp_path / "results.csv"
+        assert run(["evaluate", "--prediction", tmp_path / "heater.csv",
+                    "--truth", tmp_path / "heater.csv",
+                    "--appliance-name", "heater", "--out", out, *flags,
+                    *(["--config", config] if with_config else [])]) == 0
+        row = ev.read_report_csv(out)[0]
+        assert (row["threshold_w"], row["period_len_k"]) == want
 
 
 class TestGradcheckCommand:

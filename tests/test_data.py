@@ -17,9 +17,10 @@ def series(values, period=3, t0=0, name="s"):
     return data.PowerSeries(name, period, t0, np.asarray(values, dtype=float))
 
 
-# Written values: any non-negative float, -0.0, integral watts, and the
-# subnormal, tiny, huge and infinite ends of the float64 range.
-WRITTEN_FLOATS = (st.floats(min_value=0.0) | st.just(-0.0)
+# Written values: any finite non-negative float, -0.0, integral watts, and
+# the subnormal, tiny and huge ends of the float64 range. A PowerSeries
+# refuses infinite watts, so no channel holds them.
+WRITTEN_FLOATS = (st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)
                   | st.integers(0, 10**7).map(float)
                   | st.sampled_from([5e-324, 2.2250738585072014e-308, 1e-300,
                                      1e300, 1.7976931348623157e308]))
@@ -66,6 +67,20 @@ def channel_csv_texts(draw):
         lines.extend([""] * draw(st.integers(0, 2)))
         lines.append(",".join(row[c] for c in columns if c < len(row)))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+class TestPowerSeries:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("at", [0, 5, 9])
+    def test_non_finite_values_rejected(self, bad, at):
+        values = np.full(10, 3.0)
+        values[at] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            data.PowerSeries("agg", 3, 0, values)
+
+    def test_negative_values_rejected(self):
+        with pytest.raises(DataError, match="negative"):
+            data.PowerSeries("agg", 3, 0, [1.0, -0.5])
 
 
 class TestChannelCsv:

@@ -16,15 +16,13 @@ class TestReconstructMedian:
     def test_slices_reconstruct_signal_exactly(self):
         rng = np.random.default_rng(0)
         signal = rng.normal(size=60)
-        window = 7
-        windows = np.lib.stride_tricks.sliding_window_view(signal, window)
-        starts = np.arange(windows.shape[0])
-        out = ev.reconstruct_median(windows, starts, signal.size)
+        windows = np.lib.stride_tricks.sliding_window_view(signal, 7)
+        out = ev.reconstruct_median(windows)
         np.testing.assert_array_equal(out, signal)
 
     def test_even_coverage_takes_mean_of_middles(self):
         windows = np.array([[1.0, 1.0], [5.0, 5.0]])
-        out = ev.reconstruct_median(windows, np.array([0, 1]), 3)
+        out = ev.reconstruct_median(windows)
         np.testing.assert_array_equal(out, [1.0, 3.0, 5.0])
 
     @pytest.mark.parametrize("seed", range(10))
@@ -34,48 +32,49 @@ class TestReconstructMedian:
         window = int(rng.integers(2, 8))
         starts = np.arange(total - window + 1)
         windows = rng.normal(size=(starts.size, window))
-        out = ev.reconstruct_median(windows, starts, total)
+        out = ev.reconstruct_median(windows)
         want = median_reconstruct_direct(windows, starts, total)
         np.testing.assert_allclose(out, want, atol=1e-12)
 
-    def test_duplicate_starts_fall_back_correctly(self):
-        rng = np.random.default_rng(3)
-        windows = rng.normal(size=(4, 3))
-        starts = np.array([0, 0, 1, 2])
-        out = ev.reconstruct_median(windows, starts, 5)
-        want = median_reconstruct_direct(windows, starts, 5)
-        np.testing.assert_allclose(out, want, atol=1e-12)
+    @pytest.mark.parametrize("n,window", [(1, 1), (1, 5), (3, 5), (4, 4),
+                                          (9, 4), (23, 6)])
+    def test_bytes_match_brute_force_at_every_chunk_edge(self, n, window,
+                                                         monkeypatch):
+        # chunks of 1..L+1 rows put an edge at every row offset modulo L;
+        # N < L caps the coverage of the middle rows at N
+        windows = np.random.default_rng(n * 100 + window).normal(size=(n, window))
+        want = median_reconstruct_direct(windows, np.arange(n), n + window - 1)
+        for rows in range(1, window + 2):
+            monkeypatch.setattr(ev, "_MEDIAN_CHUNK_VALUES", rows * window)
+            assert ev.reconstruct_median(windows).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("starts", [[0, 1, 2], [0, 0, 1, 2]])
-    def test_non_finite_value_rejected(self, bad, starts):
-        windows = np.ones((len(starts), 3))
+    def test_non_finite_value_rejected(self, bad):
+        windows = np.ones((3, 3))
         windows[-1, 1] = bad
         with pytest.raises(DataError, match="finite"):
-            ev.reconstruct_median(windows, np.array(starts), 5)
+            ev.reconstruct_median(windows)
+
+    @pytest.mark.parametrize("windows", [np.ones(5), np.ones((0, 4))],
+                             ids=["1-D", "no-windows"])
+    def test_non_window_array_rejected(self, windows):
+        with pytest.raises(DataError, match="windows"):
+            ev.reconstruct_median(windows)
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
-    def test_matches_brute_force_on_any_start_multiset(self, draw):
+    def test_matches_brute_force_on_any_hop1_windows(self, draw):
         total = draw.draw(st.integers(1, 40))
         window = draw.draw(st.integers(1, total))
-        last = total - window
-        # A tiling covers every position; extra starts repeat and overlap.
-        tiling = sorted({*range(0, last + 1, window), last})
-        extra = draw.draw(st.lists(st.integers(0, last), max_size=3 * total))
-        starts = np.array(draw.draw(st.permutations(tiling + extra)))
+        n = total - window + 1
         values = st.one_of(st.integers(-3, 3).map(float),
                            st.floats(-1e6, 1e6, allow_subnormal=False))
         windows = np.array(draw.draw(st.lists(
             st.lists(values, min_size=window, max_size=window),
-            min_size=starts.size, max_size=starts.size)))
-        out = ev.reconstruct_median(windows, starts, total)
-        want = median_reconstruct_direct(windows, starts, total)
+            min_size=n, max_size=n)))
+        out = ev.reconstruct_median(windows)
+        want = median_reconstruct_direct(windows, np.arange(n), total)
         np.testing.assert_array_equal(out, want)
-
-    def test_uncovered_position_rejected(self):
-        with pytest.raises(DataError, match="covered"):
-            ev.reconstruct_median(np.ones((1, 2)), np.array([0]), 5)
 
     @given(st.integers(5, 80), st.integers(1, 12), st.integers(0, 2 ** 31))
     @settings(max_examples=40, deadline=None)
@@ -84,7 +83,7 @@ class TestReconstructMedian:
             return
         signal = np.random.default_rng(seed).normal(size=total)
         windows = np.lib.stride_tricks.sliding_window_view(signal, window)
-        out = ev.reconstruct_median(windows, np.arange(windows.shape[0]), total)
+        out = ev.reconstruct_median(windows)
         np.testing.assert_array_equal(out, signal)
 
 
@@ -234,9 +233,8 @@ class TestDisaggregate:
             "agg", 3, 0, np.abs(np.random.default_rng(5).normal(size=48)) * 20)
         prediction, attention = ev.disaggregate(model, aggregate,
                                                 export_attention=True)
-        alphas, starts = attention
+        alphas = attention
         assert alphas.shape == (48 - 16 + 1, 16)
-        np.testing.assert_array_equal(starts, np.arange(33))
         np.testing.assert_allclose(alphas.sum(axis=1), 1.0, atol=1e-5)
         assert prediction.values.min() >= 0.0
 
@@ -273,6 +271,17 @@ class TestDisaggregate:
         aggregate = data.PowerSeries("agg", 3, 0, np.zeros(40))
         prediction, _ = ev.disaggregate(model, aggregate)
         assert prediction.values.min() >= 0.0
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["truth", "prediction"])
+    def test_non_finite_input_rejected(self, bad, side):
+        y = np.full(40, 20.0)
+        y_hat = y.copy()
+        (y if side == "truth" else y_hat)[7] = bad
+        with pytest.raises(DataError, match="finite"):
+            ev.evaluate("kettle", y, y_hat, period_len_k=10)
 
 
 class TestReportCsv:
