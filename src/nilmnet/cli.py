@@ -20,7 +20,8 @@ import numpy as np
 from . import data, evaluation, nn
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import DataError, NumericalError
-from .model import ClassificationConfig, GatedAttentionModel, RegressionConfig
+from .model import (CLS_KERNELS, ClassificationConfig, GatedAttentionModel,
+                    RegressionConfig)
 from .training import GRID_F, GRID_H, GRID_K, TrainConfig, grid_search, train
 
 EXIT_OK = 0
@@ -306,10 +307,15 @@ def cmd_evaluate(args):
 
 def cmd_gradcheck(args):
     cls_filters = tuple(_parse_int_list(args.cls_filters))
+    if len(cls_filters) > len(CLS_KERNELS):
+        raise DataError(
+            f"--cls-filters: {len(cls_filters)} entries, but the classification "
+            f"branch has a {len(CLS_KERNELS)}-layer table (kernels "
+            f"{','.join(map(str, CLS_KERNELS))})")
     reg_cfg = RegressionConfig(window=args.window, filters=args.filters,
                                kernel=args.kernel, hidden=args.hidden)
     cls_cfg = ClassificationConfig(window=args.window, filters=cls_filters,
-                                   kernels=(10, 8, 6, 5, 5, 5)[:len(cls_filters)],
+                                   kernels=CLS_KERNELS[:len(cls_filters)],
                                    dense_units=args.cls_dense)
     model = GatedAttentionModel.init(reg_cfg, cls_cfg, appliance="gradcheck",
                                      seed=args.seed, dtype=np.float64)
@@ -325,7 +331,7 @@ def cmd_gradcheck(args):
     def grad_fn():
         loss = model.train_step_grads(windows, target_power, target_state)
         if args.inject_fault:
-            nn.pack_params(model.all_params())[1][0] += 1.0
+            model.grads[0] += 1.0
         return loss
 
     entries = nn.gradient_check(model.all_params(), loss_fn, grad_fn,

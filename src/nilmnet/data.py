@@ -24,13 +24,6 @@ CSV_HEADER = ("timestamp", "power_w")
 MAX_FILL_SAMPLES = 3
 WRITE_BLOCK_ROWS = 65536
 
-# Default window lengths (samples) per dataset/appliance.
-DEFAULT_WINDOW_LENGTHS = {
-    "redd": {"dishwasher": 2304, "fridge": 496, "microwave": 128},
-    "ukdale": {"dishwasher": 1536, "fridge": 512, "kettle": 128,
-               "microwave": 288, "washing_machine": 1024},
-}
-
 
 @dataclass
 class PowerSeries:

@@ -107,12 +107,20 @@ def disaggregate(model, aggregate: PowerSeries, export_attention=False):
     return prediction, alphas
 
 
-def mae(y, y_hat):
-    """Mean absolute per-sample error, in watts."""
+def _metric_inputs(y, y_hat):
+    """y and y_hat as float64 arrays of one shape, every value finite."""
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
     if y.shape != y_hat.shape:
         raise DataError(f"series lengths differ: {y.shape} vs {y_hat.shape}")
+    if not (np.isfinite(y).all() and np.isfinite(y_hat).all()):
+        raise DataError("metric inputs must be finite")
+    return y, y_hat
+
+
+def mae(y, y_hat):
+    """Mean absolute per-sample error, in watts."""
+    y, y_hat = _metric_inputs(y, y_hat)
     return float(np.mean(np.abs(y - y_hat)))
 
 
@@ -122,10 +130,7 @@ def sae(y, y_hat, period_len):
     The series is cut into consecutive periods of period_len samples; a
     trailing partial period is dropped.
     """
-    y = np.asarray(y, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    if y.shape != y_hat.shape:
-        raise DataError(f"series lengths differ: {y.shape} vs {y_hat.shape}")
+    y, y_hat = _metric_inputs(y, y_hat)
     if period_len < 1:
         raise DataError("period length must be >= 1")
     n_periods = y.size // period_len
@@ -155,10 +160,7 @@ def classification_scores(y, y_hat, threshold_w=DEFAULT_THRESHOLD_W):
     Zero-denominator conventions: precision is 0 when nothing is predicted
     on, recall is 0 when nothing is truly on, F1 is 0 when both are 0.
     """
-    y = np.asarray(y, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    if y.shape != y_hat.shape:
-        raise DataError(f"series lengths differ: {y.shape} vs {y_hat.shape}")
+    y, y_hat = _metric_inputs(y, y_hat)
     truth = y > threshold_w
     pred = y_hat > threshold_w
     tp = int(np.sum(truth & pred))
@@ -190,10 +192,6 @@ class EvalReport:
 
 def evaluate(appliance, y_true, y_pred, threshold_w=DEFAULT_THRESHOLD_W,
              period_len_k=DEFAULT_PERIOD_LEN_K) -> EvalReport:
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    if not (np.isfinite(y_true).all() and np.isfinite(y_pred).all()):
-        raise DataError("metric inputs must be finite")
     scores = classification_scores(y_true, y_pred, threshold_w)
     return EvalReport(
         appliance=appliance,
@@ -207,7 +205,7 @@ def evaluate(appliance, y_true, y_pred, threshold_w=DEFAULT_THRESHOLD_W,
         tp=scores.tp,
         fp=scores.fp,
         fn=scores.fn,
-        sae_dropped_samples=int(y_true.size % period_len_k),
+        sae_dropped_samples=int(np.size(y_true) % period_len_k),
     )
 
 

@@ -187,6 +187,10 @@ class GatedAttentionModel:
     Construct with `init` for random weights or `zeros` for an all-zero
     model; `norm_meta` carries the training-set normalization statistics
     and must be attached before disaggregation.
+
+    The model owns its parameter arena: `weights` and `grads` are flat
+    vectors, and every LayerParams tensor of `all_params()` is a reshaped
+    view into them, in that order.
     """
 
     def __init__(self, reg_cfg: RegressionConfig, cls_cfg: ClassificationConfig,
@@ -201,7 +205,20 @@ class GatedAttentionModel:
         self.norm_meta = norm_meta
         self.regression = RegressionNet(reg_cfg, rng, dtype)
         self.classification = ClassificationNet(cls_cfg, rng, dtype)
-        self._weights, self._grads = nn.pack_params(self.all_params())
+        size = sum(p.n_params for p in self.all_params())
+        # np.zeros leaves its pages untouched until written, and a zero model
+        # copies nothing in, so a checkpoint load writes each page once.
+        self.weights = np.zeros(size, self.dtype)
+        self.grads = np.zeros(size, self.dtype)
+        offset = 0
+        for p in self.all_params():
+            for key, w in p.weights.items():
+                segment = slice(offset, offset + w.size)
+                if rng is not None:
+                    self.weights[segment] = w.reshape(-1)
+                p.weights[key] = self.weights[segment].reshape(w.shape)
+                p.grads[key] = self.grads[segment].reshape(w.shape)
+                offset = segment.stop
         self._gate_cache = None
 
     @classmethod
@@ -227,57 +244,27 @@ class GatedAttentionModel:
         return self.regression.param_list + self.classification.param_list
 
     def zero_grads(self):
-        self._grads.fill(0.0)
+        self.grads.fill(0.0)
 
     @property
     def n_params(self):
-        return self._weights.size
+        return self.weights.size
 
-    def _as_batch(self, x):
-        x = np.asarray(x, dtype=self.dtype)
-        if x.ndim == 1:
-            return x[None, :], True
-        if x.ndim != 2:
-            raise ShapeError(f"expected (L,) or (B, L) windows, got {x.shape}")
-        return x, False
+    def forward(self, windows, cache=True) -> ForwardResult:
+        """Gated forward pass over (B, L) standardized windows.
 
-    def forward_regression(self, window):
-        """Power estimate and attention weights for standardized windows."""
-        x, single = self._as_batch(window)
-        self._check_window(x)
-        power, alpha = self.regression.forward(x)
-        if single:
-            return power[0], alpha[0]
-        return power, alpha
-
-    def forward_classification(self, window):
-        """On/off probability in [0, 1].
-
-        In float32 the sigmoid rounds to exactly 1.0 above an input of about
-        17 and to exactly 0.0 below about -20, so both ends occur; bce_loss
-        clamps its prediction to [eps, 1 - eps] before taking logs.
-        """
-        x, single = self._as_batch(window)
-        self._check_window(x)
-        state = self.classification.forward(x)
-        return state[0] if single else state
-
-    def forward(self, window, cache=True) -> ForwardResult:
-        """Full gated forward pass: output[t] = power[t] * state[t].
-
+        output[t] = power[t] * state[t]. Any other shape raises ShapeError.
         cache=False keeps no backward caches (inference): every layer then
         frees its activations as soon as the next layer has used them, and
         a backward that follows raises instead of reusing stale caches.
         """
-        x, single = self._as_batch(window)
-        self._check_window(x)
+        x = np.asarray(windows, dtype=self.dtype)
+        if x.ndim != 2 or x.shape[1] != self.window:
+            raise ShapeError(f"expected (B, {self.window}) windows, got {x.shape}")
         power, alpha = self.regression.forward(x, cache)
         state = self.classification.forward(x, cache)
-        output = power * state
         self._gate_cache = (power, state) if cache else None
-        if single:
-            return ForwardResult(output[0], power[0], state[0], alpha[0])
-        return ForwardResult(output, power, state, alpha)
+        return ForwardResult(power * state, power, state, alpha)
 
     def backward(self, d_output, d_state_extra=None):
         """Backpropagate gradients of the gated output (and extra state grad).
@@ -288,12 +275,11 @@ class GatedAttentionModel:
         if self._gate_cache is None:
             raise RuntimeError("backward called before forward")
         power, state = self._gate_cache
-        d_output = np.atleast_2d(np.asarray(d_output, dtype=self.dtype))
+        d_output = np.asarray(d_output, dtype=self.dtype)
         d_power = d_output * state
         d_state = d_output * power
         if d_state_extra is not None:
-            d_state = d_state + np.atleast_2d(
-                np.asarray(d_state_extra, dtype=self.dtype))
+            d_state = d_state + np.asarray(d_state_extra, dtype=self.dtype)
         self.regression.backward(d_power)
         self.classification.backward(d_state)
 
@@ -320,12 +306,6 @@ class GatedAttentionModel:
             np.asarray(target_state, dtype=self.dtype))
         return loss
 
-    def _check_window(self, x):
-        if x.shape[1] != self.window:
-            raise ShapeError(
-                f"window length {x.shape[1]} does not match model window "
-                f"{self.window}")
-
     def snapshot_weights(self, out=None):
         """Copy of the flat weight vector, for best-epoch checkpointing.
 
@@ -333,12 +313,12 @@ class GatedAttentionModel:
         and out is returned, so no new buffer is mapped per call.
         """
         if out is None:
-            return self._weights.copy()
-        if out.shape != self._weights.shape:
+            return self.weights.copy()
+        if out.shape != self.weights.shape:
             raise ShapeError(f"snapshot buffer {out.shape} does not match "
-                             f"{self._weights.shape}")
-        out[...] = self._weights
+                             f"{self.weights.shape}")
+        out[...] = self.weights
         return out
 
     def restore_weights(self, snapshot):
-        self._weights[...] = snapshot
+        self.weights[...] = snapshot

@@ -24,13 +24,12 @@ slab, and the four gate activations of a step take a single tanh.
 Training runs in float32; tests instantiate everything in float64 so that
 analytic gradients can be compared against central finite differences.
 
-Parameters live in one arena per model: pack_params copies every weight
-tensor into one flat vector and every gradient into a twin vector, and
-leaves each LayerParams with reshaped views into them. The optimizer,
-snapshots and the gradient check work on the two vectors; layers keep
-reading and writing their named views. Assign into a view in place
-(w[...] = x, w += d) and never rebind p.weights[k] or p.grads[k], or the
-tensor drops out of the arena.
+A model keeps its parameters in one arena: GatedAttentionModel allocates
+a flat weight vector and a twin grad vector and makes each LayerParams
+tensor a reshaped view into them. The optimizer steps the two vectors;
+layers keep reading and writing their named views. Assign into a view in
+place (w[...] = x, w += d) and never rebind p.weights[k] or p.grads[k], or
+the tensor drops out of the arena. A standalone layer owns plain arrays.
 """
 
 from __future__ import annotations
@@ -99,8 +98,7 @@ def _activation_grad(d_out, pre, out, activation):
 class LayerParams:
     """Named weight tensors of one layer plus matching gradient buffers.
 
-    Once packed, weights[k] and grads[k] are views into the arena's two
-    vectors and arena is (ids of the packed list, weights, grads); assign in
+    In a model, weights[k] and grads[k] are views into its arena; assign in
     place and never rebind them.
     """
 
@@ -108,7 +106,6 @@ class LayerParams:
         self.name = name
         self.weights = dict(weights)
         self.grads = {k: np.zeros(v.shape, v.dtype) for k, v in self.weights.items()}
-        self.arena = None
 
     @property
     def n_params(self):
@@ -117,41 +114,6 @@ class LayerParams:
     def __repr__(self):
         shapes = {k: v.shape for k, v in self.weights.items()}
         return f"LayerParams({self.name!r}, {shapes})"
-
-
-def pack_params(param_list):
-    """Flat weight and grad vectors of param_list; its tensors become views.
-
-    The weights and any grads already set are copied in, in list and key
-    order. A list packed before (the same LayerParams in the same order)
-    gets its vectors back without a copy; a LayerParams packed with another
-    list is refused.
-    """
-    params = tuple(param_list)
-    # The arena records ids, not the LayerParams, so no reference cycle
-    # keeps a dropped model's vectors alive until the cycle collector runs.
-    ids = tuple(map(id, params))
-    arena = params[0].arena
-    if arena is not None and arena[0] == ids and all(p.arena is arena for p in params):
-        return arena[1:]
-    if any(p.arena is not None for p in params):
-        raise ValueError("a parameter group already belongs to another arena")
-    weights = np.concatenate([w.reshape(-1) for p in params for w in p.weights.values()])
-    # np.zeros, unlike np.zeros_like, leaves the pages untouched, and zero
-    # grads are skipped below, so an inference-only model never touches them.
-    grads = np.zeros(weights.shape, weights.dtype)
-    arena = (ids, weights, grads)
-    offset = 0
-    for p in params:
-        for key, w in p.weights.items():
-            segment = slice(offset, offset + w.size)
-            if p.grads[key].any():
-                grads[segment] = p.grads[key].reshape(-1)
-            p.weights[key] = weights[segment].reshape(w.shape)
-            p.grads[key] = grads[segment].reshape(w.shape)
-            offset = segment.stop
-        p.arena = arena
-    return weights, grads
 
 
 def he_uniform(rng, shape, fan_in, dtype):
@@ -650,13 +612,14 @@ class SgdNesterov:
         v     <- mu * v - eta * g
         theta <- theta + mu * v - eta * g
 
-    Gradients are expected to hold the mini-batch mean; they are reset to
-    zero after the step. With mu = 0 the update is exactly plain gradient
-    descent at the same rate.
+    weights and grads are the flat vectors the step updates in place, such
+    as a model's arena. Gradients are expected to hold the mini-batch mean;
+    they are reset to zero after the step. With mu = 0 the update is exactly
+    plain gradient descent at the same rate.
     """
 
-    def __init__(self, param_list, base_lr=0.01, momentum=0.9, decay=1e-6):
-        self.weights, self.grads = pack_params(param_list)
+    def __init__(self, weights, grads, base_lr=0.01, momentum=0.9, decay=1e-6):
+        self.weights, self.grads = weights, grads
         self.velocity = np.zeros_like(self.weights)
         self._scratch = np.empty_like(self.weights[:STEP_BLOCK])
         self.base_lr = base_lr
@@ -717,26 +680,29 @@ def gradient_check(param_list, loss_fn, grad_fn, step=1e-5, tol=1e-4):
 
     Returns one GradCheckEntry per parameter group of param_list.
     """
-    weights, grads = pack_params(param_list)
-    grads.fill(0.0)
+    grads = [g for p in param_list for g in p.grads.values()]
+    for g in grads:
+        g.fill(0.0)
     grad_fn()
-    analytic = grads.copy()
     results = []
-    offset = 0
     for p in param_list:
         worst = 0.0
-        for idx in range(offset, offset + p.n_params):
-            orig = weights[idx]
-            weights[idx] = orig + step
-            loss_plus = loss_fn()
-            weights[idx] = orig - step
-            loss_minus = loss_fn()
-            weights[idx] = orig
-            numeric = (loss_plus - loss_minus) / (2.0 * step)
-            a = analytic[idx]
-            denom = max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, abs(a - numeric) / denom)
+        for key, w in p.weights.items():
+            # Parameter tensors are contiguous, so these are views.
+            flat = w.reshape(-1)
+            analytic = p.grads[key].reshape(-1).copy()
+            for idx in range(flat.size):
+                orig = flat[idx]
+                flat[idx] = orig + step
+                loss_plus = loss_fn()
+                flat[idx] = orig - step
+                loss_minus = loss_fn()
+                flat[idx] = orig
+                numeric = (loss_plus - loss_minus) / (2.0 * step)
+                a = analytic[idx]
+                denom = max(abs(a), abs(numeric), 1e-8)
+                worst = max(worst, abs(a - numeric) / denom)
         results.append(GradCheckEntry(p.name, worst, worst < tol))
-        offset += p.n_params
-    grads.fill(0.0)
+    for g in grads:
+        g.fill(0.0)
     return results

@@ -89,7 +89,7 @@ def train(model: GatedAttentionModel, train_ws, val_ws, cfg: TrainConfig):
         raise DataError("training set is empty")
     monitor_train = len(val_ws) == 0
     rng = np.random.default_rng(cfg.seed)
-    optimizer = nn.SgdNesterov(model.all_params(), cfg.base_lr,
+    optimizer = nn.SgdNesterov(model.weights, model.grads, cfg.base_lr,
                                cfg.momentum, cfg.decay)
     record = TrainRecord()
     best_val = np.inf

@@ -97,12 +97,25 @@ class TestRoundTrip:
         ckpt.save_checkpoint(second, ckpt.load_checkpoint(first))
         assert first.read_bytes() == second.read_bytes()
 
+    def test_save_copies_no_payload(self, tmp_path):
+        model = GatedAttentionModel.zeros(RegressionConfig(window=64, filters=8,
+                                                           kernel=4, hidden=32))
+        payload = 4 * model.n_params
+        tracemalloc.start()
+        try:
+            ckpt.save_checkpoint(tmp_path / "model.ckpt", model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < payload
+        assert (tmp_path / "model.ckpt").stat().st_size > payload
+
     def test_loaded_model_runs_forward_identically(self, tmp_path):
         model = random_model(2)
         path = tmp_path / "model.ckpt"
         ckpt.save_checkpoint(path, model)
         loaded = ckpt.load_checkpoint(path)
-        window = np.random.default_rng(7).normal(size=model.window)
+        window = np.random.default_rng(7).normal(size=(1, model.window))
         a = model.forward(window)
         b = loaded.forward(window)
         np.testing.assert_array_equal(a.output, b.output)

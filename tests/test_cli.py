@@ -348,6 +348,12 @@ class TestGradcheckCommand:
         assert run(self.ARGS + ["--inject-fault"]) == 3
         assert "FAIL" in capsys.readouterr().out
 
+    def test_more_cls_filters_than_the_layer_table_exits_2(self, capsys):
+        args = self.ARGS[:-4] + ["--cls-filters", "2,2,2,2,2,2,2",
+                                 "--cls-dense", "8"]
+        assert run(args) == 2
+        assert "6-layer table (kernels 10,8,6,5,5,5)" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_1(self, capsys):

@@ -106,6 +106,11 @@ class TestMae:
         with pytest.raises(DataError):
             ev.mae(np.zeros(3), np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            ev.mae(np.zeros(3), np.array([0.0, bad, 0.0]))
+
 
 class TestSae:
     def test_zero_for_identical(self):
@@ -141,6 +146,11 @@ class TestSae:
         with pytest.raises(DataError, match="period"):
             ev.sae(np.zeros(5), np.zeros(5), 6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            ev.sae(np.array([0.0, bad, 0.0, 0.0]), np.zeros(4), 2)
+
 
 class TestClassificationScores:
     def test_perfect_prediction(self):
@@ -160,6 +170,12 @@ class TestClassificationScores:
         scores = ev.classification_scores(np.zeros(4), np.full(4, 50.0))
         assert scores.recall == 0.0
         assert scores.f1 == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        y = np.array([0.0, 20.0, 30.0])
+        with pytest.raises(DataError, match="finite"):
+            ev.classification_scores(y, np.array([bad, 20.0, 30.0]))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_counting_oracle(self, seed):

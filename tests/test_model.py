@@ -29,20 +29,21 @@ def toy_model(seed=0, dtype=np.float32):
 class TestZeroInitialized:
     def test_regression_output_zero_attention_uniform(self):
         model = GatedAttentionModel.zeros(TOY_REG, TOY_CLS)
-        window = np.random.default_rng(0).normal(size=16).astype(np.float32)
-        power, alpha = model.forward_regression(window)
-        np.testing.assert_array_equal(power, np.zeros(16, dtype=np.float32))
-        np.testing.assert_allclose(alpha, 1.0 / 16.0, rtol=1e-6)
+        window = np.random.default_rng(0).normal(size=(1, 16)).astype(np.float32)
+        result = model.forward(window)
+        np.testing.assert_array_equal(result.power,
+                                      np.zeros((1, 16), dtype=np.float32))
+        np.testing.assert_allclose(result.attention, 1.0 / 16.0, rtol=1e-6)
 
     def test_classification_output_half(self):
         model = GatedAttentionModel.zeros(TOY_REG, TOY_CLS)
-        window = np.random.default_rng(1).normal(size=16).astype(np.float32)
-        state = model.forward_classification(window)
-        np.testing.assert_array_equal(state, np.full(16, 0.5, dtype=np.float32))
+        window = np.random.default_rng(1).normal(size=(1, 16)).astype(np.float32)
+        state = model.forward(window).state
+        np.testing.assert_array_equal(state, np.full((1, 16), 0.5, dtype=np.float32))
 
     def test_gated_output_is_half_power(self):
         model = GatedAttentionModel.zeros(TOY_REG, TOY_CLS)
-        window = np.random.default_rng(2).normal(size=16).astype(np.float32)
+        window = np.random.default_rng(2).normal(size=(1, 16)).astype(np.float32)
         result = model.forward(window)
         np.testing.assert_array_equal(result.output, 0.5 * result.power)
 
@@ -51,15 +52,15 @@ class TestForward:
     def test_attention_sums_to_one_random_models(self):
         for seed in range(30):
             model = toy_model(seed)
-            window = np.random.default_rng(seed + 1000).normal(size=16)
-            _, alpha = model.forward_regression(window)
+            window = np.random.default_rng(seed + 1000).normal(size=(1, 16))
+            alpha = model.forward(window).attention
             assert abs(alpha.sum() - 1.0) <= 1e-6
-            assert alpha.shape == (16,)
+            assert alpha.shape == (1, 16)
 
     def test_state_strictly_inside_unit_interval(self):
         model = toy_model(3)
         windows = np.random.default_rng(4).normal(size=(8, 16))
-        state = model.forward_classification(windows)
+        state = model.forward(windows).state
         assert np.all(state > 0.0) and np.all(state < 1.0)
 
     def test_gate_is_elementwise_product_bit_exact(self):
@@ -70,11 +71,11 @@ class TestForward:
 
     def test_gate_zero_power_gives_zero_output(self):
         model = toy_model(7)
-        window = np.random.default_rng(8).normal(size=16)
+        window = np.random.default_rng(8).normal(size=(1, 16))
         result = model.forward(window)
         np.testing.assert_array_equal(result.output * 0.0,
                                       result.power * 0.0 * result.state)
-        zeros = np.zeros(16)
+        zeros = np.zeros((1, 16))
         np.testing.assert_array_equal(zeros * result.state, zeros)
 
     def test_gate_monotone_in_state_for_positive_power(self):
@@ -86,8 +87,8 @@ class TestForward:
     def test_matches_composition_of_verified_kernels(self):
         model = toy_model(11, dtype=np.float64)
         windows = np.random.default_rng(12).normal(size=(2, 16))
-        power, alpha = model.forward_regression(windows)
-        state = model.forward_classification(windows)
+        result = model.forward(windows)
+        power, alpha, state = result.power, result.attention, result.state
 
         # independent wiring of the same layer objects
         feats = windows[:, None, :]
@@ -138,6 +139,11 @@ class TestForward:
         with pytest.raises(ShapeError):
             model.forward(np.zeros(17))
 
+    def test_single_window_without_batch_axis_raises(self):
+        model = toy_model(13)
+        with pytest.raises(ShapeError, match=r"\(B, 16\)"):
+            model.forward(np.zeros(16))
+
     def test_mismatched_subnetwork_windows_raise(self):
         with pytest.raises(ValueError):
             GatedAttentionModel.zeros(TOY_REG, ClassificationConfig(window=32))
@@ -146,10 +152,10 @@ class TestForward:
 class TestJointLoss:
     def test_zero_targets_zero_output_half_state_is_ln2(self):
         model = GatedAttentionModel.zeros(TOY_REG, TOY_CLS)
-        window = np.zeros(16, dtype=np.float32)
+        window = np.zeros((1, 16), dtype=np.float32)
         result = model.forward(window)
         loss, _, _ = joint_loss(result.output, result.state,
-                                np.zeros(16), np.zeros(16))
+                                np.zeros((1, 16)), np.zeros((1, 16)))
         assert abs(loss - np.log(2.0)) < 1e-6
 
     def test_perfect_prediction_leaves_only_bce_floor(self):
@@ -208,7 +214,7 @@ class TestParameterCounts:
 class TestParameterArena:
     def test_every_tensor_is_a_view_in_all_params_order(self):
         model = toy_model(5)
-        weights, grads = nn.pack_params(model.all_params())
+        weights, grads = model.weights, model.grads
         offset = 0
         for p in model.all_params():
             for key, w in p.weights.items():
@@ -222,8 +228,8 @@ class TestParameterArena:
 
     def test_optimizer_copies_nothing_and_restore_is_bit_exact(self):
         model = toy_model(6)
-        weights, grads = nn.pack_params(model.all_params())
-        opt = nn.SgdNesterov(model.all_params(), base_lr=0.05)
+        weights, grads = model.weights, model.grads
+        opt = nn.SgdNesterov(model.weights, model.grads, base_lr=0.05)
         assert opt.weights is weights and opt.grads is grads
         saved = model.snapshot_weights()
         assert not np.shares_memory(saved, weights)
@@ -252,18 +258,13 @@ class TestParameterArena:
     def test_dropped_model_is_freed_without_the_cycle_collector(self):
         model = toy_model(9)
         group = weakref.ref(model.all_params()[0])
-        weights = weakref.ref(nn.pack_params(model.all_params())[0])
+        weights = weakref.ref(model.weights)
         gc.disable()
         try:
             del model
             assert group() is None and weights() is None
         finally:
             gc.enable()
-
-    def test_repacking_part_of_an_arena_is_refused(self):
-        model = toy_model(8)
-        with pytest.raises(ValueError, match="arena"):
-            nn.pack_params(model.regression.param_list)
 
 
 class TestDeterminism:
@@ -290,7 +291,7 @@ class TestDeterminism:
 
         def run():
             model = toy_model(77)
-            opt = nn.SgdNesterov(model.all_params(), base_lr=0.01,
+            opt = nn.SgdNesterov(model.weights, model.grads, base_lr=0.01,
                                  momentum=0.9, decay=1e-6)
             for i in range(3):
                 model.train_step_grads(windows[i], tp[i], ts[i])

@@ -27,7 +27,9 @@ def check_params_and_input(layer, x, forward_fn, seeds_upstream_rng, tol=GRAD_TO
 
     loss()  # populate cache
     layer_params = layer.param_list if hasattr(layer, "param_list") else [layer.params]
-    nn.pack_params(layer_params)[1].fill(0.0)
+    for p in layer_params:
+        for g in p.grads.values():
+            g.fill(0.0)
     d_in = layer.backward(probe)
     for p in layer_params:
         for key, w in p.weights.items():
@@ -255,52 +257,49 @@ class TestLossGradients:
 class TestSgdNesterov:
     def test_zero_momentum_is_plain_gradient_descent(self):
         rng = np.random.default_rng(11)
-        w = rng.normal(size=(3, 2)).astype(np.float32)
-        g = rng.normal(size=(3, 2)).astype(np.float32)
-        params = nn.LayerParams("p", {"W": w.copy()})
-        params.grads["W"][:] = g
-        opt = nn.SgdNesterov([params], base_lr=0.05, momentum=0.0, decay=0.0)
+        w = rng.normal(size=6).astype(np.float32)
+        g = rng.normal(size=6).astype(np.float32)
+        weights = w.copy()
+        opt = nn.SgdNesterov(weights, g.copy(), base_lr=0.05, momentum=0.0,
+                             decay=0.0)
         opt.step()
         expected = w - np.float32(0.05) * g
-        np.testing.assert_array_equal(params.weights["W"], expected)
+        np.testing.assert_array_equal(weights, expected)
 
     def test_zero_gradient_leaves_params_unchanged(self):
-        params = nn.LayerParams("p", {"W": np.ones((2, 2))})
-        opt = nn.SgdNesterov([params], base_lr=0.1, momentum=0.9)
+        weights = np.ones(4)
+        opt = nn.SgdNesterov(weights, np.zeros(4), base_lr=0.1, momentum=0.9)
         for _ in range(5):
             opt.step()
-        np.testing.assert_array_equal(params.weights["W"], np.ones((2, 2)))
+        np.testing.assert_array_equal(weights, np.ones(4))
 
     def test_two_step_hand_computed_sequence(self):
         # theta0=1, eta=0.1, mu=0.9, g1=0.5, g2=0.2:
         #   v1 = -0.05,  theta1 = 1 + 0.9*(-0.05) - 0.05  = 0.905
         #   v2 = -0.065, theta2 = 0.905 + 0.9*(-0.065) - 0.02 = 0.8265
-        params = nn.LayerParams("p", {"W": np.array([1.0])})
-        opt = nn.SgdNesterov([params], base_lr=0.1, momentum=0.9, decay=0.0)
-        params.grads["W"][:] = 0.5
+        weights, grads = np.array([1.0]), np.zeros(1)
+        opt = nn.SgdNesterov(weights, grads, base_lr=0.1, momentum=0.9, decay=0.0)
+        grads[:] = 0.5
         opt.step()
-        assert abs(params.weights["W"][0] - 0.905) < 1e-12
-        params.grads["W"][:] = 0.2
+        assert abs(weights[0] - 0.905) < 1e-12
+        grads[:] = 0.2
         opt.step()
-        assert abs(params.weights["W"][0] - 0.8265) < 1e-12
+        assert abs(weights[0] - 0.8265) < 1e-12
 
     def test_grads_reset_after_step(self):
-        params = nn.LayerParams("p", {"W": np.ones(3)})
-        params.grads["W"][:] = 1.0
-        opt = nn.SgdNesterov([params])
+        grads = np.ones(3)
+        opt = nn.SgdNesterov(np.ones(3), grads)
         opt.step()
-        assert np.all(params.grads["W"] == 0.0)
+        assert np.all(grads == 0.0)
 
     def test_decay_schedule_exact(self):
-        params = nn.LayerParams("p", {"W": np.zeros(1)})
-        opt = nn.SgdNesterov([params], base_lr=0.01, decay=1e-6)
+        opt = nn.SgdNesterov(np.zeros(1), np.zeros(1), base_lr=0.01, decay=1e-6)
         for k in range(100):
             assert opt.effective_lr == 0.01 / (1.0 + 1e-6 * k)
             opt.step()
 
     def test_lr_non_increasing(self):
-        params = nn.LayerParams("p", {"W": np.zeros(1)})
-        opt = nn.SgdNesterov([params], base_lr=0.01, decay=1e-4)
+        opt = nn.SgdNesterov(np.zeros(1), np.zeros(1), base_lr=0.01, decay=1e-4)
         last = np.inf
         for _ in range(50):
             lr = opt.effective_lr
