@@ -20,7 +20,9 @@ names and shapes. Unknown versions are rejected outright.
 
 from __future__ import annotations
 
+import os
 import struct
+import sys
 
 import numpy as np
 
@@ -39,19 +41,32 @@ def _pack_str(text):
 
 
 class _Reader:
-    """Reads fields off the file's bytes; take returns a view, not a copy."""
+    """Reads fields off an open checkpoint file.
 
-    def __init__(self, blob, path):
-        self.blob = memoryview(blob)
+    No read asks for more bytes than the file has left, so a hostile length
+    field cannot make it allocate more than the file's size.
+    """
+
+    def __init__(self, fh, path):
+        self.fh = fh
         self.path = path
-        self.offset = 0
+        self.size = os.fstat(fh.fileno()).st_size
+
+    def left(self):
+        return self.size - self.fh.tell()
 
     def take(self, count):
-        if self.offset + count > len(self.blob):
+        if count > self.left():
             raise DataError(f"{self.path}: truncated checkpoint")
-        chunk = self.blob[self.offset:self.offset + count]
-        self.offset += count
-        return chunk
+        return self.fh.read(count)
+
+    def take_into(self, array):
+        """Fill a C-contiguous float32 array from little-endian <f4 bytes."""
+        if array.nbytes > self.left():
+            raise DataError(f"{self.path}: truncated checkpoint")
+        self.fh.readinto(memoryview(array).cast("B"))
+        if sys.byteorder == "big":
+            array.byteswap(inplace=True)
 
     def u32(self):
         return struct.unpack("<I", self.take(4))[0]
@@ -63,7 +78,7 @@ class _Reader:
         return struct.unpack("<d", self.take(8))[0]
 
     def string(self):
-        start = self.offset
+        start = self.fh.tell()
         try:
             return str(self.take(self.u32()), "utf-8")
         except UnicodeDecodeError:
@@ -71,8 +86,8 @@ class _Reader:
                             f"UTF-8") from None
 
     def done(self):
-        if self.offset != len(self.blob):
-            raise DataError(f"{self.path}: {len(self.blob) - self.offset} "
+        if self.left():
+            raise DataError(f"{self.path}: {self.left()} "
                             f"trailing bytes after checkpoint payload")
 
 
@@ -113,71 +128,71 @@ def save_checkpoint(path, model: GatedAttentionModel):
 def load_checkpoint(path) -> GatedAttentionModel:
     """Rebuild a float32 model; parameters round-trip bit-exactly.
 
-    Each tensor is copied once, from the file's bytes into the model's
-    arena, which no earlier write has touched.
+    Each tensor is read with readinto straight into its view of the model's
+    arena, which no earlier write has touched, so the payload is copied
+    once, by the kernel, and the file is never held in memory as a whole.
     """
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), str(path))
-    if reader.take(4) != MAGIC:
-        raise DataError(f"{path}: not a model checkpoint (bad magic)")
-    version = reader.u32()
-    if version != VERSION:
-        raise DataError(
-            f"{path}: unsupported checkpoint version {version} "
-            f"(this build reads version {VERSION})")
-    appliance = reader.string()
-    reg_dims = [reader.u32() for _ in range(4)]
-    cls_window = reader.u32()
-    n_conv = reader.u32()
-    pairs = [(reader.u32(), reader.u32()) for _ in range(n_conv)]
-    dense_units = reader.u32()
-    try:
-        reg = RegressionConfig(*reg_dims)
-        cls_cfg = ClassificationConfig(
-            window=cls_window,
-            filters=tuple(f for f, _ in pairs),
-            kernels=tuple(k for _, k in pairs),
-            dense_units=dense_units,
-        )
-    except DataError as exc:
-        raise DataError(f"{path}: invalid model config: {exc}") from None
-    if reg.window != cls_cfg.window:
-        raise DataError(f"{path}: regression window {reg.window} differs from "
-                        f"classification window {cls_cfg.window}")
-    meta = None
-    if reader.u8():
-        meta = NormalizationMeta(reader.f64(), reader.f64(),
-                                 reader.f64(), reader.f64())
-    # Refuse a header whose parameters cannot fit in the rest of the file
-    # before the model for it is allocated.
-    needed = 4 * parameter_count(reg, cls_cfg)
-    left = len(reader.blob) - reader.offset
-    if needed > left:
-        raise DataError(f"{path}: truncated checkpoint: the header implies "
-                        f"{needed} bytes of float32 parameters, {left} bytes left")
-    model = GatedAttentionModel.zeros(reg, cls_cfg, appliance=appliance,
-                                      dtype=np.float32)
-    model.norm_meta = meta
-    expected = [(f"{p.name}.{key}", p.weights[key])
-                for p in model.all_params() for key in p.weights]
-    count = reader.u32()
-    if count != len(expected):
-        raise DataError(
-            f"{path}: checkpoint holds {count} tensors, model needs "
-            f"{len(expected)}")
-    for name, target in expected:
-        stored_name = reader.string()
-        if stored_name != name:
+        reader = _Reader(fh, str(path))
+        if reader.take(4) != MAGIC:
+            raise DataError(f"{path}: not a model checkpoint (bad magic)")
+        version = reader.u32()
+        if version != VERSION:
             raise DataError(
-                f"{path}: tensor order mismatch: found {stored_name!r}, "
-                f"expected {name!r}")
-        rank = reader.u32()
-        dims = tuple(reader.u32() for _ in range(rank))
-        if dims != target.shape:
+                f"{path}: unsupported checkpoint version {version} "
+                f"(this build reads version {VERSION})")
+        appliance = reader.string()
+        reg_dims = [reader.u32() for _ in range(4)]
+        cls_window = reader.u32()
+        n_conv = reader.u32()
+        pairs = [(reader.u32(), reader.u32()) for _ in range(n_conv)]
+        dense_units = reader.u32()
+        try:
+            reg = RegressionConfig(*reg_dims)
+            cls_cfg = ClassificationConfig(
+                window=cls_window,
+                filters=tuple(f for f, _ in pairs),
+                kernels=tuple(k for _, k in pairs),
+                dense_units=dense_units,
+            )
+        except DataError as exc:
+            raise DataError(f"{path}: invalid model config: {exc}") from None
+        if reg.window != cls_cfg.window:
+            raise DataError(f"{path}: regression window {reg.window} differs from "
+                            f"classification window {cls_cfg.window}")
+        meta = None
+        if reader.u8():
+            meta = NormalizationMeta(reader.f64(), reader.f64(),
+                                     reader.f64(), reader.f64())
+        # Refuse a header whose parameters cannot fit in the rest of the file
+        # before the model for it is allocated.
+        needed = 4 * parameter_count(reg, cls_cfg)
+        left = reader.left()
+        if needed > left:
+            raise DataError(f"{path}: truncated checkpoint: the header implies "
+                            f"{needed} bytes of float32 parameters, {left} bytes left")
+        model = GatedAttentionModel.zeros(reg, cls_cfg, appliance=appliance,
+                                          dtype=np.float32)
+        model.norm_meta = meta
+        expected = [(f"{p.name}.{key}", p.weights[key])
+                    for p in model.all_params() for key in p.weights]
+        count = reader.u32()
+        if count != len(expected):
             raise DataError(
-                f"{path}: tensor {name!r} has shape {dims}, expected "
-                f"{target.shape}")
-        raw = reader.take(4 * int(np.prod(dims, dtype=np.int64)))
-        target[...] = np.frombuffer(raw, dtype="<f4").reshape(dims)
-    reader.done()
-    return model
+                f"{path}: checkpoint holds {count} tensors, model needs "
+                f"{len(expected)}")
+        for name, target in expected:
+            stored_name = reader.string()
+            if stored_name != name:
+                raise DataError(
+                    f"{path}: tensor order mismatch: found {stored_name!r}, "
+                    f"expected {name!r}")
+            rank = reader.u32()
+            dims = tuple(reader.u32() for _ in range(rank))
+            if dims != target.shape:
+                raise DataError(
+                    f"{path}: tensor {name!r} has shape {dims}, expected "
+                    f"{target.shape}")
+            reader.take_into(target)
+        reader.done()
+        return model

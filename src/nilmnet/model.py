@@ -270,11 +270,13 @@ class GatedAttentionModel:
         """Backpropagate gradients of the gated output (and extra state grad).
 
         The product rule routes d_output into both branches; gradients
-        accumulate additively into the parameter buffers.
+        accumulate additively into the parameter buffers. Like every layer's,
+        the forward's cache feeds exactly one backward, which frees it.
         """
         if self._gate_cache is None:
             raise RuntimeError("backward called before forward")
         power, state = self._gate_cache
+        self._gate_cache = None
         d_output = np.asarray(d_output, dtype=self.dtype)
         d_power = d_output * state
         d_state = d_output * power

@@ -5,8 +5,12 @@ forward pass and an analytic backward pass: 1-D convolution, dense layers,
 LSTM cells, a bidirectional LSTM, the feed-forward attention unit, the two
 losses, and SGD with Nesterov momentum. There is no general autodiff graph;
 layers cache whatever their own backward pass needs, so a forward call must
-be paired with the matching backward call on the same instance. A forward
-with cache=False keeps nothing, for inference; a backward after it fails.
+be paired with the matching backward call on the same instance. The cache
+is a one-shot hand-off: a forward's cache goes to exactly one backward,
+which drops it, so a training step's activations are freed before the next
+forward allocates. A forward with cache=False keeps nothing, for
+inference; a backward after it, or a second backward after one forward,
+raises RuntimeError naming the layer.
 
 Arrays are batch-first throughout:
 
@@ -44,10 +48,6 @@ from .errors import ShapeError
 ACTIVATIONS = ("relu", "linear", "sigmoid", "tanh")
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
-
-
 def sigmoid(x, out=None):
     """Logistic function through the identity 0.5 * (1 + tanh(x / 2)).
 
@@ -71,21 +71,26 @@ def softmax(x, axis=-1):
 
 
 def _apply_activation(pre, activation):
+    """The activation of pre, written over pre, which is returned."""
     if activation == "relu":
-        return relu(pre)
+        return np.maximum(pre, 0.0, out=pre)
     if activation == "linear":
         return pre
     if activation == "sigmoid":
-        return sigmoid(pre)
+        return sigmoid(pre, out=pre)
     if activation == "tanh":
-        return np.tanh(pre)
+        return np.tanh(pre, out=pre)
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def _activation_grad(d_out, pre, out, activation):
-    """Gradient w.r.t. the pre-activation, given the output gradient."""
+def _activation_grad(d_out, out, activation):
+    """Gradient w.r.t. the pre-activation, given the output and its gradient.
+
+    The ReLU slope reads out > 0, the same mask as pre > 0 for every float:
+    max(pre, 0) is positive exactly where pre is, and NaN stays NaN.
+    """
     if activation == "relu":
-        return d_out * (pre > 0)
+        return d_out * (out > 0)
     if activation == "linear":
         return d_out
     if activation == "sigmoid":
@@ -114,6 +119,16 @@ class LayerParams:
     def __repr__(self):
         shapes = {k: v.shape for k, v in self.weights.items()}
         return f"LayerParams({self.name!r}, {shapes})"
+
+
+def _take_cache(layer, name):
+    """Hand the layer's forward cache to its backward, and drop it there."""
+    cache, layer._cache = layer._cache, None
+    if cache is None:
+        raise RuntimeError(f"{name}: backward called before forward (a forward "
+                           "with cache=False keeps nothing, and a cache feeds "
+                           "exactly one backward)")
+    return cache
 
 
 def he_uniform(rng, shape, fan_in, dtype):
@@ -179,20 +194,20 @@ class Conv1D:
         windows = np.lib.stride_tricks.sliding_window_view(xp, length, axis=2)
         cols = windows.reshape(b_sz, -1, length)
         w = self.params.weights["W"].reshape(self.filters, -1)
-        pre = w @ cols
-        pre += self.params.weights["b"][:, None]
-        out = _apply_activation(pre, self.activation)
-        self._cache = (cols, pre, out) if cache else None
+        out = w @ cols
+        out += self.params.weights["b"][:, None]
+        _apply_activation(out, self.activation)
+        self._cache = (cols, out) if cache else None
         return out
 
     def backward(self, d_out):
         """d_out: (B, F, L) -> gradient w.r.t. the input, (B, C_in, L)."""
-        cols, pre, out = self._cache
+        cols, out = _take_cache(self, self.params.name)
         if d_out.shape != out.shape:
             raise ShapeError(
                 f"{self.params.name}: upstream shape {d_out.shape} does not match "
                 f"forward output {out.shape}")
-        d_pre = _activation_grad(d_out, pre, out, self.activation)
+        d_pre = _activation_grad(d_out, out, self.activation)
         w = self.params.weights["W"].reshape(self.filters, -1)
         # One GEMM per batch item with its columns as a transposed operand
         # (no copy), summed over the batch.
@@ -236,18 +251,19 @@ class Dense:
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(
                 f"{self.params.name}: expected (B, {self.in_features}), got {x.shape}")
-        pre = x @ self.params.weights["W"].T + self.params.weights["b"]
-        out = _apply_activation(pre, self.activation)
-        self._cache = (x, pre, out) if cache else None
+        out = x @ self.params.weights["W"].T
+        out += self.params.weights["b"]
+        _apply_activation(out, self.activation)
+        self._cache = (x, out) if cache else None
         return out
 
     def backward(self, d_out):
-        x, pre, out = self._cache
+        x, out = _take_cache(self, self.params.name)
         if d_out.shape != out.shape:
             raise ShapeError(
                 f"{self.params.name}: upstream shape {d_out.shape} does not match "
                 f"forward output {out.shape}")
-        d_pre = _activation_grad(d_out, pre, out, self.activation)
+        d_pre = _activation_grad(d_out, out, self.activation)
         self.params.grads["W"] += d_pre.T @ x
         self.params.grads["b"] += d_pre.sum(axis=0)
         return d_pre @ self.params.weights["W"]
@@ -402,15 +418,24 @@ class BiLSTM:
       recurrent product and applies the cell equations, one tanh for all
       four gates, to both directions' (2, B, 4H) slab at once.
     - backward runs the same fused loop: the elementwise gate gradients and
-      one batched recurrent GEMM d_z @ U per step, keeping d_z of every step.
-      After the loop, dW, dU, db and the input gradient are each one batched
-      GEMM or sum over the per-direction slabs.
+      one batched recurrent GEMM d_z @ U per step. Step s's d_z goes through
+      one (2, B, 4H) scratch into the gate slab gates[:, s], which that step
+      was the last to read, so the gate buffer becomes the d_z buffer and no
+      second (2, T, B, 4H) array is allocated. After the loop, dW, dU, db
+      and the input gradient are each one batched GEMM or sum over the
+      per-direction slabs.
+
+    The forward keeps tanh(c) only in a (2, B, H) step buffer; the backward
+    recomputes np.tanh(cells[:, s]), which rounds as the forward's did, so
+    the (2, T, B, H) trajectory of tanh(c) is never cached (the trade of
+    Chen et al. 2016, arXiv:1604.06174).
 
     The cell equations are the ones LSTMCell.step uses, so the layer equals
     an unrolled composition of the two cells' steps.
     """
 
     def __init__(self, name, input_size, hidden_size, rng=None, dtype=np.float32):
+        self.name = name
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.fw = LSTMCell(f"{name}.fw", input_size, hidden_size, rng, dtype)
@@ -436,9 +461,10 @@ class BiLSTM:
         gates = np.empty((2, steps, b_sz, 4 * hs), dtype=np.result_type(x, w))
         np.matmul(xs, w.transpose(0, 2, 1), out=gates.reshape(2, steps * b_sz, 4 * hs))
         gates += self._stacked("b")[:, None, None]
-        cells, tanh_c, hidden = (
-            np.empty((2, steps, b_sz, hs), dtype=gates.dtype) for _ in range(3))
+        cells, hidden = (
+            np.empty((2, steps, b_sz, hs), dtype=gates.dtype) for _ in range(2))
         zeros = np.zeros((2, b_sz, hs), dtype=gates.dtype)
+        tanh_c = np.empty_like(zeros)
         recurrent = np.empty((2, b_sz, 4 * hs), dtype=gates.dtype)
         # A C-contiguous U.T runs the small per-step GEMM about a fifth
         # faster than the transposed layout, whose GEMM also rounds
@@ -449,33 +475,36 @@ class BiLSTM:
             z = gates[:, s]
             if s:
                 z += np.matmul(hidden[:, s - 1], u_t, out=recurrent)
-            _lstm_gates(z, cells[:, s - 1] if s else zeros, cells[:, s], tanh_c[:, s],
+            _lstm_gates(z, cells[:, s - 1] if s else zeros, cells[:, s], tanh_c,
                         hidden[:, s])
-        self._cache = (xs, w, gates, cells, tanh_c, hidden) if cache else None
+        self._cache = (xs, w, gates, cells, hidden) if cache else None
         out = np.empty((b_sz, steps, 2 * hs), dtype=gates.dtype)
         return np.concatenate([hidden[0].transpose(1, 0, 2),
                                hidden[1, ::-1].transpose(1, 0, 2)], axis=2, out=out)
 
     def backward(self, d_out):
         """d_out: (B, T, 2H) -> gradient w.r.t. the input sequence."""
-        xs, w, gates, cells, tanh_c, hidden = self._cache
+        xs, w, gates, cells, hidden = _take_cache(self, self.name)
         _, steps, b_sz, hs = hidden.shape
         if d_out.shape != (b_sz, steps, 2 * hs):
             raise ShapeError(f"bilstm: upstream shape {d_out.shape} does not match "
                              f"{(b_sz, steps, 2 * hs)}")
         u = self._stacked("U")
-        d_z = np.empty_like(gates)
         zeros = np.zeros((2, b_sz, hs), dtype=gates.dtype)
         d_h, d_c = zeros.copy(), zeros
+        step_d_z = np.empty((2, b_sz, 4 * hs), dtype=gates.dtype)
         # Unwind the buffer steps backwards; d_h holds the recurrent
         # gradient and gains step s's upstream gradient for each direction.
+        # Step s is the last to read gates[:, s], so its d_z replaces them.
         for s in range(steps - 1, -1, -1):
             d_h[0] += d_out[:, s, :hs]
             d_h[1] += d_out[:, steps - 1 - s, hs:]
             d_c = _lstm_gates_backward(d_h, d_c, gates[:, s], cells[:, s - 1] if s else zeros,
-                                       tanh_c[:, s], d_z[:, s])
+                                       np.tanh(cells[:, s]), step_d_z)
+            gates[:, s] = step_d_z
             if s:
-                np.matmul(d_z[:, s], u, out=d_h)
+                np.matmul(gates[:, s], u, out=d_h)
+        d_z = gates
         flat_d_z = d_z.reshape(2, steps * b_sz, 4 * hs)
         # Every step but the first against the h it read: views, no copies.
         d_u = (d_z[:, 1:].reshape(2, (steps - 1) * b_sz, 4 * hs).transpose(0, 2, 1)
@@ -526,7 +555,9 @@ class Attention:
         if hidden.shape[1] < 1:
             raise ShapeError("attention: empty sequence")
         w, b, v = (self.params.weights[k] for k in ("W", "b", "v"))
-        m = np.tanh(hidden @ w.T + b)       # (B, T, units)
+        m = hidden @ w.T                    # (B, T, units)
+        m += b
+        np.tanh(m, out=m)
         scores = m @ v                      # (B, T)
         alpha = softmax(scores, axis=-1)
         context = np.einsum("bt,bts->bs", alpha, hidden)
@@ -535,24 +566,31 @@ class Attention:
 
     def backward(self, d_context):
         """d_context: (B, S) -> gradient w.r.t. the hidden states (B, T, S)."""
-        hidden, m, alpha = self._cache
+        hidden, m, alpha = _take_cache(self, self.params.name)
         if d_context.shape != (hidden.shape[0], self.state_size):
             raise ShapeError(
                 f"{self.params.name}: upstream shape {d_context.shape} does not match "
                 f"{(hidden.shape[0], self.state_size)}")
         w, v = self.params.weights["W"], self.params.weights["v"]
-        d_hidden = alpha[:, :, None] * d_context[:, None, :]
         d_alpha = np.einsum("bs,bts->bt", d_context, hidden)
         # softmax Jacobian: couples all time steps of one sequence
         d_scores = alpha * (d_alpha - np.sum(alpha * d_alpha, axis=1, keepdims=True))
         self.params.grads["v"] += np.einsum("bt,btu->u", d_scores, m)
+        # d_pre = d_m * (1 - m * m), formed in m's buffer.
         d_m = d_scores[:, :, None] * v
-        d_pre = d_m * (1.0 - m * m)
+        d_pre = np.multiply(m, m, out=m)
+        np.subtract(1.0, d_pre, out=d_pre)
+        d_pre *= d_m
+        del d_m
         flat_pre = d_pre.reshape(-1, self.units)
         flat_hidden = hidden.reshape(-1, self.state_size)
         self.params.grads["W"] += flat_pre.T @ flat_hidden
         self.params.grads["b"] += flat_pre.sum(axis=0)
-        d_hidden += d_pre @ w
+        d_hidden = d_pre @ w
+        # Plus the alpha (x) d_context outer product, one sequence at a time,
+        # so no second (B, T, S) array is allocated.
+        for k in range(len(d_hidden)):
+            d_hidden[k] += alpha[k, :, None] * d_context[k]
         return d_hidden
 
 

@@ -1,7 +1,6 @@
 """Checkpoint round-trips and format guards."""
 
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,10 @@ from nilmnet.data import NormalizationMeta
 from nilmnet.errors import DataError
 from nilmnet.model import (ClassificationConfig, GatedAttentionModel, RegressionConfig,
                            parameter_count)
+
+from conftest import traced_peak
+
+TOY_REG = RegressionConfig(window=64, filters=8, kernel=4, hidden=32)
 
 
 def random_model(seed):
@@ -98,17 +101,28 @@ class TestRoundTrip:
         assert first.read_bytes() == second.read_bytes()
 
     def test_save_copies_no_payload(self, tmp_path):
-        model = GatedAttentionModel.zeros(RegressionConfig(window=64, filters=8,
-                                                           kernel=4, hidden=32))
+        model = GatedAttentionModel.zeros(TOY_REG)
         payload = 4 * model.n_params
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             ckpt.save_checkpoint(tmp_path / "model.ckpt", model)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            peak = traced()[1]
         assert peak < payload
         assert (tmp_path / "model.ckpt").stat().st_size > payload
+
+    def test_load_copies_payload_once(self, tmp_path):
+        """Beyond the model it fills, a load allocates no copy of the payload:
+        each tensor is read straight into the arena."""
+        path = tmp_path / "model.ckpt"
+        ckpt.save_checkpoint(path, GatedAttentionModel.init(TOY_REG, seed=1))
+        with traced_peak() as traced:
+            model = GatedAttentionModel.zeros(TOY_REG)
+            zeros_peak = traced()[1]
+        payload = 4 * model.n_params
+        del model
+        with traced_peak() as traced:
+            ckpt.load_checkpoint(path)
+            load_peak = traced()[1]
+        assert load_peak - zeros_peak < 0.25 * payload
 
     def test_loaded_model_runs_forward_identically(self, tmp_path):
         model = random_model(2)
@@ -160,13 +174,10 @@ class TestFormatGuards:
         path = tmp_path / "hostile.ckpt"
         path.write_bytes(checkpoint_header(hidden=2048))
         assert path.stat().st_size == 94
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             with pytest.raises(DataError, match="truncated"):
                 ckpt.load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            peak = traced()[1]
         assert peak < 16 * 2 ** 20
 
     def test_non_finite_normalization_rejected(self, tmp_path):

@@ -1,6 +1,7 @@
 """Contracts of the assembled gated attention model."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,6 +16,7 @@ from nilmnet.model import (
     joint_loss,
 )
 
+from conftest import traced_peak
 from oracles import finite_difference, max_rel_err
 
 TOY_REG = RegressionConfig(window=16, filters=2, kernel=4, hidden=3)
@@ -24,6 +26,12 @@ TOY_CLS = ClassificationConfig(window=16, filters=(3, 3, 4, 5, 5, 5),
 
 def toy_model(seed=0, dtype=np.float32):
     return GatedAttentionModel.init(TOY_REG, TOY_CLS, "toy", seed=seed, dtype=dtype)
+
+
+def all_layers(model):
+    reg, cls_net = model.regression, model.classification
+    return (reg.convs + [reg.bilstm, reg.attention, reg.fc1, reg.fc2]
+            + cls_net.convs + [cls_net.fc1, cls_net.fc2])
 
 
 class TestZeroInitialized:
@@ -117,11 +125,7 @@ class TestForward:
         for field in ("output", "power", "state", "attention"):
             np.testing.assert_array_equal(getattr(uncached, field),
                                           getattr(cached, field))
-        layers = (model.regression.convs + model.classification.convs
-                  + [model.regression.bilstm, model.regression.attention,
-                     model.regression.fc1, model.regression.fc2,
-                     model.classification.fc1, model.classification.fc2])
-        assert all(layer._cache is None for layer in layers)
+        assert all(layer._cache is None for layer in all_layers(model))
         with pytest.raises(RuntimeError, match="before forward"):
             model.backward(np.zeros((4, 16), dtype=np.float32))
 
@@ -265,6 +269,56 @@ class TestParameterArena:
             assert group() is None and weights() is None
         finally:
             gc.enable()
+
+
+class TestTrainStepMemory:
+    """A train step hands each forward's activations to one backward."""
+
+    REG = RegressionConfig(window=32, filters=4, kernel=4, hidden=16)
+    # A wide classification layer keeps numpy's few kB of cached small
+    # blocks under 1% of the model.
+    CLS = ClassificationConfig(window=32, filters=(3, 3, 4, 5, 5, 5),
+                               kernels=(10, 8, 6, 5, 5, 5), dense_units=2048)
+    BATCH = 16
+
+    def batch(self):
+        rng = np.random.default_rng(30)
+        shape = (self.BATCH, self.REG.window)
+        return (rng.normal(size=shape), rng.normal(size=shape),
+                (rng.random(shape) > 0.5).astype(float))
+
+    def test_step_leaves_no_activations_behind(self):
+        windows, power, state = self.batch()
+        with traced_peak() as traced:
+            model = GatedAttentionModel.init(self.REG, self.CLS, seed=31)
+            model.batch_loss(windows, power, state)     # fills lru caches
+            before = traced()[0]
+            model.train_step_grads(windows, power, state)
+            after = traced()[0]
+        assert all(layer._cache is None for layer in all_layers(model))
+        assert model._gate_cache is None
+        assert abs(after - before) < 0.01 * before
+
+    def test_bilstm_backward_needs_no_second_gate_buffer(self, monkeypatch):
+        windows, power, state = self.batch()
+        model = GatedAttentionModel.init(self.REG, self.CLS, seed=32)
+        # The (2, T, B, 4H) float32 gate buffer.
+        gates_nbytes = 2 * self.REG.window * self.BATCH * 4 * self.REG.hidden * 4
+        backward = nn.BiLSTM.backward
+        above_entry = []
+
+        def traced_backward(layer, d_out):
+            entry = traced()[0]
+            tracemalloc.reset_peak()
+            result = backward(layer, d_out)
+            above_entry.append(traced()[1] - entry)
+            return result
+
+        monkeypatch.setattr(nn.BiLSTM, "backward", traced_backward)
+        with traced_peak() as traced:
+            model.train_step_grads(windows, power, state)
+        assert len(above_entry) == 1
+        assert above_entry[0] < gates_nbytes
 
 
 class TestDeterminism:

@@ -235,6 +235,48 @@ class TestAttentionBackward:
         check_params_and_input(layer, x, forward_context, rng, tol=1e-6)
 
 
+# Each entry builds a layer named "layer" and an input for it.
+HAND_OFF_LAYERS = {
+    "conv1d": lambda rng: (nn.Conv1D("layer", 2, 3, 3, rng=rng, dtype=np.float64),
+                           rng.normal(size=(2, 2, 6))),
+    "dense": lambda rng: (nn.Dense("layer", 3, 2, "relu", rng=rng, dtype=np.float64),
+                          rng.normal(size=(2, 3))),
+    "bilstm": lambda rng: (nn.BiLSTM("layer", 2, 3, rng=rng, dtype=np.float64),
+                           rng.normal(size=(2, 4, 2))),
+    "attention": lambda rng: (nn.Attention("layer", 4, 3, rng=rng, dtype=np.float64),
+                              rng.normal(size=(2, 3, 4))),
+}
+
+
+class TestCacheHandOff:
+    """A forward's cache goes to exactly one backward, which drops it."""
+
+    @staticmethod
+    def forward(layer, x, cache=True):
+        out = layer.forward(x, cache=cache)
+        return out[0] if isinstance(layer, nn.Attention) else out
+
+    @pytest.mark.parametrize("kind", HAND_OFF_LAYERS)
+    def test_backward_after_uncached_forward_raises(self, kind):
+        layer, x = HAND_OFF_LAYERS[kind](np.random.default_rng(20))
+        out = self.forward(layer, x, cache=False)
+        with pytest.raises(RuntimeError, match="layer: backward called before forward"):
+            layer.backward(np.ones_like(out))
+
+    @pytest.mark.parametrize("kind", HAND_OFF_LAYERS)
+    def test_second_backward_raises_and_adds_nothing(self, kind):
+        layer, x = HAND_OFF_LAYERS[kind](np.random.default_rng(21))
+        out = self.forward(layer, x)
+        layer.backward(np.ones_like(out))
+        assert layer._cache is None
+        params = layer.param_list if kind == "bilstm" else [layer.params]
+        once = [g.copy() for p in params for g in p.grads.values()]
+        with pytest.raises(RuntimeError, match="layer: backward called before forward"):
+            layer.backward(np.ones_like(out))
+        for before, g in zip(once, (g for p in params for g in p.grads.values())):
+            np.testing.assert_array_equal(g, before)
+
+
 class TestLossGradients:
     @pytest.mark.parametrize("seed", range(N_SEEDS))
     def test_mse_grad_fd(self, seed):
