@@ -2,7 +2,9 @@
 
 Commands: synth, train, disaggregate, evaluate, gradcheck. Runs are
 configured by an INI file (see RunConfig) plus a small set of flags; every
-command is deterministic given identical flags, files, and seed.
+command is deterministic given identical flags, files, and seed. The CLI
+passes on only the values the file or the flags set, so every default lives
+once, in the library dataclass or signature that uses it.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -12,8 +14,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import DataError, NumericalError
 from .model import (CLS_KERNELS, ClassificationConfig, GatedAttentionModel,
                     RegressionConfig)
-from .training import GRID_F, GRID_H, GRID_K, TrainConfig, grid_search, train
+from .training import TrainConfig, grid_search, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -31,12 +34,24 @@ EXIT_NUMERIC = 3
 
 APPLIANCE_SECTION = "appliance"
 
-_APPLIANCE_KEYS = {"window_l": int, "on_threshold_w": float, "min_on_s": float,
-                   "min_off_s": float, "max_power_w": float}
-_TRAIN_KEYS = {"batch_size": int, "max_epochs": int, "base_lr": float,
-               "momentum": float, "decay": float, "patience": int,
-               "val_fraction": float, "seed": int, "window_stride": int}
-_MODEL_KEYS = {"filters": int, "kernel": int, "hidden": int}
+
+def _schema(cls, *skip):
+    """INI keys of a config dataclass: {field name: type} and the required names.
+
+    A field without a default is required. `skip` names the fields the
+    section does not set (the appliance name, the model's window).
+    """
+    hints = get_type_hints(cls)
+    kept = [f for f in fields(cls) if f.name not in skip]
+    return ({f.name: hints[f.name] for f in kept},
+            {f.name for f in kept
+             if f.default is MISSING and f.default_factory is MISSING})
+
+
+# Section name -> (keys, required keys), taken from the type each fills.
+SCHEMAS = {APPLIANCE_SECTION: _schema(data.ApplianceSpec, "name"),
+           "train": _schema(TrainConfig),
+           "model": _schema(RegressionConfig, "window")}
 _DATA_KEYS = {"aggregate": str, "appliance": str, "appliance_name": str,
               "period_s": int}
 _METRICS_KEYS = {"threshold_w": float, "period_len_k": int}
@@ -52,6 +67,8 @@ def _parse_int_list(text):
 
 _GRID_KEYS = {"filters": _parse_int_list, "kernel": _parse_int_list,
               "hidden": _parse_int_list}
+# [grid] key -> grid_search keyword
+_GRID_ARGS = {"filters": "f_values", "kernel": "k_values", "hidden": "h_values"}
 
 
 @dataclass
@@ -60,23 +77,20 @@ class RunConfig:
 
     Sections: [data] (paths), [train], [model] (single-point F/K/H),
     [grid] (comma lists), [metrics], and one [appliance <name>] per
-    appliance. Unknown sections or keys are rejected.
+    appliance. Unknown sections or keys are rejected. It holds only the
+    values the file set: `model` and `metrics` are keyword arguments for
+    RegressionConfig and evaluation.evaluate, `data` the [data] values. A
+    key left out takes the default of the library type or function it fills.
     """
     appliances: dict = field(default_factory=dict)
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
-    model_filters: int = RegressionConfig.__dataclass_fields__["filters"].default
-    model_kernel: int = RegressionConfig.__dataclass_fields__["kernel"].default
-    model_hidden: int = RegressionConfig.__dataclass_fields__["hidden"].default
+    model: dict = field(default_factory=dict)
     grid: dict | None = None
-    threshold_w: float = evaluation.DEFAULT_THRESHOLD_W
-    period_len_k: int = evaluation.DEFAULT_PERIOD_LEN_K
-    aggregate_path: str | None = None
-    appliance_path: str | None = None
-    appliance_name: str | None = None
-    period_s: int | None = None
+    metrics: dict = field(default_factory=dict)
+    data: dict = field(default_factory=dict)
 
 
-def _read_section(parser, section, allowed):
+def _read_section(parser, section, allowed, required=()):
     values = {}
     for key, raw in parser.items(section):
         if key not in allowed:
@@ -89,6 +103,9 @@ def _read_section(parser, section, allowed):
             raise DataError(
                 f"config section [{section}]: bad value for {key!r}: {raw!r}") \
                 from None
+    missing = sorted(set(required) - values.keys())
+    if missing:
+        raise DataError(f"config section [{section}]: {missing[0]} is required")
     return values
 
 
@@ -107,33 +124,27 @@ def load_run_config(path) -> RunConfig:
     for section in parser.sections():
         if section.startswith(APPLIANCE_SECTION + " "):
             name = section[len(APPLIANCE_SECTION) + 1:].strip()
-            values = _read_section(parser, section, _APPLIANCE_KEYS)
-            if "window_l" not in values:
-                raise DataError(f"config section [{section}]: window_l is required")
+            values = _read_section(parser, section, *SCHEMAS[APPLIANCE_SECTION])
             cfg.appliances[name] = data.ApplianceSpec(name=name, **values)
         elif section == "train":
             cfg.train_cfg = TrainConfig(**_read_section(parser, section,
-                                                        _TRAIN_KEYS))
+                                                        *SCHEMAS[section]))
         elif section == "model":
-            values = _read_section(parser, section, _MODEL_KEYS)
-            cfg.model_filters = values.get("filters", cfg.model_filters)
-            cfg.model_kernel = values.get("kernel", cfg.model_kernel)
-            cfg.model_hidden = values.get("hidden", cfg.model_hidden)
+            cfg.model = _read_section(parser, section, *SCHEMAS[section])
         elif section == "grid":
             cfg.grid = _read_section(parser, section, _GRID_KEYS)
         elif section == "metrics":
-            values = _read_section(parser, section, _METRICS_KEYS)
-            cfg.threshold_w = values.get("threshold_w", cfg.threshold_w)
-            cfg.period_len_k = values.get("period_len_k", cfg.period_len_k)
+            cfg.metrics = _read_section(parser, section, _METRICS_KEYS)
         elif section == "data":
-            values = _read_section(parser, section, _DATA_KEYS)
-            cfg.aggregate_path = values.get("aggregate")
-            cfg.appliance_path = values.get("appliance")
-            cfg.appliance_name = values.get("appliance_name")
-            cfg.period_s = values.get("period_s")
+            cfg.data = _read_section(parser, section, _DATA_KEYS)
         else:
             raise DataError(f"config: unknown section [{section}]")
     return cfg
+
+
+def _given(**values):
+    """The keyword arguments a flag set, so the callee's defaults fill the rest."""
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def parse_grid_flag(text):
@@ -166,22 +177,23 @@ def cmd_synth(args):
     seed = args.seed if args.seed is not None else cfg.train_cfg.seed
     specs = list(cfg.appliances.values())
     aggregate, appliances = data.synth_household(
-        specs, args.duration_s, args.noise_std, seed=seed,
-        period_s=args.period_s, duration_scale=args.duration_scale)
+        specs, args.duration_s, seed=seed,
+        **_given(noise_std=args.noise_std, period_s=args.period_s,
+                 duration_scale=args.duration_scale))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data.write_channel_csv(out_dir / "aggregate.csv", aggregate)
     for series in appliances:
         data.write_channel_csv(out_dir / f"{series.name}.csv", series)
     print(f"synth: wrote {1 + len(appliances)} channels "
-          f"({len(aggregate)} samples at {args.period_s}s) to {out_dir}")
+          f"({len(aggregate)} samples at {aggregate.period_s}s) to {out_dir}")
     return EXIT_OK
 
 
 def _load_training_series(cfg, args):
-    aggregate_path = args.aggregate or cfg.aggregate_path
-    appliance_path = args.appliance or cfg.appliance_path
-    appliance_name = args.appliance_name or cfg.appliance_name
+    aggregate_path = args.aggregate or cfg.data.get("aggregate")
+    appliance_path = args.appliance or cfg.data.get("appliance")
+    appliance_name = args.appliance_name or cfg.data.get("appliance_name")
     if not aggregate_path or not appliance_path:
         raise DataError("aggregate and appliance channel paths are required "
                         "(flags or [data] section)")
@@ -191,7 +203,7 @@ def _load_training_series(cfg, args):
         raise DataError(f"config has no [appliance {appliance_name}] section")
     aggregate = data.load_channel_csv(aggregate_path, name="aggregate")
     appliance = data.load_channel_csv(appliance_path, name=appliance_name)
-    period = cfg.period_s or appliance.period_s
+    period = cfg.data.get("period_s") or appliance.period_s
     aggregate, appliance = data.align_pair(aggregate, appliance, period)
     return aggregate, appliance, cfg.appliances[appliance_name]
 
@@ -223,11 +235,8 @@ def cmd_train(args):
         grid = parse_grid_flag(args.grid)
     if grid is not None:
         result = grid_search(
-            train_ws, val_ws, window, train_cfg,
-            f_values=grid.get("filters", GRID_F),
-            k_values=grid.get("kernel", GRID_K),
-            h_values=grid.get("hidden", GRID_H),
-            appliance=spec.name)
+            train_ws, val_ws, window, train_cfg, appliance=spec.name,
+            **{_GRID_ARGS[key]: values for key, values in grid.items()})
         model, record = result.best_model, result.best_record
         grid_path = Path(args.out).with_suffix(".grid.csv")
         with open(grid_path, "w", encoding="utf-8") as fh:
@@ -239,9 +248,7 @@ def cmd_train(args):
               f"k={result.best_config.kernel} h={result.best_config.hidden} "
               f"leaderboard={grid_path}")
     else:
-        reg_cfg = RegressionConfig(window=window, filters=cfg.model_filters,
-                                   kernel=cfg.model_kernel,
-                                   hidden=cfg.model_hidden)
+        reg_cfg = RegressionConfig(window=window, **cfg.model)
         model = GatedAttentionModel.init(reg_cfg, appliance=spec.name,
                                          seed=train_cfg.seed)
         model, record = train(model, train_ws, val_ws, train_cfg)
@@ -287,8 +294,8 @@ def write_attention_csv(path, alphas):
 
 def cmd_evaluate(args):
     cfg = load_run_config(args.config) if args.config else RunConfig()
-    threshold = cfg.threshold_w if args.threshold_w is None else args.threshold_w
-    period = cfg.period_len_k if args.period_k is None else args.period_k
+    metrics = {**cfg.metrics, **_given(threshold_w=args.threshold_w,
+                                       period_len_k=args.period_k)}
     truth = data.load_channel_csv(args.truth, name="truth")
     prediction = data.load_channel_csv(args.prediction, name="prediction")
     if len(truth) != len(prediction):
@@ -297,8 +304,7 @@ def cmd_evaluate(args):
     if (truth.period_s, truth.t0) != (prediction.period_s, prediction.t0):
         raise DataError("truth and prediction series are not on the same grid")
     report = evaluation.evaluate(args.appliance_name, truth.values,
-                                 prediction.values, threshold_w=threshold,
-                                 period_len_k=period)
+                                 prediction.values, **metrics)
     evaluation.write_report_csv(args.out, [report])
     print(f"evaluate: appliance={report.appliance} mae_w={report.mae_w:.4g} "
           f"sae_w={report.sae_w:.4g} f1={report.f1:.4f} -> {args.out}")
@@ -312,6 +318,10 @@ def cmd_gradcheck(args):
             f"--cls-filters: {len(cls_filters)} entries, but the classification "
             f"branch has a {len(CLS_KERNELS)}-layer table (kernels "
             f"{','.join(map(str, CLS_KERNELS))})")
+    if not args.step > 0:
+        raise DataError(f"--step must be positive, got {args.step:g}")
+    if args.seed < 0:
+        raise DataError(f"--seed must be >= 0, got {args.seed}")
     reg_cfg = RegressionConfig(window=args.window, filters=args.filters,
                                kernel=args.kernel, hidden=args.hidden)
     cls_cfg = ClassificationConfig(window=args.window, filters=cls_filters,
@@ -372,10 +382,10 @@ def build_parser():
     p.add_argument("--config", required=True, help="run config (INI)")
     p.add_argument("--out", required=True, help="output directory for channel CSVs")
     p.add_argument("--duration-s", type=int, required=True)
-    p.add_argument("--noise-std", type=float, default=0.0)
+    p.add_argument("--noise-std", type=float)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--period-s", type=int, default=3)
-    p.add_argument("--duration-scale", type=float, default=1.0,
+    p.add_argument("--period-s", type=int)
+    p.add_argument("--duration-scale", type=float,
                    help="scale factor on sampled activation durations")
     p.set_defaults(func=cmd_synth)
 

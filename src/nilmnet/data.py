@@ -387,6 +387,12 @@ def synth_household(specs, duration_s, noise_std=0.0, seed=0, period_s=3,
     [2*on_threshold, max_power]. The aggregate adds Gaussian noise of the
     given standard deviation and is clamped at 0 W. Deterministic per seed.
     """
+    if period_s < 1:
+        raise DataError(f"period_s must be >= 1, got {period_s}")
+    if not noise_std >= 0:
+        raise DataError(f"noise_std must be >= 0, got {noise_std}")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     n = int(duration_s) // int(period_s)
     if n < 1:
         raise DataError("duration too short for one sample")

@@ -194,15 +194,14 @@ class GatedAttentionModel:
     """
 
     def __init__(self, reg_cfg: RegressionConfig, cls_cfg: ClassificationConfig,
-                 appliance: str = "", rng=None, dtype=np.float32,
-                 norm_meta=None):
+                 appliance: str = "", rng=None, dtype=np.float32):
         if reg_cfg.window != cls_cfg.window:
             raise ValueError("both subnetworks must share the same window length")
         self.reg_cfg = reg_cfg
         self.cls_cfg = cls_cfg
         self.appliance = appliance
         self.dtype = np.dtype(dtype)
-        self.norm_meta = norm_meta
+        self.norm_meta = None
         self.regression = RegressionNet(reg_cfg, rng, dtype)
         self.classification = ClassificationNet(cls_cfg, rng, dtype)
         size = sum(p.n_params for p in self.all_params())

@@ -63,11 +63,11 @@ def sigmoid(x, out=None):
     return out
 
 
-def softmax(x, axis=-1):
-    """Stable softmax: shifts by the max so exp never overflows."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+def softmax(x):
+    """Stable softmax over the last axis: the max shift keeps exp finite."""
+    shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def _apply_activation(pre, activation):
@@ -559,7 +559,7 @@ class Attention:
         m += b
         np.tanh(m, out=m)
         scores = m @ v                      # (B, T)
-        alpha = softmax(scores, axis=-1)
+        alpha = softmax(scores)
         context = np.einsum("bt,bts->bs", alpha, hidden)
         self._cache = (hidden, m, alpha) if cache else None
         return context, alpha
@@ -695,7 +695,7 @@ class GradCheckEntry:
     ok: bool
 
 
-def randomize_biases(param_list, rng, scale=0.2):
+def randomize_biases(param_list, rng):
     """Shift bias vectors to generic positions before a finite-difference check.
 
     Freshly initialized biases are zero, which parks many ReLU pre-activations
@@ -705,7 +705,7 @@ def randomize_biases(param_list, rng, scale=0.2):
     for p in param_list:
         for key, w in p.weights.items():
             if key == "b":
-                w += rng.uniform(-scale, scale, size=w.shape).astype(w.dtype)
+                w += rng.uniform(-0.2, 0.2, size=w.shape).astype(w.dtype)
 
 
 def gradient_check(param_list, loss_fn, grad_fn, step=1e-5, tol=1e-4):

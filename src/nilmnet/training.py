@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,14 @@ GRID_H = (256, 512, 1024)
 
 @dataclass
 class TrainConfig:
+    """Settings of one training run.
+
+    train() reads batch_size, max_epochs, base_lr, momentum, decay,
+    patience and seed (the shuffle; grid_search and `nilmnet train` also
+    seed the model initialization with it). val_fraction and window_stride
+    are not read by train(): `nilmnet train` applies them when it builds the
+    window sets, as the split_train_val fraction and the sliding_windows hop.
+    """
     batch_size: int = 32
     max_epochs: int = 100
     base_lr: float = 0.01
@@ -37,7 +45,6 @@ class TrainConfig:
     patience: int = 5
     val_fraction: float = 0.15
     seed: int = 0
-    # training-time subsampling of hop-1 windows; 1 keeps every window
     window_stride: int = 1
 
     def __post_init__(self):
@@ -49,6 +56,8 @@ class TrainConfig:
             raise DataError("patience must be >= 1")
         if self.window_stride < 1:
             raise DataError("window_stride must be >= 1")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
 
 
 @dataclass
@@ -65,11 +74,11 @@ class TrainRecord:
         return min(self.val_losses) if self.val_losses else float("nan")
 
 
-def _epoch_loss(model, ws, chunk=VAL_CHUNK):
+def _epoch_loss(model, ws):
     """Mean joint loss over a window set, evaluated in chunks."""
     total = 0.0
-    for lo in range(0, len(ws), chunk):
-        hi = min(lo + chunk, len(ws))
+    for lo in range(0, len(ws), VAL_CHUNK):
+        hi = min(lo + VAL_CHUNK, len(ws))
         loss = model.batch_loss(ws.inputs[lo:hi], ws.targets[lo:hi],
                                 ws.states[lo:hi])
         total += loss * (hi - lo)
@@ -147,7 +156,7 @@ class GridResult:
 
 def grid_search(train_ws, val_ws, window, cfg: TrainConfig,
                 f_values=GRID_F, k_values=GRID_K, h_values=GRID_H,
-                appliance="", cls_cfg=None, dtype=np.float32) -> GridResult:
+                appliance="", cls_cfg=None) -> GridResult:
     """Exhaustive search over (filters, kernel, hidden) for the regression net.
 
     Every grid point trains a fresh model from the same seed on the same
@@ -168,10 +177,10 @@ def grid_search(train_ws, val_ws, window, cfg: TrainConfig,
     for index, reg_cfg in enumerate(points):
         f, k, h = reg_cfg.filters, reg_cfg.kernel, reg_cfg.hidden
         model = GatedAttentionModel.init(reg_cfg, cls_cfg, appliance,
-                                         seed=cfg.seed, dtype=dtype)
+                                         seed=cfg.seed)
         print(f"grid point={index + 1}/{len(points)} f={f} k={k} h={h} "
               f"params={model.n_params}")
-        model, record = train(model, train_ws, val_ws, replace(cfg))
+        model, record = train(model, train_ws, val_ws, cfg)
         leaderboard.append((reg_cfg, record.best_val_loss, model.n_params))
         print(f"grid f={f} k={k} h={h} val_loss={record.best_val_loss:.6g}")
         # Only the best model so far is kept, not one per grid point.

@@ -1,5 +1,11 @@
 """End-to-end command-line surface: synth -> train -> disaggregate -> evaluate."""
 
+import configparser
+import inspect
+import re
+from dataclasses import MISSING, fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,6 +14,8 @@ from hypothesis import strategies as st
 from nilmnet import cli, data, evaluation as ev
 from nilmnet.checkpoint import load_checkpoint, save_checkpoint
 from nilmnet.errors import DataError
+from nilmnet.model import RegressionConfig
+from nilmnet.training import TrainConfig
 
 from oracles import write_attention_csv_direct
 from test_checkpoint import checkpoint_header
@@ -39,6 +47,8 @@ hidden = 4
 threshold_w = 15
 period_len_k = 30
 """
+
+NEGATIVE_SEED_CONFIG = CONFIG.replace("seed = 7", "seed = -1")
 
 
 @pytest.fixture()
@@ -81,6 +91,21 @@ class TestSynth:
                         "--noise-std", "5", "--seed", "3"]) == 0
         assert (tmp_path / "a" / "aggregate.csv").read_bytes() \
             == (tmp_path / "b" / "aggregate.csv").read_bytes()
+
+    def test_omitted_flags_match_the_library_defaults(self, config_path, tmp_path,
+                                                      capsys):
+        defaults = inspect.signature(data.synth_household).parameters
+        flags = [(f"--{name.replace('_', '-')}", defaults[name].default)
+                 for name in ("noise_std", "period_s", "duration_scale")]
+        outputs = []
+        for name, extra in (("omitted", []),
+                            ("given", [v for flag in flags for v in flag])):
+            assert run(["synth", "--config", config_path, "--out", tmp_path / name,
+                        "--duration-s", "3000", "--seed", "4", *extra]) == 0
+            stdout = capsys.readouterr().out.replace(str(tmp_path / name), "OUT")
+            outputs.append((stdout, [(tmp_path / name / f).read_bytes()
+                                     for f in ("aggregate.csv", "heater.csv")]))
+        assert outputs[0] == outputs[1]
 
     def test_missing_config_is_data_error(self, tmp_path, capsys):
         assert run(["synth", "--config", tmp_path / "nope.ini",
@@ -384,6 +409,44 @@ class TestUsageErrors:
                     "--grid", "Q=1,2"]) == 2
 
 
+class TestEdgeInputs:
+    """Out-of-range seeds, periods, noise levels and step sizes exit 2."""
+
+    @pytest.mark.parametrize("argv,config", [
+        (["synth", "--period-s", "0"], CONFIG),
+        (["synth", "--noise-std", "-1"], CONFIG),
+        (["synth", "--seed", "-1"], CONFIG),
+        (["synth"], NEGATIVE_SEED_CONFIG),
+        (["gradcheck", "--step", "0"], None),
+        (["gradcheck", "--seed", "-1"], None),
+    ], ids=["synth-period-0", "synth-noise-negative", "synth-seed-negative",
+            "synth-config-seed-negative", "gradcheck-step-0",
+            "gradcheck-seed-negative"])
+    def test_exits_2_with_an_error_line(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            path = tmp_path / "run.ini"
+            path.write_text(config)
+            argv = argv + ["--config", path, "--out", tmp_path / "house",
+                           "--duration-s", "3000"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("seed_flag", [[], ["--seed", "-1"]],
+                             ids=["config", "flag"])
+    def test_negative_train_seed_exits_2_without_checkpoint(
+            self, trained, tmp_path, capsys, seed_flag):
+        _, house, _ = trained
+        config = tmp_path / "run.ini"
+        config.write_text(CONFIG if seed_flag else NEGATIVE_SEED_CONFIG)
+        out = tmp_path / "s.ckpt"
+        assert run(["train", "--config", config,
+                    "--aggregate", house / "aggregate.csv",
+                    "--appliance", house / "heater.csv",
+                    "--appliance-name", "heater", "--out", out, *seed_flag]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+        assert not out.exists()
+
+
 class TestBadModelDims:
     """Unusable model dims or epoch counts exit 2 with an error line."""
 
@@ -448,6 +511,65 @@ class TestRunConfig:
         assert cfg.train_cfg.base_lr == 0.01
         assert cfg.train_cfg.momentum == 0.9
         assert cfg.train_cfg.decay == 1e-6
-        assert cfg.threshold_w == 15.0
-        assert cfg.period_len_k == 1200
+        assert cfg.metrics == {}
         assert cfg.appliances["kettle"].on_threshold_w == 15.0
+
+    def test_readme_block_loads_and_names_every_schema_key(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "run.ini"
+        path.write_text(block)
+        cfg = cli.load_run_config(path)
+        assert cfg.appliances["heater"].window_l == 64
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(block)
+        named = {section.split()[0]: set(parser[section])
+                 for section in parser.sections()}
+        for section, (keys, _) in cli.SCHEMAS.items():
+            assert named[section] == set(keys), section
+
+
+def _non_default(f):
+    if f.default is MISSING:
+        return 24
+    return f.default + 1 if isinstance(f.default, int) else f.default / 2
+
+
+SCHEMA_FIELDS = [(section, f)
+                 for section, cls, skip in [("appliance", data.ApplianceSpec, "name"),
+                                            ("train", TrainConfig, None),
+                                            ("model", RegressionConfig, "window")]
+                 for f in fields(cls) if f.name != skip]
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("section,f", SCHEMA_FIELDS,
+                         ids=[f"{s}.{f.name}" for s, f in SCHEMA_FIELDS])
+def test_each_schema_key_reaches_the_object_built_from_it(
+        trained, tmp_path, monkeypatch, section, f):
+    """A key set in its section reaches the ApplianceSpec, TrainConfig or the
+    RegressionConfig that `nilmnet train` builds."""
+    _, house, _ = trained
+    sections = {"appliance heater": {"window_l": 16},
+                "model": {"filters": 2, "kernel": 4, "hidden": 4}, "train": {}}
+    value = _non_default(f)
+    sections[next(s for s in sections if s.split()[0] == section)][f.name] = value
+    path = tmp_path / "run.ini"
+    path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                                    for k, v in keys.items())
+                            for name, keys in sections.items()))
+    cfg = cli.load_run_config(path)
+    built = {"appliance": cfg.appliances["heater"], "train": cfg.train_cfg}
+    if section == "model":
+        def stop(model, *_):
+            built["model"] = model.reg_cfg
+            raise _Stop
+        monkeypatch.setattr(cli, "train", stop)
+        with pytest.raises(_Stop):
+            run(["train", "--config", path, "--aggregate", house / "aggregate.csv",
+                 "--appliance", house / "heater.csv", "--appliance-name", "heater",
+                 "--out", tmp_path / "m.ckpt"])
+    assert getattr(built[section], f.name) == value
