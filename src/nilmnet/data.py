@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import warnings
 from array import array
 from dataclasses import dataclass, replace
 from math import isfinite
@@ -23,6 +24,8 @@ log = logging.getLogger(__name__)
 CSV_HEADER = ("timestamp", "power_w")
 MAX_FILL_SAMPLES = 3
 WRITE_BLOCK_ROWS = 65536
+READ_BLOCK_CHARS = 65536
+_BODY_DTYPE = np.dtype([("timestamp", np.int64), ("power_w", np.float64)])
 
 
 @dataclass
@@ -132,6 +135,104 @@ def denormalize_target(y_norm, meta: NormalizationMeta):
     return np.maximum(watts, 0.0)
 
 
+def _header_columns(reader, path):
+    """Indices of the timestamp and power_w columns, from the header row."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    try:
+        return tuple(map(header.index, CSV_HEADER))
+    except ValueError:
+        raise DataError(f"{path}:1: header {header!r} lacks columns "
+                        f"{CSV_HEADER[0]!r}/{CSV_HEADER[1]!r}") from None
+
+
+def _plain_lines(fh):
+    """The rest of fh line by line, read in blocks of READ_BLOCK_CHARS.
+
+    Raises ValueError on a block that numpy's reader could take differently
+    from the row loop: one with text outside ASCII (numpy's integer parser
+    takes many non-ASCII characters as numbers with wrong values), with
+    U+001C-U+001F (numpy strips them as whitespace; int and float refuse
+    them), with a quote (csv.reader has quoting rules of its own), or longer
+    than csv.field_size_limit() (csv.reader refuses a longer field, and
+    without quotes a field lies within one block). A body of blank lines
+    raises at its end, where numpy would only warn.
+    """
+    blank = True
+    while lines := fh.readlines(READ_BLOCK_CHARS):
+        block = "".join(lines)
+        if (not block.isascii() or len(block) > csv.field_size_limit()
+                or any(c in block for c in '"\x1c\x1d\x1e\x1f')):
+            raise ValueError("text for the row loop")
+        blank = blank and block.isspace()
+        yield from lines
+    if blank:
+        raise ValueError("no data rows")
+
+
+def _read_body_numpy(fh, path):
+    """(timestamps, watts) of the rows after the header, read by numpy's C
+    reader, or None when the row loop must decide: when _plain_lines or
+    numpy raises, fewer than two rows are read, a watt value is not finite
+    or the timestamps do not increase.
+
+    numpy releases that keep the deprecated integer-via-float fallback
+    parse an int64 field that is not an integer (1.5, 1e3, nan, a value
+    outside int64) as a float and cast it, with only a DeprecationWarning.
+    That warning is an error here, so such a timestamp goes to the row
+    loop, which refuses it.
+    """
+    ts_idx, pw_idx = _header_columns(csv.reader(fh), path)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            body = np.loadtxt(_plain_lines(fh), dtype=_BODY_DTYPE, delimiter=",",
+                              usecols=(ts_idx, pw_idx), comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return None
+    timestamps, watts = body["timestamp"], body["power_w"]
+    if (len(body) < 2 or not np.isfinite(watts).all()
+            or not (timestamps[1:] > timestamps[:-1]).all()):
+        return None
+    return timestamps, watts
+
+
+def _read_body_rows(fh, path):
+    """(timestamps, watts) of fh, header included, read row by row.
+
+    The reference reader: it accepts every input the loader accepts and
+    raises every error it reports, each body error with its line.
+    """
+    reader = csv.reader(fh)
+    ts_idx, pw_idx = _header_columns(reader, path)
+    timestamps = array("q")
+    watts = array("d")
+    for row in reader:
+        if not row:
+            continue
+        try:
+            ts = int(row[ts_idx])
+            value = float(row[pw_idx])
+            timestamps.append(ts)  # OverflowError outside int64
+        except (ValueError, IndexError, OverflowError):
+            raise DataError(
+                f"{path}:{reader.line_num}: unparsable row {row!r}") from None
+        if not isfinite(value):
+            raise DataError(
+                f"{path}:{reader.line_num}: non-finite watts {row[pw_idx]!r}")
+        if len(timestamps) > 1 and ts <= timestamps[-2]:
+            raise DataError(f"{path}:{reader.line_num}: timestamp {ts} "
+                            f"not after {timestamps[-2]}")
+        watts.append(value)
+    if not timestamps:
+        raise DataError(f"{path}: no data rows")
+    if len(timestamps) < 2:
+        raise DataError(f"{path}: cannot infer period from a single row")
+    return np.frombuffer(timestamps, dtype=np.int64), np.frombuffer(watts)
+
+
 def load_channel_csv(path, name=None):
     """Read a ``timestamp,power_w`` channel CSV into a uniform PowerSeries.
 
@@ -141,48 +242,27 @@ def load_channel_csv(path, name=None):
     rejected. Unparsable rows (timestamps outside int64 included), NaN and
     infinite watts and non-increasing timestamps are rejected with their
     line. Negative watts are clamped to zero (counted in one warning).
+
+    numpy's C reader parses the rows of a file whose text is ASCII without
+    quotes or U+001C-U+001F, with at least two rows, increasing int64
+    integer timestamps and finite watts; every file write_channel_csv
+    writes is one. Any other file goes to the row loop, which decides
+    whether it loads and writes every error message, so accepted input and
+    messages do not depend on which reader ran.
     """
     path = str(path)
-    timestamps = array("q")
-    watts = array("d")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = [h.strip() for h in next(reader)]
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            try:
-                ts_idx, pw_idx = map(header.index, CSV_HEADER)
-            except ValueError:
-                raise DataError(f"{path}:1: header {header!r} lacks columns "
-                                f"{CSV_HEADER[0]!r}/{CSV_HEADER[1]!r}") from None
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    ts = int(row[ts_idx])
-                    value = float(row[pw_idx])
-                    timestamps.append(ts)  # OverflowError outside int64
-                except (ValueError, IndexError, OverflowError):
-                    raise DataError(
-                        f"{path}:{reader.line_num}: unparsable row {row!r}") from None
-                if not isfinite(value):
-                    raise DataError(
-                        f"{path}:{reader.line_num}: non-finite watts {row[pw_idx]!r}")
-                if len(timestamps) > 1 and ts <= timestamps[-2]:
-                    raise DataError(f"{path}:{reader.line_num}: timestamp {ts} "
-                                    f"not after {timestamps[-2]}")
-                watts.append(value)
+            body = _read_body_numpy(fh, path)
+            if body is None:
+                fh.seek(0)
+                body = _read_body_rows(fh, path)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not timestamps:
-        raise DataError(f"{path}: no data rows")
-    if len(timestamps) < 2:
-        raise DataError(f"{path}: cannot infer period from a single row")
+    timestamps, values = body
     # Increasing int64 values differ by less than 2**64, so their
     # differences taken as uint64 are exact.
-    steps = np.diff(np.frombuffer(timestamps, dtype=np.uint64))
+    steps = np.diff(timestamps.view(np.uint64))
     period = int(steps[0])
     if period > np.iinfo(np.int64).max:
         raise DataError(f"{path}: period of {period} s is outside the int64 range")
@@ -191,20 +271,19 @@ def load_channel_csv(path, name=None):
     bad = off_grid | (counts > MAX_FILL_SAMPLES + 1)
     if bad.any():
         i = int(bad.argmax())
-        ts = timestamps[i + 1]
+        ts = int(timestamps[i + 1])
         if off_grid[i]:
             raise DataError(f"{path}: timestamp {ts} is off the {period}-second grid")
         raise DataError(f"{path}: gap of {counts[i] - 1} samples before t={ts} "
                         f"exceeds the fill limit of {MAX_FILL_SAMPLES}")
-    values = np.frombuffer(watts)
     clamped = np.count_nonzero(values < 0)
     if clamped:
         values[values < 0] = 0.0
         log.warning("%s: clamped %d negative power values to 0 W", path, clamped)
     # Forward-fill: each row's value repeats up to the next row.
     filled = np.repeat(values, np.append(counts.astype(np.intp), 1))
-    return PowerSeries(name if name is not None else path, period, timestamps[0],
-                       filled)
+    return PowerSeries(name if name is not None else path, period,
+                       int(timestamps[0]), filled)
 
 
 def write_channel_csv(path, series: PowerSeries):
@@ -393,6 +472,8 @@ def synth_household(specs, duration_s, noise_std=0.0, seed=0, period_s=3,
         raise DataError(f"noise_std must be >= 0, got {noise_std}")
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
+    if not (isfinite(duration_scale) and duration_scale > 0):
+        raise DataError(f"duration_scale must be finite and > 0, got {duration_scale}")
     n = int(duration_s) // int(period_s)
     if n < 1:
         raise DataError("duration too short for one sample")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -52,6 +53,12 @@ class TrainConfig:
             raise DataError("batch_size must be >= 1")
         if self.max_epochs < 1:
             raise DataError("max_epochs must be >= 1")
+        if not (isfinite(self.base_lr) and self.base_lr >= 0):
+            raise DataError(f"base_lr must be finite and >= 0, got {self.base_lr}")
+        if not 0 <= self.momentum < 1:
+            raise DataError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not (isfinite(self.decay) and self.decay >= 0):
+            raise DataError(f"decay must be finite and >= 0, got {self.decay}")
         if self.patience < 1:
             raise DataError("patience must be >= 1")
         if self.window_stride < 1:

@@ -417,10 +417,13 @@ class TestEdgeInputs:
         (["synth", "--noise-std", "-1"], CONFIG),
         (["synth", "--seed", "-1"], CONFIG),
         (["synth"], NEGATIVE_SEED_CONFIG),
+        (["synth", "--duration-scale", "-5"], CONFIG),
+        (["synth", "--duration-scale", "nan"], CONFIG),
         (["gradcheck", "--step", "0"], None),
         (["gradcheck", "--seed", "-1"], None),
     ], ids=["synth-period-0", "synth-noise-negative", "synth-seed-negative",
-            "synth-config-seed-negative", "gradcheck-step-0",
+            "synth-config-seed-negative", "synth-duration-scale-negative",
+            "synth-duration-scale-nan", "gradcheck-step-0",
             "gradcheck-seed-negative"])
     def test_exits_2_with_an_error_line(self, tmp_path, capsys, argv, config):
         if config is not None:
@@ -448,7 +451,8 @@ class TestEdgeInputs:
 
 
 class TestBadModelDims:
-    """Unusable model dims or epoch counts exit 2 with an error line."""
+    """Unusable model dims, epoch counts or optimizer settings exit 2 with an
+    error line."""
 
     def train(self, config, house, out, *extra):
         return run(["train", "--config", config,
@@ -481,6 +485,21 @@ class TestBadModelDims:
         out = tmp_path / "e.ckpt"
         assert self.train(config, house, out) == 2
         assert "max_epochs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,lines", [
+        ("base_lr", "base_lr = nan"),
+        ("momentum", "base_lr = 0.05\nmomentum = 5.0"),
+        ("decay", "base_lr = 0.05\ndecay = -1"),
+    ], ids=["base_lr", "momentum", "decay"])
+    def test_unusable_optimizer_setting_exits_2_without_checkpoint(
+            self, trained, tmp_path, capsys, key, lines):
+        _, house, _ = trained
+        config = tmp_path / "run.ini"
+        config.write_text(CONFIG.replace("base_lr = 0.05", lines))
+        out = tmp_path / "o.ckpt"
+        assert self.train(config, house, out) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
         assert not out.exists()
 
     def test_gradcheck_zero_hidden_exits_2(self, capsys):

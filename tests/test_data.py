@@ -1,10 +1,12 @@
 """Data pipeline: CSV round-trips, alignment, labeling, windows, synthesis."""
 
+import csv
 import logging
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nilmnet import data
@@ -67,6 +69,131 @@ def channel_csv_texts(draw):
         lines.extend([""] * draw(st.integers(0, 2)))
         lines.append(",".join(row[c] for c in columns if c < len(row)))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+# Spellings that numpy's reader and the row loop may take differently.
+ASCII_PADDINGS = [" ", "\t", "\f", "\v"]
+EXOTIC_PADDINGS = ["\xa0", "\x1c", "\x1f"]
+DIGITS = "0123456789"
+EXOTIC_DIGITS = ["\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+                 "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f",
+                 "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19",
+                 "\u24ea\u2460\u2461\u2462\u2463\u2464\u2465\u2466\u2467\u2468"]
+NON_FINITE = ["nan", "NaN", "-nan", "inf", "-inf", "iNF", "Infinity",
+              "-Infinity", "1e400"]
+QUOTED_NOTES = ['"a\nb"', '"a\r\nb"', '"a\rb"', '"q""q"', 'x"y', '""',
+                '"a,1,2,b"']
+LINE_ENDS = ["\n", "\r\n", "\r"]
+EDGES = ("digits", "underscore", "padding", "quoted", "doubled_quote",
+         "quoted_note", "open_quote", "non_finite", "missing_column",
+         "not_increasing", "int64_wrap", "float_timestamp")
+
+
+@st.composite
+def edge_csv_texts(draw):
+    """A channel file with \\n, \\r\\n and lone \\r line ends, ASCII padding,
+    signs, exponents, int64 edge timestamps, extra columns and either header
+    order, plus up to three EDGES: non-ASCII digits in a whole column, an
+    underscore, non-ASCII or U+001C/U+001F padding, a quoted number, a
+    doubled quote, a quoted note (embedded line ends included), a quote left
+    open at the end of the file, a spelling of nan or inf, a missing
+    column, a timestamp that does not increase, a step from the top of
+    int64 to its bottom, or a timestamp that is not an integer within int64
+    (a decimal point, an exponent, nan, inf or a value beyond int64)."""
+    columns = draw(st.sampled_from([("timestamp", "power_w"),
+                                    ("power_w", "timestamp"),
+                                    ("timestamp", "power_w", "note"),
+                                    ("note", "power_w", "timestamp")]))
+    period = draw(st.integers(1, 4))
+    ts = draw(st.integers(-10**6, 10**6)
+              | st.sampled_from([-2**63, 2**63 - 1 - 12 * period]))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        rows.append({"timestamp": str(ts), "note": draw(st.sampled_from(["", "x"])),
+                     "power_w": draw(st.floats(-50.0, 5000.0).map(repr)
+                                     | st.integers(0, 10**6).map(str)
+                                     | st.sampled_from(["1e3", "1E-3", ".5", "5.",
+                                                        "2.5e+2"])),
+                     "tail": ["extra"] if draw(st.integers(0, 9)) == 0 else []})
+        ts += period * draw(st.sampled_from([1, 1, 2]))
+    for row in rows:
+        for col in ("timestamp", "power_w"):
+            if not row[col].startswith("-") and draw(st.integers(0, 5)) == 0:
+                row[col] = "+" + row[col]
+            if draw(st.integers(0, 3)) == 0:
+                row[col] = (draw(st.sampled_from(ASCII_PADDINGS)) + row[col]
+                            + draw(st.sampled_from(ASCII_PADDINGS)))
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in range(len(rows) + 1)]
+    short = set()
+    for edge in draw(st.lists(st.sampled_from(EDGES), max_size=3)) if rows else []:
+        at = draw(st.integers(0, len(rows) - 1))
+        row = rows[at]
+        col = draw(st.sampled_from(["timestamp", "power_w"]))
+        if edge == "digits":  # the whole column, so numpy's misreads can increase
+            script = str.maketrans(DIGITS, draw(st.sampled_from(EXOTIC_DIGITS)))
+            for other in rows:
+                other[col] = other[col].translate(script)
+        elif edge == "underscore" and len(row[col]) > 2:
+            cut = draw(st.integers(1, len(row[col]) - 1))
+            row[col] = row[col][:cut] + "_" + row[col][cut:]
+        elif edge == "padding":
+            pad = draw(st.sampled_from(EXOTIC_PADDINGS))
+            row[col] = draw(st.sampled_from([pad + row[col], row[col] + pad]))
+        elif edge == "quoted":
+            row[col] = f'"{row[col]}"'
+        elif edge == "doubled_quote":
+            row[col] = f'"{row[col]}""x"'
+        elif edge == "quoted_note":
+            note = draw(st.sampled_from(QUOTED_NOTES))
+            if "note" in columns:
+                row["note"] = note
+            else:
+                row["tail"].append(note)
+        elif edge == "open_quote":
+            ends[-1] = ',"open\nquote'
+        elif edge == "non_finite":
+            row["power_w"] = draw(st.sampled_from(NON_FINITE))
+        elif edge == "missing_column":
+            short.add(at)
+        elif edge == "not_increasing" and at > 0:
+            row["timestamp"] = rows[at - 1]["timestamp"]
+        elif edge == "int64_wrap" and at > 0:
+            rows[at - 1]["timestamp"], row["timestamp"] = str(2**63 - 1), str(-2**63)
+        elif edge == "float_timestamp":
+            stamp = row["timestamp"].strip()
+            row["timestamp"] = draw(st.sampled_from(
+                [stamp + ".0", stamp + ".5", stamp + "e0", "1e3", "nan", "-inf",
+                 str(2**63), str(-2**63 - 1)]))
+    lines = [",".join(columns)]
+    for at, row in enumerate(rows):
+        fields = [row[c] for c in columns][:len(columns) - (at in short)]
+        blank_line = draw(st.sampled_from(["", "", "\n"]))
+        lines.append(blank_line + ",".join(fields + row["tail"]))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def loader_outcome(path, caplog):
+    """load_channel_csv(path) as comparable values: period, t0, value bytes
+    and logged warnings, or the error, each with the Python warnings the
+    load raised. csv.Error, which the row loop lets through for a field over
+    csv.field_size_limit(), counts as an error here. Python warnings are
+    recorded, never raised, so the loader runs as under the default filters
+    (an error filter would change what numpy does)."""
+    caplog.clear()
+    with warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")
+        try:
+            with caplog.at_level(logging.WARNING, logger="nilmnet.data"):
+                loaded = data.load_channel_csv(path, name="ch")
+            outcome = (loaded.period_s, loaded.t0, loaded.values.tobytes(),
+                       [r.getMessage() for r in caplog.records])
+        except (DataError, csv.Error) as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+    return outcome, [f"{w.category.__name__}: {w.message}" for w in raised]
+
+
+def refuse_row_loop(*_):
+    raise AssertionError("the row loop ran")
 
 
 class TestPowerSeries:
@@ -217,6 +344,91 @@ class TestChannelCsv:
         path.write_bytes(b"timestamp,power_w\n0,1.0\n3,\xff\n")
         with pytest.raises(DataError, match=r"ch\.csv: not UTF-8"):
             data.load_channel_csv(path)
+
+    # numpy reads U+0968 (Devanagari two) as 2360 and U+2460 (circled one),
+    # which int refuses, as 9264; it strips U+001C as whitespace; a step
+    # from 2**63 - 1 to -2**63 wraps to +1 in int64 arithmetic; csv.reader
+    # refuses a field over 131072 characters; without quote rules, numpy
+    # would split the first column of the last example at its commas.
+    # Timestamps that are not integers within int64 end the list: numpy
+    # releases with the integer-via-float fallback would read them as
+    # 1, 3000, 6, 1000, a NaN cast or -2**63.
+    @example("timestamp,power_w\n0,1.0\n1,2.0\n\u0968,3.0\n", 64)
+    @example("timestamp,power_w\n0,1.0\n\u2460,2.0\n", 64)
+    @example("timestamp,power_w\n0,1.0\n1,2.0\x1c\n", 64)
+    @example(f"timestamp,power_w\n{2**63 - 1},1.0\n{-2**63},2.0\n", 64)
+    @example("timestamp,power_w\n\n\n", 64)
+    @example("timestamp,power_w\n0,1.0," + "x" * 131073 + "\n1,2.0\n",
+             data.READ_BLOCK_CHARS)
+    @example('note,power_w,timestamp\n"a,5,1,x",7,3\n"a,6,2,x",8,6\n', 64)
+    @example("timestamp,power_w\n0,1.0\n1.5,2.0\n2,3.0\n", 64)
+    @example("timestamp,power_w\n0.0,1.0\n3.0,2.0\n6.0,3.0\n", 64)
+    @example("timestamp,power_w\n999,1.0\n1e3,2.0\n1001,3.0\n", 64)
+    @example("timestamp,power_w\nnan,1.0\n1,2.0\n", 64)
+    @example(f"timestamp,power_w\n0,1.0\n{2**63},2.0\n", 64)
+    @example(f"timestamp,power_w\n{-2**63 - 1},1.0\n{-2**63 + 4},2.0\n", 64)
+    @given(edge_csv_texts(), st.sampled_from([1, 7, 64, data.READ_BLOCK_CHARS]))
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_numpy_reader_matches_the_row_loop(self, tmp_path, caplog, text,
+                                               block_chars):
+        path = tmp_path / "ch.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "READ_BLOCK_CHARS", block_chars)
+            either = loader_outcome(path, caplog)
+            mp.setattr(data, "_read_body_numpy", lambda fh, path: None)
+            row_loop = loader_outcome(path, caplog)
+        assert either == row_loop
+
+    @given(st.lists(WRITTEN_FLOATS, min_size=2, max_size=30),
+           st.integers(1, 3600), st.integers(-10**12, 10**12),
+           st.sampled_from([1, 7, 64, data.READ_BLOCK_CHARS]))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_written_files_load_without_the_row_loop(self, tmp_path, values,
+                                                     period, t0, block_chars):
+        original = series(values, period=period, t0=t0)
+        path = tmp_path / "ch.csv"
+        data.write_channel_csv(path, original)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "READ_BLOCK_CHARS", block_chars)
+            mp.setattr(data, "_read_body_rows", refuse_row_loop)
+            loaded = data.load_channel_csv(path)
+        assert (loaded.period_s, loaded.t0) == (period, t0)
+        assert loaded.values.tobytes() == original.values.tobytes()
+
+    def test_synthesized_house_loads_without_the_row_loop(self, tmp_path,
+                                                          monkeypatch):
+        spec = data.ApplianceSpec("heater", 64, max_power_w=2000.0)
+        aggregate, _ = data.synth_household([spec], 60000, 5.0, seed=1)
+        path = tmp_path / "aggregate.csv"
+        data.write_channel_csv(path, aggregate)
+        assert path.stat().st_size > 4 * data.READ_BLOCK_CHARS
+        monkeypatch.setattr(data, "_read_body_rows", refuse_row_loop)
+        loaded = data.load_channel_csv(path)
+        assert (loaded.period_s, loaded.t0) == (aggregate.period_s, aggregate.t0)
+        assert loaded.values.tobytes() == aggregate.values.tobytes()
+
+    @pytest.mark.parametrize("stamp", ["1.5", "1e0", "nan", str(2**63)])
+    def test_integer_via_float_fallback_defers_to_the_row_loop(
+            self, tmp_path, monkeypatch, stamp):
+        # A numpy release with the deprecated fallback warns, then reads
+        # the stamp as a float cast to int64; under the default filters
+        # that warning is silent and the file would load as 0, 1, 2.
+        def fallback_loadtxt(lines, dtype, **_):
+            list(lines)
+            warnings.warn("loadtxt(): Parsing an integer via a float is "
+                          "deprecated.", DeprecationWarning, stacklevel=2)
+            return np.array([(0, 1.0), (1, 2.0), (2, 3.0)], dtype=dtype)
+
+        path = tmp_path / "ch.csv"
+        path.write_text(f"timestamp,power_w\n0,1.0\n{stamp},2.0\n2,3.0\n")
+        monkeypatch.setattr(data.np, "loadtxt", fallback_loadtxt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            with pytest.raises(DataError, match=r"ch\.csv:3: unparsable row"):
+                data.load_channel_csv(path)
 
 
 class TestChannelCsvWriter:
@@ -590,6 +802,11 @@ class TestSynthHousehold:
         mean_run = lambda vals: np.mean(
             [end - start for start, end in data._runs(vals > 0)])
         assert mean_run(scaled[0].values) < mean_run(plain[0].values)
+
+    @pytest.mark.parametrize("scale", [-5.0, 0.0, float("nan"), float("inf")])
+    def test_unusable_duration_scale_rejected(self, scale):
+        with pytest.raises(DataError, match="duration_scale must be finite"):
+            data.synth_household(self.specs, 600, duration_scale=scale)
 
     def test_aggregate_never_negative(self):
         agg, _ = data.synth_household(self.specs, 30000, 50.0, seed=6)

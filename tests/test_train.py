@@ -126,6 +126,21 @@ class TestTrain:
             float(fields["lr"])
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("base_lr", float("nan")), ("base_lr", float("inf")), ("base_lr", -0.01),
+        ("momentum", 5.0), ("momentum", 1.0), ("momentum", -0.1),
+        ("momentum", float("nan")), ("decay", -1.0), ("decay", float("nan")),
+        ("decay", float("inf"))])
+    def test_unusable_optimizer_setting_rejected(self, field, value):
+        with pytest.raises(DataError, match=f"^{field} must be"):
+            TrainConfig(**{field: value})
+
+    def test_zero_rate_momentum_and_decay_accepted(self):
+        cfg = TrainConfig(base_lr=0.0, momentum=0.0, decay=0.0)
+        assert (cfg.base_lr, cfg.momentum, cfg.decay) == (0.0, 0.0, 0.0)
+
+
 class TestGridSearch:
     def test_single_point_grid_returns_it(self):
         train_ws, val_ws = toy_windows()
