@@ -320,6 +320,8 @@ def cmd_gradcheck(args):
             f"{','.join(map(str, CLS_KERNELS))})")
     if not args.step > 0:
         raise DataError(f"--step must be positive, got {args.step:g}")
+    if not 0 < args.tol < np.inf:
+        raise DataError(f"--tol must be positive and finite, got {args.tol:g}")
     if args.seed < 0:
         raise DataError(f"--seed must be >= 0, got {args.seed}")
     reg_cfg = RegressionConfig(window=args.window, filters=args.filters,

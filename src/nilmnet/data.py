@@ -78,6 +78,10 @@ class ApplianceSpec:
     def __post_init__(self):
         if self.window_l < 1:
             raise DataError(f"{self.name}: window_l must be positive")
+        for key in ("on_threshold_w", "min_on_s", "min_off_s", "max_power_w"):
+            if not isfinite(getattr(self, key)):
+                raise DataError(f"{self.name}: {key} must be finite, "
+                                f"got {getattr(self, key)}")
         if self.on_threshold_w <= 0:
             raise DataError(f"{self.name}: on_threshold_w must be positive")
         if self.min_on_s <= 0 or self.min_off_s <= 0:
@@ -184,7 +188,7 @@ def _read_body_numpy(fh, path):
     That warning is an error here, so such a timestamp goes to the row
     loop, which refuses it.
     """
-    ts_idx, pw_idx = _header_columns(csv.reader(fh), path)
+    ts_idx, pw_idx = _header_columns(_csv_rows(csv.reader(fh), path), path)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -199,6 +203,15 @@ def _read_body_numpy(fh, path):
     return timestamps, watts
 
 
+def _csv_rows(reader, path):
+    """The rows of reader; its csv.Error, such as a field longer than
+    csv.field_size_limit(), is raised as a DataError naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def _read_body_rows(fh, path):
     """(timestamps, watts) of fh, header included, read row by row.
 
@@ -206,10 +219,11 @@ def _read_body_rows(fh, path):
     raises every error it reports, each body error with its line.
     """
     reader = csv.reader(fh)
-    ts_idx, pw_idx = _header_columns(reader, path)
+    rows = _csv_rows(reader, path)
+    ts_idx, pw_idx = _header_columns(rows, path)
     timestamps = array("q")
     watts = array("d")
-    for row in reader:
+    for row in rows:
         if not row:
             continue
         try:

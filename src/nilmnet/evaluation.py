@@ -160,6 +160,8 @@ def classification_scores(y, y_hat, threshold_w=DEFAULT_THRESHOLD_W):
     Zero-denominator conventions: precision is 0 when nothing is predicted
     on, recall is 0 when nothing is truly on, F1 is 0 when both are 0.
     """
+    if not np.isfinite(threshold_w):
+        raise DataError(f"threshold_w must be finite, got {threshold_w}")
     y, y_hat = _metric_inputs(y, y_hat)
     truth = y > threshold_w
     pred = y_hat > threshold_w

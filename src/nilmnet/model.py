@@ -61,6 +61,8 @@ class ClassificationConfig:
             raise DataError("filters and kernels must have equal length")
         if any(v < 1 for v in self.filters) or any(v < 1 for v in self.kernels):
             raise DataError("layer table entries must be positive")
+        if self.dense_units < 1:
+            raise DataError("dense_units must be a positive integer")
 
 
 def parameter_count(reg_cfg: RegressionConfig, cls_cfg: ClassificationConfig):
@@ -242,9 +244,6 @@ class GatedAttentionModel:
         """Every parameter tensor group, in the fixed serialization order."""
         return self.regression.param_list + self.classification.param_list
 
-    def zero_grads(self):
-        self.grads.fill(0.0)
-
     @property
     def n_params(self):
         return self.weights.size
@@ -268,9 +267,10 @@ class GatedAttentionModel:
     def backward(self, d_output, d_state_extra=None):
         """Backpropagate gradients of the gated output (and extra state grad).
 
-        The product rule routes d_output into both branches; gradients
-        accumulate additively into the parameter buffers. Like every layer's,
-        the forward's cache feeds exactly one backward, which frees it.
+        The product rule routes d_output into both branches, and every
+        layer writes its parameter gradients, so the call sets every entry
+        of `grads` and nothing needs zeroing first. Like every layer's, the
+        forward's cache feeds exactly one backward, which frees it.
         """
         if self._gate_cache is None:
             raise RuntimeError("backward called before forward")
@@ -287,8 +287,9 @@ class GatedAttentionModel:
     def train_step_grads(self, windows, target_power, target_state):
         """Forward + joint loss + backward for one mini-batch.
 
-        Loss and accumulated gradients are means over the batch. Returns
-        the scalar loss.
+        Loss and gradients are means over the batch; the backward overwrites
+        all of `grads`, so the previous step's gradients need no reset.
+        Returns the scalar loss.
         """
         result = self.forward(windows)
         loss, d_output, d_state = joint_loss(

@@ -32,8 +32,13 @@ A model keeps its parameters in one arena: GatedAttentionModel allocates
 a flat weight vector and a twin grad vector and makes each LayerParams
 tensor a reshaped view into them. The optimizer steps the two vectors;
 layers keep reading and writing their named views. Assign into a view in
-place (w[...] = x, w += d) and never rebind p.weights[k] or p.grads[k], or
+place (w[...] = x, out=g) and never rebind p.weights[k] or p.grads[k], or
 the tensor drops out of the arena. A standalone layer owns plain arrays.
+
+Each parameter gets its gradient from exactly one backward call, so every
+layer backward writes every entry of its parameters' gradients (out=) and
+the optimizer only reads them: nothing zeroes a gradient between steps.
+LSTMCell.step_backward is the one exception; see its docstring.
 """
 
 from __future__ import annotations
@@ -211,9 +216,9 @@ class Conv1D:
         w = self.params.weights["W"].reshape(self.filters, -1)
         # One GEMM per batch item with its columns as a transposed operand
         # (no copy), summed over the batch.
-        d_w = (d_pre @ cols.swapaxes(1, 2)).sum(axis=0)
-        self.params.grads["W"] += d_w.reshape(self.params.grads["W"].shape)
-        self.params.grads["b"] += d_pre.sum(axis=(0, 2))
+        np.sum(d_pre @ cols.swapaxes(1, 2), axis=0,
+               out=self.params.grads["W"].reshape(self.filters, -1))
+        np.sum(d_pre, axis=(0, 2), out=self.params.grads["b"])
         b_sz, _, length = out.shape
         k = self.kernel
         d_cols = (w.T @ d_pre).reshape(b_sz, self.in_channels, k, length)
@@ -264,8 +269,8 @@ class Dense:
                 f"{self.params.name}: upstream shape {d_out.shape} does not match "
                 f"forward output {out.shape}")
         d_pre = _activation_grad(d_out, out, self.activation)
-        self.params.grads["W"] += d_pre.T @ x
-        self.params.grads["b"] += d_pre.sum(axis=0)
+        np.matmul(d_pre.T, x, out=self.params.grads["W"])
+        np.sum(d_pre, axis=0, out=self.params.grads["b"])
         return d_pre @ self.params.weights["W"]
 
 
@@ -383,9 +388,13 @@ class LSTMCell:
         return h, c, cache
 
     def step_backward(self, d_h, d_c, cache):
-        """Backward through one step; accumulates parameter gradients.
+        """Backward through one step; adds to the parameter gradients.
 
-        Returns (d_x, d_h_prev, d_c_prev).
+        Unlike the layer backwards, which write their gradients, this adds
+        (+=): a caller unrolls the cell over time and calls it once per
+        step, so the steps' gradients must sum. Zero the cell's grads
+        before the first step of a sequence. Returns (d_x, d_h_prev,
+        d_c_prev).
         """
         x, h_prev, c_prev, i, f, g, o, tanh_c = cache
         gates = np.concatenate([i, f, g, o], axis=1)
@@ -421,9 +430,10 @@ class BiLSTM:
       one batched recurrent GEMM d_z @ U per step. Step s's d_z goes through
       one (2, B, 4H) scratch into the gate slab gates[:, s], which that step
       was the last to read, so the gate buffer becomes the d_z buffer and no
-      second (2, T, B, 4H) array is allocated. After the loop, dW, dU, db
-      and the input gradient are each one batched GEMM or sum over the
-      per-direction slabs.
+      second (2, T, B, 4H) array is allocated. After the loop, each
+      direction's dW, dU and db is one GEMM or sum over its slab, written
+      straight into that cell's gradients, and the input gradient is one
+      batched GEMM.
 
     The forward keeps tanh(c) only in a (2, B, H) step buffer; the backward
     recomputes np.tanh(cells[:, s]), which rounds as the forward's did, so
@@ -506,15 +516,13 @@ class BiLSTM:
                 np.matmul(gates[:, s], u, out=d_h)
         d_z = gates
         flat_d_z = d_z.reshape(2, steps * b_sz, 4 * hs)
-        # Every step but the first against the h it read: views, no copies.
-        d_u = (d_z[:, 1:].reshape(2, (steps - 1) * b_sz, 4 * hs).transpose(0, 2, 1)
-               @ hidden[:, :-1].reshape(2, (steps - 1) * b_sz, hs))
-        d_w = flat_d_z.transpose(0, 2, 1) @ xs
-        d_b = flat_d_z.sum(axis=1)
         for k, cell in enumerate((self.fw, self.bw)):
-            cell.params.grads["W"] += d_w[k]
-            cell.params.grads["U"] += d_u[k]
-            cell.params.grads["b"] += d_b[k]
+            grads = cell.params.grads
+            np.matmul(flat_d_z[k].T, xs[k], out=grads["W"])
+            # Every step but the first against the h it read: views, no copies.
+            np.matmul(d_z[k, 1:].reshape(-1, 4 * hs).T, hidden[k, :-1].reshape(-1, hs),
+                      out=grads["U"])
+            np.sum(flat_d_z[k], axis=0, out=grads["b"])
         d_xs = (flat_d_z @ w).reshape(2, steps, b_sz, -1)
         return np.add(d_xs[0].transpose(1, 0, 2), d_xs[1, ::-1].transpose(1, 0, 2),
                       order="C")
@@ -575,7 +583,7 @@ class Attention:
         d_alpha = np.einsum("bs,bts->bt", d_context, hidden)
         # softmax Jacobian: couples all time steps of one sequence
         d_scores = alpha * (d_alpha - np.sum(alpha * d_alpha, axis=1, keepdims=True))
-        self.params.grads["v"] += np.einsum("bt,btu->u", d_scores, m)
+        np.einsum("bt,btu->u", d_scores, m, out=self.params.grads["v"])
         # d_pre = d_m * (1 - m * m), formed in m's buffer.
         d_m = d_scores[:, :, None] * v
         d_pre = np.multiply(m, m, out=m)
@@ -584,8 +592,8 @@ class Attention:
         del d_m
         flat_pre = d_pre.reshape(-1, self.units)
         flat_hidden = hidden.reshape(-1, self.state_size)
-        self.params.grads["W"] += flat_pre.T @ flat_hidden
-        self.params.grads["b"] += flat_pre.sum(axis=0)
+        np.matmul(flat_pre.T, flat_hidden, out=self.params.grads["W"])
+        np.sum(flat_pre, axis=0, out=self.params.grads["b"])
         d_hidden = d_pre @ w
         # Plus the alpha (x) d_context outer product, one sequence at a time,
         # so no second (B, T, S) array is allocated.
@@ -650,16 +658,19 @@ class SgdNesterov:
         v     <- mu * v - eta * g
         theta <- theta + mu * v - eta * g
 
-    weights and grads are the flat vectors the step updates in place, such
-    as a model's arena. Gradients are expected to hold the mini-batch mean;
-    they are reset to zero after the step. With mu = 0 the update is exactly
+    weights and grads are the flat vectors of a model's arena, or any
+    pair of the same shape. The step updates weights and the velocity in
+    place and only reads grads, which are expected to hold the mini-batch
+    mean that the last backward wrote. With mu = 0 the update is exactly
     plain gradient descent at the same rate.
     """
 
     def __init__(self, weights, grads, base_lr=0.01, momentum=0.9, decay=1e-6):
         self.weights, self.grads = weights, grads
         self.velocity = np.zeros_like(self.weights)
-        self._scratch = np.empty_like(self.weights[:STEP_BLOCK])
+        # Two block buffers: lr * g, and the weight update.
+        self._scratch = np.empty((2, min(STEP_BLOCK, self.weights.size)),
+                                 self.weights.dtype)
         self.base_lr = base_lr
         self.momentum = momentum
         self.decay = decay
@@ -673,18 +684,16 @@ class SgdNesterov:
         lr = self.effective_lr
         mu = self.momentum
         for lo in range(0, self.weights.size, STEP_BLOCK):
-            g = self.grads[lo:lo + STEP_BLOCK]
             v = self.velocity[lo:lo + STEP_BLOCK]
-            s = self._scratch[:g.size]
+            lg, s = self._scratch[:, :v.size]
             # Same roundings as v = mu*v - lr*g; w += mu*v - lr*g.
-            g *= lr
+            np.multiply(self.grads[lo:lo + STEP_BLOCK], lr, out=lg)
             v *= mu
-            v -= g
+            v -= lg
             np.multiply(v, mu, out=s)
-            s -= g
+            s -= lg
             self.weights[lo:lo + STEP_BLOCK] += s
         self.step_count += 1
-        self.grads.fill(0.0)
 
 
 @dataclass(frozen=True)
@@ -712,15 +721,12 @@ def gradient_check(param_list, loss_fn, grad_fn, step=1e-5, tol=1e-4):
     """Compare analytic gradients with central finite differences.
 
     loss_fn() evaluates the scalar loss at the current parameter values;
-    grad_fn() runs forward and backward, accumulating gradients into the
-    parameter buffers. Perturbation and comparison happen entry by entry
-    in 64-bit, so the caller should build the model in float64.
+    grad_fn() runs forward and backward, which writes every gradient of
+    param_list. Perturbation and comparison happen entry by entry in
+    64-bit, so the caller should build the model in float64.
 
     Returns one GradCheckEntry per parameter group of param_list.
     """
-    grads = [g for p in param_list for g in p.grads.values()]
-    for g in grads:
-        g.fill(0.0)
     grad_fn()
     results = []
     for p in param_list:
@@ -741,6 +747,4 @@ def gradient_check(param_list, loss_fn, grad_fn, step=1e-5, tol=1e-4):
                 denom = max(abs(a), abs(numeric), 1e-8)
                 worst = max(worst, abs(a - numeric) / denom)
         results.append(GradCheckEntry(p.name, worst, worst < tol))
-    for g in grads:
-        g.fill(0.0)
     return results

@@ -36,7 +36,7 @@ def random_model(seed):
 
 
 def checkpoint_header(window=128, filters=32, kernel=8, hidden=2048,
-                      cls_window=None, n_tensors=37):
+                      cls_window=None, dense_units=None, n_tensors=37):
     """A v1 header with default classification layers and no tensors after it."""
     cls_cfg = ClassificationConfig(window=window)
     parts = [ckpt.MAGIC, struct.pack("<II", ckpt.VERSION, 1), b"x",
@@ -45,7 +45,9 @@ def checkpoint_header(window=128, filters=32, kernel=8, hidden=2048,
                          len(cls_cfg.filters))]
     parts += [struct.pack("<II", f, k)
               for f, k in zip(cls_cfg.filters, cls_cfg.kernels)]
-    parts.append(struct.pack("<IBI", cls_cfg.dense_units, 0, n_tensors))
+    if dense_units is None:
+        dense_units = cls_cfg.dense_units
+    parts.append(struct.pack("<IBI", dense_units, 0, n_tensors))
     return b"".join(parts)
 
 
@@ -196,6 +198,12 @@ class TestFormatGuards:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(checkpoint_header(**fields))
         with pytest.raises(DataError, match="window|config"):
+            ckpt.load_checkpoint(path)
+
+    def test_zero_dense_units_is_invalid_config(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(checkpoint_header(dense_units=0))
+        with pytest.raises(DataError, match="invalid model config: dense_units"):
             ckpt.load_checkpoint(path)
 
 

@@ -421,10 +421,16 @@ class TestEdgeInputs:
         (["synth", "--duration-scale", "nan"], CONFIG),
         (["gradcheck", "--step", "0"], None),
         (["gradcheck", "--seed", "-1"], None),
+        (["gradcheck", "--cls-dense", "0"], None),
+        (["gradcheck", "--cls-dense", "-3"], None),
+        (["gradcheck", "--tol", "nan"], None),
+        (["gradcheck", "--tol", "-1"], None),
     ], ids=["synth-period-0", "synth-noise-negative", "synth-seed-negative",
             "synth-config-seed-negative", "synth-duration-scale-negative",
             "synth-duration-scale-nan", "gradcheck-step-0",
-            "gradcheck-seed-negative"])
+            "gradcheck-seed-negative", "gradcheck-cls-dense-0",
+            "gradcheck-cls-dense-negative", "gradcheck-tol-nan",
+            "gradcheck-tol-negative"])
     def test_exits_2_with_an_error_line(self, tmp_path, capsys, argv, config):
         if config is not None:
             path = tmp_path / "run.ini"
@@ -447,6 +453,42 @@ class TestEdgeInputs:
                     "--appliance", house / "heater.csv",
                     "--appliance-name", "heater", "--out", out, *seed_flag]) == 2
         assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+        assert not out.exists()
+
+    def test_nan_on_threshold_exits_2_without_checkpoint(self, trained, tmp_path,
+                                                         capsys):
+        _, house, _ = trained
+        config = tmp_path / "run.ini"
+        config.write_text(CONFIG.replace("on_threshold_w = 40", "on_threshold_w = nan"))
+        out = tmp_path / "s.ckpt"
+        assert run(["train", "--config", config,
+                    "--aggregate", house / "aggregate.csv",
+                    "--appliance", house / "heater.csv",
+                    "--appliance-name", "heater", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: heater: on_threshold_w must be finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["long-field", "threshold-nan"])
+    def test_evaluate_exits_2_with_an_error_line(self, trained, tmp_path, capsys,
+                                                 fault):
+        _, house, _ = trained
+        truth = house / "heater.csv"
+        prediction, extra = truth, []
+        if fault == "long-field":
+            prediction = tmp_path / "long.csv"
+            lines = truth.read_text().splitlines(keepends=True)
+            lines[2] = lines[2].rstrip("\n") + ",x" + "x" * 131072 + "\n"
+            prediction.write_text("".join(lines))
+        else:
+            extra = ["--threshold-w", "nan"]
+        out = tmp_path / "r.csv"
+        assert run(["evaluate", "--prediction", prediction, "--truth", truth,
+                    "--appliance-name", "heater", "--out", out, "--period-k", "30",
+                    *extra]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: " + ("threshold_w must be finite" if extra else
+                         f"{prediction}:3: field larger than field limit (131072)"))
         assert not out.exists()
 
 

@@ -175,10 +175,9 @@ def edge_csv_texts(draw):
 def loader_outcome(path, caplog):
     """load_channel_csv(path) as comparable values: period, t0, value bytes
     and logged warnings, or the error, each with the Python warnings the
-    load raised. csv.Error, which the row loop lets through for a field over
-    csv.field_size_limit(), counts as an error here. Python warnings are
-    recorded, never raised, so the loader runs as under the default filters
-    (an error filter would change what numpy does)."""
+    load raised. Python warnings are recorded, never raised, so the loader
+    runs as under the default filters (an error filter would change what
+    numpy does)."""
     caplog.clear()
     with warnings.catch_warnings(record=True) as raised:
         warnings.simplefilter("always")
@@ -187,7 +186,7 @@ def loader_outcome(path, caplog):
                 loaded = data.load_channel_csv(path, name="ch")
             outcome = (loaded.period_s, loaded.t0, loaded.values.tobytes(),
                        [r.getMessage() for r in caplog.records])
-        except (DataError, csv.Error) as exc:
+        except DataError as exc:
             outcome = f"{type(exc).__name__}: {exc}"
     return outcome, [f"{w.category.__name__}: {w.message}" for w in raised]
 
@@ -343,6 +342,17 @@ class TestChannelCsv:
         path = tmp_path / "ch.csv"
         path.write_bytes(b"timestamp,power_w\n0,1.0\n3,\xff\n")
         with pytest.raises(DataError, match=r"ch\.csv: not UTF-8"):
+            data.load_channel_csv(path)
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_field_over_the_csv_limit_names_its_line(self, tmp_path, line):
+        rows = ["timestamp,power_w", "0,1.0", "3,2.0", "6,3.0"]
+        limit = csv.field_size_limit()
+        rows[line - 1] += "," + "x" * (limit + 1)
+        path = tmp_path / "ch.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DataError,
+                           match=rf"ch\.csv:{line}: field larger than field limit \({limit}\)"):
             data.load_channel_csv(path)
 
     # numpy reads U+0968 (Devanagari two) as 2360 and U+2460 (circled one),
@@ -570,6 +580,13 @@ def smooth_oracle(raw_state, period, min_on_s, min_off_s):
 class TestStateSequence:
     spec = data.ApplianceSpec("app", window_l=8, on_threshold_w=15.0,
                               min_on_s=3.0, min_off_s=3.0, max_power_w=100.0)
+
+    @pytest.mark.parametrize("field", ["on_threshold_w", "min_on_s", "min_off_s",
+                                       "max_power_w"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_appliance_settings_rejected(self, field, bad):
+        with pytest.raises(DataError, match=f"heater: {field} must be finite"):
+            data.ApplianceSpec("heater", 64, **{field: bad})
 
     def test_all_zero_power_is_all_off(self):
         state = data.make_state_sequence(series(np.zeros(10)), self.spec)

@@ -177,6 +177,12 @@ class TestClassificationScores:
         with pytest.raises(DataError, match="finite"):
             ev.classification_scores(y, np.array([bad, 20.0, 30.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_rejected(self, bad):
+        y = np.array([0.0, 20.0, 30.0])
+        with pytest.raises(DataError, match="threshold_w must be finite"):
+            ev.classification_scores(y, y, bad)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_counting_oracle(self, seed):
         rng = np.random.default_rng(seed)

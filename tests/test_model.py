@@ -186,7 +186,8 @@ class TestJointLoss:
         def loss_fn():
             return model.batch_loss(windows, target_power, target_state)
 
-        model.zero_grads()
+        # NaN everywhere: a gradient that the backward does not write fails.
+        model.grads.fill(np.nan)
         model.train_step_grads(windows, target_power, target_state)
         for p in model.all_params():
             for key, w in p.weights.items():
@@ -299,26 +300,40 @@ class TestTrainStepMemory:
         assert model._gate_cache is None
         assert abs(after - before) < 0.01 * before
 
-    def test_bilstm_backward_needs_no_second_gate_buffer(self, monkeypatch):
+    def backward_peaks(self, monkeypatch, layer_cls, seed):
+        """One train step; the traced peak above entry of each layer_cls
+        backward in it, keyed by layer."""
         windows, power, state = self.batch()
-        model = GatedAttentionModel.init(self.REG, self.CLS, seed=32)
-        # The (2, T, B, 4H) float32 gate buffer.
-        gates_nbytes = 2 * self.REG.window * self.BATCH * 4 * self.REG.hidden * 4
-        backward = nn.BiLSTM.backward
-        above_entry = []
+        model = GatedAttentionModel.init(self.REG, self.CLS, seed=seed)
+        backward = layer_cls.backward
+        above_entry = {}
 
         def traced_backward(layer, d_out):
             entry = traced()[0]
             tracemalloc.reset_peak()
             result = backward(layer, d_out)
-            above_entry.append(traced()[1] - entry)
+            above_entry[layer] = traced()[1] - entry
             return result
 
-        monkeypatch.setattr(nn.BiLSTM, "backward", traced_backward)
+        monkeypatch.setattr(layer_cls, "backward", traced_backward)
         with traced_peak() as traced:
             model.train_step_grads(windows, power, state)
-        assert len(above_entry) == 1
-        assert above_entry[0] < gates_nbytes
+        return model, above_entry
+
+    def test_bilstm_backward_needs_no_second_gate_buffer(self, monkeypatch):
+        model, above_entry = self.backward_peaks(monkeypatch, nn.BiLSTM, seed=32)
+        # The (2, T, B, 4H) float32 gate buffer.
+        gates_nbytes = 2 * self.REG.window * self.BATCH * 4 * self.REG.hidden * 4
+        assert list(above_entry) == [model.regression.bilstm]
+        assert above_entry[model.regression.bilstm] < gates_nbytes
+
+    def test_dense_backward_writes_its_weight_gradient_in_place(self, monkeypatch):
+        model, above_entry = self.backward_peaks(monkeypatch, nn.Dense, seed=33)
+        fc1 = model.classification.fc1
+        assert len(above_entry) == 4
+        # A (2048, 160) gradient computed into a temporary and then added
+        # would allocate all of its bytes.
+        assert above_entry[fc1] < fc1.params.grads["W"].nbytes
 
 
 class TestDeterminism:
