@@ -6,8 +6,9 @@ Layout (all integers little-endian):
     version             u32      currently 1
     appliance name      u32 length + utf-8 bytes
     regression config   4 x u32  (window, filters, kernel, hidden)
-    classification cfg  u32 window, u32 n_conv, n_conv x (u32 filters,
-                        u32 kernel), u32 dense_units
+    classification cfg  u32 window (the regression window again; a
+                        model has one), u32 n_conv, n_conv x
+                        (u32 filters, u32 kernel), u32 dense_units
     normalization meta  u8 presence flag, then 4 x f64
                         (input_mean, input_std, target_min, target_max)
     tensor count        u32
@@ -103,7 +104,8 @@ def save_checkpoint(path, model: GatedAttentionModel):
         struct.pack("<I", VERSION),
         _pack_str(model.appliance),
         struct.pack("<4I", reg.window, reg.filters, reg.kernel, reg.hidden),
-        struct.pack("<II", cls_cfg.window, len(cls_cfg.filters)),
+        # The classification window slot repeats the model's one window.
+        struct.pack("<II", reg.window, len(cls_cfg.filters)),
     ]
     for f, k in zip(cls_cfg.filters, cls_cfg.kernels):
         parts.append(struct.pack("<II", f, k))
@@ -150,16 +152,15 @@ def load_checkpoint(path) -> GatedAttentionModel:
         try:
             reg = RegressionConfig(*reg_dims)
             cls_cfg = ClassificationConfig(
-                window=cls_window,
                 filters=tuple(f for f, _ in pairs),
                 kernels=tuple(k for _, k in pairs),
                 dense_units=dense_units,
             )
         except DataError as exc:
             raise DataError(f"{path}: invalid model config: {exc}") from None
-        if reg.window != cls_cfg.window:
+        if reg.window != cls_window:
             raise DataError(f"{path}: regression window {reg.window} differs from "
-                            f"classification window {cls_cfg.window}")
+                            f"classification window {cls_window}")
         meta = None
         if reader.u8():
             meta = NormalizationMeta(reader.f64(), reader.f64(),

@@ -65,10 +65,9 @@ def _parse_int_list(text):
             from None
 
 
-_GRID_KEYS = {"filters": _parse_int_list, "kernel": _parse_int_list,
-              "hidden": _parse_int_list}
-# [grid] key -> grid_search keyword
-_GRID_ARGS = {"filters": "f_values", "kernel": "k_values", "hidden": "h_values"}
+# [grid] takes a list of values for each [model] key, under the same name,
+# which is also grid_search's keyword.
+_GRID_KEYS = dict.fromkeys(SCHEMAS["model"][0], _parse_int_list)
 
 
 @dataclass
@@ -234,9 +233,8 @@ def cmd_train(args):
     if args.grid:
         grid = parse_grid_flag(args.grid)
     if grid is not None:
-        result = grid_search(
-            train_ws, val_ws, window, train_cfg, appliance=spec.name,
-            **{_GRID_ARGS[key]: values for key, values in grid.items()})
+        result = grid_search(train_ws, val_ws, train_cfg, appliance=spec.name,
+                             **grid)
         model, record = result.best_model, result.best_record
         grid_path = Path(args.out).with_suffix(".grid.csv")
         with open(grid_path, "w", encoding="utf-8") as fh:
@@ -318,15 +316,15 @@ def cmd_gradcheck(args):
             f"--cls-filters: {len(cls_filters)} entries, but the classification "
             f"branch has a {len(CLS_KERNELS)}-layer table (kernels "
             f"{','.join(map(str, CLS_KERNELS))})")
-    if not args.step > 0:
-        raise DataError(f"--step must be positive, got {args.step:g}")
+    if not 0 < args.step < np.inf:
+        raise DataError(f"--step must be positive and finite, got {args.step:g}")
     if not 0 < args.tol < np.inf:
         raise DataError(f"--tol must be positive and finite, got {args.tol:g}")
     if args.seed < 0:
         raise DataError(f"--seed must be >= 0, got {args.seed}")
     reg_cfg = RegressionConfig(window=args.window, filters=args.filters,
                                kernel=args.kernel, hidden=args.hidden)
-    cls_cfg = ClassificationConfig(window=args.window, filters=cls_filters,
+    cls_cfg = ClassificationConfig(filters=cls_filters,
                                    kernels=CLS_KERNELS[:len(cls_filters)],
                                    dense_units=args.cls_dense)
     model = GatedAttentionModel.init(reg_cfg, cls_cfg, appliance="gradcheck",

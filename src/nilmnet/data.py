@@ -451,8 +451,10 @@ def normalize_windows(ws: WindowSet, meta: NormalizationMeta) -> WindowSet:
     )
 
 
-def split_train_val(ws: WindowSet, val_fraction=0.15, gap_samples=0):
+def split_train_val(ws: WindowSet, val_fraction, gap_samples=0):
     """Contiguous tail split: the last fraction of windows is validation.
+
+    val_fraction has no default here; TrainConfig.val_fraction holds it.
 
     gap_samples > 0 additionally drops trailing training windows so that
     every training window start is at least gap_samples + 1 samples before

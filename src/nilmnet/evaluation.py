@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import PowerSeries, denormalize_target, standardize_input
 from .errors import DataError, NumericalError
+from .model import INFERENCE_BATCH
 
 REPORT_COLUMNS = ("appliance", "mae_w", "sae_w", "precision", "recall", "f1",
                   "threshold_w", "period_len_k")
@@ -25,8 +26,6 @@ DEFAULT_PERIOD_LEN_K = 1200
 
 # memory cap for the median matrix, in values per chunk
 _MEDIAN_CHUNK_VALUES = 8_000_000
-# windows per forward pass in disaggregate
-_FORWARD_BATCH = 256
 
 
 def reconstruct_median(windows):
@@ -91,8 +90,8 @@ def disaggregate(model, aggregate: PowerSeries, export_attention=False):
     n = views.shape[0]
     watts = np.empty((n, window), dtype=np.float64)
     alphas = np.empty((n, window), dtype=np.float64) if export_attention else None
-    for lo in range(0, n, _FORWARD_BATCH):
-        hi = min(lo + _FORWARD_BATCH, n)
+    for lo in range(0, n, INFERENCE_BATCH):
+        hi = min(lo + INFERENCE_BATCH, n)
         result = model.forward(views[lo:hi], cache=False)
         if not np.isfinite(result.output).all():
             raise NumericalError(

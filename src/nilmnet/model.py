@@ -22,6 +22,9 @@ CLS_FILTERS = (30, 30, 40, 50, 50, 50)
 CLS_KERNELS = (10, 8, 6, 5, 5, 5)
 CLS_DENSE_UNITS = 1024
 
+# Windows per cache-free forward pass, in validation and in disaggregation.
+INFERENCE_BATCH = 256
+
 
 @dataclass(frozen=True)
 class RegressionConfig:
@@ -44,19 +47,19 @@ class RegressionConfig:
 
 @dataclass(frozen=True)
 class ClassificationConfig:
-    """Fixed layer table of the classification branch.
+    """Layer table of the classification branch: conv filters and kernels,
+    then the hidden dense width.
 
-    The defaults are not searched over; they are only scaled down for
-    toy-dimension gradient checks.
+    The branch reads the same window as the regression branch, so the
+    window is the model's and lives in RegressionConfig. The defaults are
+    not searched over; they are only scaled down for toy-dimension gradient
+    checks. The config is frozen, so its default instance can be shared.
     """
-    window: int
     filters: tuple = CLS_FILTERS
     kernels: tuple = CLS_KERNELS
     dense_units: int = CLS_DENSE_UNITS
 
     def __post_init__(self):
-        if self.window < 1:
-            raise DataError("window must be a positive integer")
         if len(self.filters) != len(self.kernels):
             raise DataError("filters and kernels must have equal length")
         if any(v < 1 for v in self.filters) or any(v < 1 for v in self.kernels):
@@ -80,8 +83,8 @@ def parameter_count(reg_cfg: RegressionConfig, cls_cfg: ClassificationConfig):
     for filters, kernel in zip(cls_cfg.filters, cls_cfg.kernels):
         count += filters * prev * kernel + filters
         prev = filters
-    count += (prev * cls_cfg.window + 1) * cls_cfg.dense_units
-    count += (cls_cfg.dense_units + 1) * cls_cfg.window
+    count += (prev * reg_cfg.window + 1) * cls_cfg.dense_units
+    count += (cls_cfg.dense_units + 1) * reg_cfg.window
     return count
 
 
@@ -137,17 +140,17 @@ class RegressionNet:
 class ClassificationNet:
     """Six conv layers, flatten, two dense layers ending in a sigmoid."""
 
-    def __init__(self, cfg: ClassificationConfig, rng, dtype):
-        self.cfg = cfg
+    def __init__(self, cfg: ClassificationConfig, window, rng, dtype):
+        self.window = window
         self.convs = []
         prev = 1
         for i, (f, k) in enumerate(zip(cfg.filters, cfg.kernels)):
             self.convs.append(
                 nn.Conv1D(f"cls.conv{i + 1}", prev, f, k, "relu", rng, dtype))
             prev = f
-        flat = prev * cfg.window
-        self.fc1 = nn.Dense("cls.fc1", flat, cfg.dense_units, "relu", rng, dtype)
-        self.fc2 = nn.Dense("cls.fc2", cfg.dense_units, cfg.window, "sigmoid",
+        self.fc1 = nn.Dense("cls.fc1", prev * window, cfg.dense_units, "relu",
+                            rng, dtype)
+        self.fc2 = nn.Dense("cls.fc2", cfg.dense_units, window, "sigmoid",
                             rng, dtype)
 
     def forward(self, x, cache=True):
@@ -160,7 +163,7 @@ class ClassificationNet:
 
     def backward(self, d_state):
         d_flat = self.fc1.backward(self.fc2.backward(d_state))
-        d_feats = d_flat.reshape(len(d_flat), -1, self.cfg.window)
+        d_feats = d_flat.reshape(len(d_flat), -1, self.window)
         for conv in reversed(self.convs):
             d_feats = conv.backward(d_feats)
         return d_feats[:, 0, :]
@@ -197,15 +200,13 @@ class GatedAttentionModel:
 
     def __init__(self, reg_cfg: RegressionConfig, cls_cfg: ClassificationConfig,
                  appliance: str = "", rng=None, dtype=np.float32):
-        if reg_cfg.window != cls_cfg.window:
-            raise ValueError("both subnetworks must share the same window length")
         self.reg_cfg = reg_cfg
         self.cls_cfg = cls_cfg
         self.appliance = appliance
         self.dtype = np.dtype(dtype)
         self.norm_meta = None
         self.regression = RegressionNet(reg_cfg, rng, dtype)
-        self.classification = ClassificationNet(cls_cfg, rng, dtype)
+        self.classification = ClassificationNet(cls_cfg, reg_cfg.window, rng, dtype)
         size = sum(p.n_params for p in self.all_params())
         # np.zeros leaves its pages untouched until written, and a zero model
         # copies nothing in, so a checkpoint load writes each page once.
@@ -223,17 +224,15 @@ class GatedAttentionModel:
         self._gate_cache = None
 
     @classmethod
-    def init(cls, reg_cfg, cls_cfg=None, appliance="", seed=0, dtype=np.float32):
+    def init(cls, reg_cfg, cls_cfg=ClassificationConfig(), appliance="", seed=0,
+             dtype=np.float32):
         """Randomly initialized model; a fixed seed fixes every weight."""
-        if cls_cfg is None:
-            cls_cfg = ClassificationConfig(window=reg_cfg.window)
         rng = np.random.default_rng(seed)
         return cls(reg_cfg, cls_cfg, appliance, rng=rng, dtype=dtype)
 
     @classmethod
-    def zeros(cls, reg_cfg, cls_cfg=None, appliance="", dtype=np.float32):
-        if cls_cfg is None:
-            cls_cfg = ClassificationConfig(window=reg_cfg.window)
+    def zeros(cls, reg_cfg, cls_cfg=ClassificationConfig(), appliance="",
+              dtype=np.float32):
         return cls(reg_cfg, cls_cfg, appliance, rng=None, dtype=dtype)
 
     @property

@@ -362,11 +362,9 @@ class LSTMCell:
             u = np.zeros((4 * h, h), dtype=dtype)
             b = np.zeros(4 * h, dtype=dtype)
         else:
-            w = np.concatenate([
-                glorot_uniform(rng, (h, input_size), input_size, h, dtype)
-                for _ in range(4)])
-            u = np.concatenate([
-                glorot_uniform(rng, (h, h), h, h, dtype) for _ in range(4)])
+            # The four gate blocks share one limit, so one draw covers them.
+            w = glorot_uniform(rng, (4 * h, input_size), input_size, h, dtype)
+            u = glorot_uniform(rng, (4 * h, h), h, h, dtype)
             b = np.zeros(4 * h, dtype=dtype)
             b[h:2 * h] = 1.0
         self.params = LayerParams(name, {"W": w, "U": u, "b": b})
@@ -438,7 +436,10 @@ class BiLSTM:
     The forward keeps tanh(c) only in a (2, B, H) step buffer; the backward
     recomputes np.tanh(cells[:, s]), which rounds as the forward's did, so
     the (2, T, B, H) trajectory of tanh(c) is never cached (the trade of
-    Chen et al. 2016, arXiv:1604.06174).
+    Chen et al. 2016, arXiv:1604.06174). Nor is the hidden trajectory: the
+    cache holds the (B, T, 2H) output, the array the attention layer above
+    caches too, and the backward copies each direction's dU operand out of
+    it, so the model holds the BiLSTM's output once.
 
     The cell equations are the ones LSTMCell.step uses, so the layer equals
     an unrolled composition of the two cells' steps.
@@ -487,18 +488,19 @@ class BiLSTM:
                 z += np.matmul(hidden[:, s - 1], u_t, out=recurrent)
             _lstm_gates(z, cells[:, s - 1] if s else zeros, cells[:, s], tanh_c,
                         hidden[:, s])
-        self._cache = (xs, w, gates, cells, hidden) if cache else None
         out = np.empty((b_sz, steps, 2 * hs), dtype=gates.dtype)
-        return np.concatenate([hidden[0].transpose(1, 0, 2),
-                               hidden[1, ::-1].transpose(1, 0, 2)], axis=2, out=out)
+        np.concatenate([hidden[0].transpose(1, 0, 2),
+                        hidden[1, ::-1].transpose(1, 0, 2)], axis=2, out=out)
+        self._cache = (xs, w, gates, cells, out) if cache else None
+        return out
 
     def backward(self, d_out):
         """d_out: (B, T, 2H) -> gradient w.r.t. the input sequence."""
-        xs, w, gates, cells, hidden = _take_cache(self, self.name)
-        _, steps, b_sz, hs = hidden.shape
-        if d_out.shape != (b_sz, steps, 2 * hs):
+        xs, w, gates, cells, out = _take_cache(self, self.name)
+        _, steps, b_sz, hs = cells.shape
+        if d_out.shape != out.shape:
             raise ShapeError(f"bilstm: upstream shape {d_out.shape} does not match "
-                             f"{(b_sz, steps, 2 * hs)}")
+                             f"{out.shape}")
         u = self._stacked("U")
         zeros = np.zeros((2, b_sz, hs), dtype=gates.dtype)
         d_h, d_c = zeros.copy(), zeros
@@ -516,12 +518,16 @@ class BiLSTM:
                 np.matmul(gates[:, s], u, out=d_h)
         d_z = gates
         flat_d_z = d_z.reshape(2, steps * b_sz, 4 * hs)
+        # The h each direction's steps 1..T-1 read, from the output: times
+        # 0..T-2 forward and T-1..1 backward.
+        h_read = (out[:, :-1, :hs], out[:, :0:-1, hs:])
         for k, cell in enumerate((self.fw, self.bw)):
             grads = cell.params.grads
             np.matmul(flat_d_z[k].T, xs[k], out=grads["W"])
-            # Every step but the first against the h it read: views, no copies.
-            np.matmul(d_z[k, 1:].reshape(-1, 4 * hs).T, hidden[k, :-1].reshape(-1, hs),
-                      out=grads["U"])
+            # Every step but the first against the h it read, copied to one
+            # contiguous ((T-1)*B, H) operand in step order.
+            np.matmul(d_z[k, 1:].reshape(-1, 4 * hs).T,
+                      h_read[k].transpose(1, 0, 2).reshape(-1, hs), out=grads["U"])
             np.sum(flat_d_z[k], axis=0, out=grads["b"])
         d_xs = (flat_d_z @ w).reshape(2, steps, b_sz, -1)
         return np.add(d_xs[0].transpose(1, 0, 2), d_xs[1, ::-1].transpose(1, 0, 2),
@@ -662,10 +668,11 @@ class SgdNesterov:
     pair of the same shape. The step updates weights and the velocity in
     place and only reads grads, which are expected to hold the mini-batch
     mean that the last backward wrote. With mu = 0 the update is exactly
-    plain gradient descent at the same rate.
+    plain gradient descent at the same rate. base_lr, momentum and decay
+    have no defaults here: training.TrainConfig holds them.
     """
 
-    def __init__(self, weights, grads, base_lr=0.01, momentum=0.9, decay=1e-6):
+    def __init__(self, weights, grads, base_lr, momentum, decay):
         self.weights, self.grads = weights, grads
         self.velocity = np.zeros_like(self.weights)
         # Two block buffers: lr * g, and the weight update.
@@ -717,12 +724,14 @@ def randomize_biases(param_list, rng):
                 w += rng.uniform(-0.2, 0.2, size=w.shape).astype(w.dtype)
 
 
-def gradient_check(param_list, loss_fn, grad_fn, step=1e-5, tol=1e-4):
+def gradient_check(param_list, loss_fn, grad_fn, step, tol):
     """Compare analytic gradients with central finite differences.
 
     loss_fn() evaluates the scalar loss at the current parameter values;
     grad_fn() runs forward and backward, which writes every gradient of
-    param_list. Perturbation and comparison happen entry by entry in
+    param_list. step is the finite-difference step and tol the largest
+    relative error that passes (the `nilmnet gradcheck` flags hold their
+    defaults). Perturbation and comparison happen entry by entry in
     64-bit, so the caller should build the model in float64.
 
     Returns one GradCheckEntry per parameter group of param_list.

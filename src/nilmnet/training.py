@@ -19,9 +19,8 @@ import numpy as np
 
 from . import nn
 from .errors import DataError, NumericalError
-from .model import ClassificationConfig, GatedAttentionModel, RegressionConfig
-
-VAL_CHUNK = 256
+from .model import (INFERENCE_BATCH, ClassificationConfig, GatedAttentionModel,
+                    RegressionConfig)
 
 GRID_F = (16, 32, 64)
 GRID_K = (4, 8, 16)
@@ -30,13 +29,15 @@ GRID_H = (256, 512, 1024)
 
 @dataclass
 class TrainConfig:
-    """Settings of one training run.
+    """Settings of one training run, and the one home of their defaults.
 
-    train() reads batch_size, max_epochs, base_lr, momentum, decay,
-    patience and seed (the shuffle; grid_search and `nilmnet train` also
-    seed the model initialization with it). val_fraction and window_stride
-    are not read by train(): `nilmnet train` applies them when it builds the
-    window sets, as the split_train_val fraction and the sliding_windows hop.
+    train() reads batch_size, max_epochs, patience and seed (the shuffle;
+    grid_search and `nilmnet train` also seed the model initialization with
+    it), and hands base_lr, momentum and decay to nn.SgdNesterov, which has
+    no defaults of its own. val_fraction and window_stride are not read by
+    train(): `nilmnet train` applies them when it builds the window sets, as
+    the split_train_val fraction (again without a default there) and the
+    sliding_windows hop.
     """
     batch_size: int = 32
     max_epochs: int = 100
@@ -82,10 +83,10 @@ class TrainRecord:
 
 
 def _epoch_loss(model, ws):
-    """Mean joint loss over a window set, evaluated in chunks."""
+    """Mean joint loss over a window set, evaluated in inference batches."""
     total = 0.0
-    for lo in range(0, len(ws), VAL_CHUNK):
-        hi = min(lo + VAL_CHUNK, len(ws))
+    for lo in range(0, len(ws), INFERENCE_BATCH):
+        hi = min(lo + INFERENCE_BATCH, len(ws))
         loss = model.batch_loss(ws.inputs[lo:hi], ws.targets[lo:hi],
                                 ws.states[lo:hi])
         total += loss * (hi - lo)
@@ -161,11 +162,13 @@ class GridResult:
     leaderboard: list
 
 
-def grid_search(train_ws, val_ws, window, cfg: TrainConfig,
-                f_values=GRID_F, k_values=GRID_K, h_values=GRID_H,
-                appliance="", cls_cfg=None) -> GridResult:
-    """Exhaustive search over (filters, kernel, hidden) for the regression net.
+def grid_search(train_ws, val_ws, cfg: TrainConfig, filters=GRID_F,
+                kernel=GRID_K, hidden=GRID_H, appliance="",
+                cls_cfg=ClassificationConfig()) -> GridResult:
+    """Exhaustive search over the regression net's filters, kernel and hidden.
 
+    The grid keywords are RegressionConfig's field names, each a sequence of
+    values to try; the window is the one the window sets were cut with.
     Every grid point trains a fresh model from the same seed on the same
     windows; the classification table is held fixed. Points are ranked by
     best validation loss, ties broken by smaller parameter count and then
@@ -173,12 +176,10 @@ def grid_search(train_ws, val_ws, window, cfg: TrainConfig,
     in parallel; this implementation trains them sequentially.
     """
     # Every point is checked before the first one trains.
-    points = [RegressionConfig(window=window, filters=f, kernel=k, hidden=h)
-              for f, k, h in itertools.product(f_values, k_values, h_values)]
+    points = [RegressionConfig(window=train_ws.window, filters=f, kernel=k, hidden=h)
+              for f, k, h in itertools.product(filters, kernel, hidden)]
     if not points:
         raise DataError("hyperparameter grid is empty")
-    if cls_cfg is None:
-        cls_cfg = ClassificationConfig(window=window)
     leaderboard = []
     best_key = best = None
     for index, reg_cfg in enumerate(points):

@@ -159,7 +159,7 @@ def test_criterion_4_gating_bit_exact():
     ok = True
     for seed in range(20):
         reg = RegressionConfig(window=16, filters=2, kernel=4, hidden=3)
-        cls_cfg = ClassificationConfig(window=16, filters=(3, 3, 4, 5, 5, 5),
+        cls_cfg = ClassificationConfig(filters=(3, 3, 4, 5, 5, 5),
                                        kernels=(10, 8, 6, 5, 5, 5),
                                        dense_units=16)
         dtype = np.float32 if seed % 2 else np.float64
@@ -390,8 +390,7 @@ def test_criterion_10_checkpoint_round_trip(tmp_path):
                                filters=int(rng.integers(1, 4)),
                                kernel=int(rng.integers(1, 6)),
                                hidden=int(rng.integers(1, 5)))
-        cls_cfg = ClassificationConfig(window=reg.window,
-                                       filters=(2, 2, 3, 3, 3, 3),
+        cls_cfg = ClassificationConfig(filters=(2, 2, 3, 3, 3, 3),
                                        kernels=(10, 8, 6, 5, 5, 5),
                                        dense_units=8)
         model = GatedAttentionModel.init(reg, cls_cfg, appliance=f"a{seed}",

@@ -24,7 +24,7 @@ def random_model(seed):
     reg = RegressionConfig(window=window, filters=int(rng.integers(1, 4)),
                            kernel=int(rng.integers(1, 6)),
                            hidden=int(rng.integers(1, 5)))
-    cls_cfg = ClassificationConfig(window=window, filters=(2, 2, 3, 3, 3, 3),
+    cls_cfg = ClassificationConfig(filters=(2, 2, 3, 3, 3, 3),
                                    kernels=(10, 8, 6, 5, 5, 5), dense_units=8)
     model = GatedAttentionModel.init(reg, cls_cfg, appliance=f"app{seed}",
                                      seed=seed)
@@ -38,7 +38,7 @@ def random_model(seed):
 def checkpoint_header(window=128, filters=32, kernel=8, hidden=2048,
                       cls_window=None, dense_units=None, n_tensors=37):
     """A v1 header with default classification layers and no tensors after it."""
-    cls_cfg = ClassificationConfig(window=window)
+    cls_cfg = ClassificationConfig()
     parts = [ckpt.MAGIC, struct.pack("<II", ckpt.VERSION, 1), b"x",
              struct.pack("<4I", window, filters, kernel, hidden),
              struct.pack("<II", window if cls_window is None else cls_window,
@@ -59,8 +59,7 @@ def criterion_10_configs():
                                filters=int(rng.integers(1, 4)),
                                kernel=int(rng.integers(1, 6)),
                                hidden=int(rng.integers(1, 5)))
-        yield reg, ClassificationConfig(window=reg.window,
-                                        filters=(2, 2, 3, 3, 3, 3),
+        yield reg, ClassificationConfig(filters=(2, 2, 3, 3, 3, 3),
                                         kernels=(10, 8, 6, 5, 5, 5),
                                         dense_units=8)
 
@@ -72,7 +71,7 @@ class TestParameterCount:
         (RegressionConfig(window=128, filters=32, kernel=8, hidden=512), None),
     ])
     def test_matches_built_model(self, reg, cls_cfg):
-        cls_cfg = cls_cfg or ClassificationConfig(window=reg.window)
+        cls_cfg = cls_cfg or ClassificationConfig()
         model = GatedAttentionModel.zeros(reg, cls_cfg)
         assert parameter_count(reg, cls_cfg) == model.n_params
 
@@ -209,13 +208,55 @@ class TestFormatGuards:
 
 def small_checkpoint_bytes(tmp_path):
     reg = RegressionConfig(window=8, filters=1, kernel=2, hidden=1)
-    cls_cfg = ClassificationConfig(window=8, filters=(1,) * 6,
+    cls_cfg = ClassificationConfig(filters=(1,) * 6,
                                    kernels=(10, 8, 6, 5, 5, 5), dense_units=2)
     model = GatedAttentionModel.init(reg, cls_cfg, appliance="kettle", seed=3)
     model.norm_meta = NormalizationMeta(200.0, 300.0, 0.0, 2500.0)
     path = tmp_path / "small.ckpt"
     ckpt.save_checkpoint(path, model)
     return path.read_bytes()
+
+
+class TestV1Layout:
+    """save_checkpoint writes the v1 layout of the module docstring, byte
+    for byte, with the model's one window in the classification slot."""
+
+    TENSORS = ([f"reg.conv{i}.{key}" for i in range(1, 5) for key in "Wb"]
+               + [f"reg.bilstm.{d}.{key}" for d in ("fw", "bw") for key in "WUb"]
+               + ["reg.attn.W", "reg.attn.b", "reg.attn.v"]
+               + [f"reg.fc{i}.{key}" for i in (1, 2) for key in "Wb"]
+               + [f"cls.conv{i}.{key}" for i in range(1, 7) for key in "Wb"]
+               + [f"cls.fc{i}.{key}" for i in (1, 2) for key in "Wb"])
+
+    @pytest.mark.parametrize("with_meta", [True, False])
+    def test_bytes_match_hand_built_layout(self, tmp_path, with_meta):
+        reg = RegressionConfig(window=8, filters=1, kernel=2, hidden=1)
+        cls_cfg = ClassificationConfig(filters=(1, 2, 1, 1, 1, 1),
+                                       kernels=(10, 8, 6, 5, 5, 5), dense_units=2)
+        model = GatedAttentionModel.init(reg, cls_cfg, appliance="kettle", seed=3)
+        if with_meta:
+            model.norm_meta = NormalizationMeta(200.0, 300.0, 0.0, 2500.0)
+        want = [b"LDWA", struct.pack("<I", 1), struct.pack("<I", 6), b"kettle",
+                struct.pack("<4I", 8, 1, 2, 1),
+                struct.pack("<II", 8, 6),
+                struct.pack("<12I", 1, 10, 2, 8, 1, 6, 1, 5, 1, 5, 1, 5),
+                struct.pack("<I", 2)]
+        if with_meta:
+            want.append(struct.pack("<B4d", 1, 200.0, 300.0, 0.0, 2500.0))
+        else:
+            want.append(b"\x00")
+        weights = {f"{p.name}.{key}": w
+                   for p in model.all_params() for key, w in p.weights.items()}
+        assert list(weights) == self.TENSORS
+        want.append(struct.pack("<I", len(self.TENSORS)))
+        for name in self.TENSORS:
+            w = weights[name]
+            want += [struct.pack("<I", len(name)), name.encode("ascii"),
+                     struct.pack(f"<{1 + w.ndim}I", w.ndim, *w.shape),
+                     w.astype("<f4").tobytes()]
+        path = tmp_path / "v1.ckpt"
+        ckpt.save_checkpoint(path, model)
+        assert path.read_bytes() == b"".join(want)
 
 
 class TestCorruption:

@@ -15,7 +15,7 @@ from nilmnet import cli, data, evaluation as ev
 from nilmnet.checkpoint import load_checkpoint, save_checkpoint
 from nilmnet.errors import DataError
 from nilmnet.model import RegressionConfig
-from nilmnet.training import TrainConfig
+from nilmnet.training import TrainConfig, grid_search
 
 from oracles import write_attention_csv_direct
 from test_checkpoint import checkpoint_header
@@ -420,6 +420,7 @@ class TestEdgeInputs:
         (["synth", "--duration-scale", "-5"], CONFIG),
         (["synth", "--duration-scale", "nan"], CONFIG),
         (["gradcheck", "--step", "0"], None),
+        (["gradcheck", "--step", "inf"], None),
         (["gradcheck", "--seed", "-1"], None),
         (["gradcheck", "--cls-dense", "0"], None),
         (["gradcheck", "--cls-dense", "-3"], None),
@@ -427,7 +428,7 @@ class TestEdgeInputs:
         (["gradcheck", "--tol", "-1"], None),
     ], ids=["synth-period-0", "synth-noise-negative", "synth-seed-negative",
             "synth-config-seed-negative", "synth-duration-scale-negative",
-            "synth-duration-scale-nan", "gradcheck-step-0",
+            "synth-duration-scale-nan", "gradcheck-step-0", "gradcheck-step-inf",
             "gradcheck-seed-negative", "gradcheck-cls-dense-0",
             "gradcheck-cls-dense-negative", "gradcheck-tol-nan",
             "gradcheck-tol-negative"])
@@ -555,6 +556,23 @@ class TestRunConfig:
         path.write_text(CONFIG + "\n[grid]\nfilters = 2,4\nkernel = 4\nhidden = 2\n")
         cfg = cli.load_run_config(path)
         assert cfg.grid == {"filters": [2, 4], "kernel": [4], "hidden": [2]}
+
+    def test_one_grid_vocabulary(self, tmp_path):
+        """[grid] keys, --grid keys and grid_search's grid keywords are all
+        RegressionConfig's searched field names."""
+        names = {f.name for f in fields(RegressionConfig)} - {"window"}
+        assert names == {"filters", "kernel", "hidden"}
+        path = tmp_path / "run.ini"
+        path.write_text(CONFIG + "\n[grid]\nfilters = 2\nkernel = 4\nhidden = 2\n")
+        assert set(cli.load_run_config(path).grid) == names
+        path.write_text(CONFIG + "\n[grid]\nf_values = 2\n")
+        with pytest.raises(DataError, match="allowed: filters, hidden, kernel"):
+            cli.load_run_config(path)
+        assert set(cli.parse_grid_flag("F=2;K=4;H=2")) == names
+        keywords = {name for name, param in
+                    inspect.signature(grid_search).parameters.items()
+                    if isinstance(param.default, tuple)}
+        assert keywords == names
 
     def test_grid_flag_parser(self):
         grid = cli.parse_grid_flag("F=16,32;K=4;H=256,512")

@@ -210,7 +210,7 @@ class TestDisaggregate:
     @staticmethod
     def zero_model(window=16):
         reg = RegressionConfig(window=window, filters=2, kernel=4, hidden=3)
-        cls_cfg = ClassificationConfig(window=window, filters=(3, 3, 4, 5, 5, 5),
+        cls_cfg = ClassificationConfig(filters=(3, 3, 4, 5, 5, 5),
                                        kernels=(10, 8, 6, 5, 5, 5), dense_units=16)
         model = GatedAttentionModel.zeros(reg, cls_cfg, appliance="toy")
         model.norm_meta = data.NormalizationMeta(10.0, 2.0, 0.0, 100.0)
@@ -247,7 +247,7 @@ class TestDisaggregate:
 
     def test_attention_export_shape_and_sums(self):
         reg = RegressionConfig(window=16, filters=2, kernel=4, hidden=3)
-        cls_cfg = ClassificationConfig(window=16, filters=(3, 3, 4, 5, 5, 5),
+        cls_cfg = ClassificationConfig(filters=(3, 3, 4, 5, 5, 5),
                                        kernels=(10, 8, 6, 5, 5, 5), dense_units=16)
         model = GatedAttentionModel.init(reg, cls_cfg, appliance="toy", seed=5)
         model.norm_meta = data.NormalizationMeta(10.0, 2.0, 0.0, 100.0)
@@ -262,7 +262,7 @@ class TestDisaggregate:
 
     def test_keeps_no_backward_caches(self):
         reg = RegressionConfig(window=16, filters=2, kernel=4, hidden=3)
-        cls_cfg = ClassificationConfig(window=16, filters=(3, 3, 4, 5, 5, 5),
+        cls_cfg = ClassificationConfig(filters=(3, 3, 4, 5, 5, 5),
                                        kernels=(10, 8, 6, 5, 5, 5), dense_units=16)
         model = GatedAttentionModel.init(reg, cls_cfg, appliance="toy", seed=5)
         model.norm_meta = data.NormalizationMeta(10.0, 2.0, 0.0, 100.0)
@@ -277,7 +277,7 @@ class TestDisaggregate:
 
     def test_non_finite_model_output_raises(self):
         reg = RegressionConfig(window=16, filters=2, kernel=4, hidden=3)
-        cls_cfg = ClassificationConfig(window=16, filters=(3, 3, 4, 5, 5, 5),
+        cls_cfg = ClassificationConfig(filters=(3, 3, 4, 5, 5, 5),
                                        kernels=(10, 8, 6, 5, 5, 5), dense_units=16)
         model = GatedAttentionModel.init(reg, cls_cfg, appliance="toy", seed=5)
         model.norm_meta = data.NormalizationMeta(10.0, 2.0, 0.0, 100.0)

@@ -20,7 +20,7 @@ from conftest import traced_peak
 from oracles import finite_difference, max_rel_err
 
 TOY_REG = RegressionConfig(window=16, filters=2, kernel=4, hidden=3)
-TOY_CLS = ClassificationConfig(window=16, filters=(3, 3, 4, 5, 5, 5),
+TOY_CLS = ClassificationConfig(filters=(3, 3, 4, 5, 5, 5),
                                kernels=(10, 8, 6, 5, 5, 5), dense_units=16)
 
 
@@ -148,10 +148,6 @@ class TestForward:
         with pytest.raises(ShapeError, match=r"\(B, 16\)"):
             model.forward(np.zeros(16))
 
-    def test_mismatched_subnetwork_windows_raise(self):
-        with pytest.raises(ValueError):
-            GatedAttentionModel.zeros(TOY_REG, ClassificationConfig(window=32))
-
 
 class TestJointLoss:
     def test_zero_targets_zero_output_half_state_is_ln2(self):
@@ -174,7 +170,7 @@ class TestJointLoss:
 
     def test_full_model_gradients_match_finite_differences(self):
         reg = RegressionConfig(window=8, filters=2, kernel=3, hidden=2)
-        cls_cfg = ClassificationConfig(window=8, filters=(2, 2, 2, 2, 2, 2),
+        cls_cfg = ClassificationConfig(filters=(2, 2, 2, 2, 2, 2),
                                        kernels=(10, 8, 6, 5, 5, 5), dense_units=8)
         model = GatedAttentionModel.init(reg, cls_cfg, seed=21, dtype=np.float64)
         rng = np.random.default_rng(22)
@@ -202,7 +198,7 @@ class TestParameterCounts:
         # fc1 1024*(50*128)+1024, fc2 128*1024+128
         model = GatedAttentionModel.zeros(
             RegressionConfig(window=128, filters=2, kernel=4, hidden=2),
-            ClassificationConfig(window=128))
+            ClassificationConfig())
         count = sum(p.n_params for p in model.classification.param_list)
         assert count == 6_735_774
 
@@ -211,7 +207,7 @@ class TestParameterCounts:
         for seed in range(3):
             model = GatedAttentionModel.init(
                 RegressionConfig(window=32, filters=2, kernel=4, hidden=2),
-                ClassificationConfig(window=32), seed=seed)
+                ClassificationConfig(), seed=seed)
             counts.add(sum(p.n_params for p in model.classification.param_list))
         assert len(counts) == 1
 
@@ -234,7 +230,8 @@ class TestParameterArena:
     def test_optimizer_copies_nothing_and_restore_is_bit_exact(self):
         model = toy_model(6)
         weights, grads = model.weights, model.grads
-        opt = nn.SgdNesterov(model.weights, model.grads, base_lr=0.05)
+        opt = nn.SgdNesterov(model.weights, model.grads, base_lr=0.05,
+                             momentum=0.9, decay=1e-6)
         assert opt.weights is weights and opt.grads is grads
         saved = model.snapshot_weights()
         assert not np.shares_memory(saved, weights)
@@ -278,7 +275,7 @@ class TestTrainStepMemory:
     REG = RegressionConfig(window=32, filters=4, kernel=4, hidden=16)
     # A wide classification layer keeps numpy's few kB of cached small
     # blocks under 1% of the model.
-    CLS = ClassificationConfig(window=32, filters=(3, 3, 4, 5, 5, 5),
+    CLS = ClassificationConfig(filters=(3, 3, 4, 5, 5, 5),
                                kernels=(10, 8, 6, 5, 5, 5), dense_units=2048)
     BATCH = 16
 

@@ -315,7 +315,8 @@ class TestSgdNesterov:
 
     def test_zero_gradient_leaves_params_unchanged(self):
         weights = np.ones(4)
-        opt = nn.SgdNesterov(weights, np.zeros(4), base_lr=0.1, momentum=0.9)
+        opt = nn.SgdNesterov(weights, np.zeros(4), base_lr=0.1, momentum=0.9,
+                             decay=1e-6)
         for _ in range(5):
             opt.step()
         np.testing.assert_array_equal(weights, np.ones(4))
@@ -336,19 +337,22 @@ class TestSgdNesterov:
     def test_step_leaves_grads_bit_identical(self):
         grads = np.random.default_rng(13).normal(size=nn.STEP_BLOCK + 5)
         before = grads.tobytes()
-        opt = nn.SgdNesterov(np.ones_like(grads), grads)
+        opt = nn.SgdNesterov(np.ones_like(grads), grads, base_lr=0.01, momentum=0.9,
+                             decay=1e-6)
         for _ in range(2):
             opt.step()
             assert grads.tobytes() == before
 
     def test_decay_schedule_exact(self):
-        opt = nn.SgdNesterov(np.zeros(1), np.zeros(1), base_lr=0.01, decay=1e-6)
+        opt = nn.SgdNesterov(np.zeros(1), np.zeros(1), base_lr=0.01, momentum=0.9,
+                             decay=1e-6)
         for k in range(100):
             assert opt.effective_lr == 0.01 / (1.0 + 1e-6 * k)
             opt.step()
 
     def test_lr_non_increasing(self):
-        opt = nn.SgdNesterov(np.zeros(1), np.zeros(1), base_lr=0.01, decay=1e-4)
+        opt = nn.SgdNesterov(np.zeros(1), np.zeros(1), base_lr=0.01, momentum=0.9,
+                             decay=1e-4)
         last = np.inf
         for _ in range(50):
             lr = opt.effective_lr
@@ -379,7 +383,8 @@ class TestGradientCheckHarness:
 
     def test_linear_dense_passes_tight_tolerance(self):
         layer, loss_fn, grad_fn = self._dense_setup()
-        report = nn.gradient_check([layer.params], loss_fn, grad_fn, tol=1e-10)
+        report = nn.gradient_check([layer.params], loss_fn, grad_fn, step=1e-5,
+                                   tol=1e-10)
         assert all(entry.ok for entry in report)
 
     def test_corrupted_gradient_is_flagged(self):
@@ -391,6 +396,6 @@ class TestGradientCheckHarness:
             return loss
 
         report = nn.gradient_check([layer.params], loss_fn, corrupted_grad_fn,
-                                   tol=1e-6)
+                                   step=1e-5, tol=1e-6)
         by_name = {entry.name: entry for entry in report}
         assert not by_name["d"].ok

@@ -152,6 +152,18 @@ class TestLSTMCell:
         assert np.max(np.abs(h[0] - h_ref)) < 1e-10
         assert np.max(np.abs(c[0] - c_ref)) < 1e-10
 
+    @pytest.mark.parametrize("d,hs", [(32, 512), (8, 32), (1, 3)])
+    def test_init_equals_four_gate_block_draws(self, d, hs):
+        # Reference: W and U drawn as four (H, .) gate blocks each, joined.
+        rng = np.random.default_rng(17)
+        w = np.concatenate([nn.glorot_uniform(rng, (hs, d), d, hs, np.float32)
+                            for _ in range(4)])
+        u = np.concatenate([nn.glorot_uniform(rng, (hs, hs), hs, hs, np.float32)
+                            for _ in range(4)])
+        cell = nn.LSTMCell("l", d, hs, rng=np.random.default_rng(17))
+        assert cell.params.weights["W"].tobytes() == w.tobytes()
+        assert cell.params.weights["U"].tobytes() == u.tobytes()
+
     def test_bad_state_shape_raises(self):
         cell = nn.LSTMCell("l", 1, 2)
         with pytest.raises(nn.ShapeError):

@@ -11,7 +11,7 @@ from nilmnet.errors import DataError, NumericalError
 from nilmnet.model import ClassificationConfig, GatedAttentionModel, RegressionConfig
 from nilmnet.training import TrainConfig, grid_search, train
 
-TOY_CLS = ClassificationConfig(window=16, filters=(3, 3, 4, 5, 5, 5),
+TOY_CLS = ClassificationConfig(filters=(3, 3, 4, 5, 5, 5),
                                kernels=(10, 8, 6, 5, 5, 5), dense_units=16)
 
 
@@ -145,16 +145,16 @@ class TestGridSearch:
     def test_single_point_grid_returns_it(self):
         train_ws, val_ws = toy_windows()
         cfg = TrainConfig(max_epochs=2, patience=2, seed=8)
-        result = grid_search(train_ws, val_ws, 16, cfg, f_values=[2],
-                             k_values=[4], h_values=[3], cls_cfg=TOY_CLS)
+        result = grid_search(train_ws, val_ws, cfg, filters=[2], kernel=[4],
+                             hidden=[3], cls_cfg=TOY_CLS)
         assert result.best_config == RegressionConfig(16, 2, 4, 3)
         assert len(result.leaderboard) == 1
 
     def test_duplicate_point_tie_breaks_to_first(self):
         train_ws, val_ws = toy_windows()
         cfg = TrainConfig(max_epochs=2, patience=2, seed=9)
-        result = grid_search(train_ws, val_ws, 16, cfg, f_values=[2, 2],
-                             k_values=[4], h_values=[3], cls_cfg=TOY_CLS)
+        result = grid_search(train_ws, val_ws, cfg, filters=[2, 2], kernel=[4],
+                             hidden=[3], cls_cfg=TOY_CLS)
         losses = [entry[1] for entry in result.leaderboard]
         assert losses[0] == losses[1]
         assert result.best_config == result.leaderboard[0][0]
@@ -163,8 +163,8 @@ class TestGridSearch:
         train_ws, val_ws = toy_windows(n_samples=240)
         cfg = TrainConfig(max_epochs=8, patience=8, seed=10,
                           base_lr=0.05, batch_size=16)
-        result = grid_search(train_ws, val_ws, 16, cfg, f_values=[1, 4],
-                             k_values=[4], h_values=[1, 8], cls_cfg=TOY_CLS)
+        result = grid_search(train_ws, val_ws, cfg, filters=[1, 4], kernel=[4],
+                             hidden=[1, 8], cls_cfg=TOY_CLS)
         # leaderboard points: (1,4,1), (1,4,8), (4,4,1), (4,4,8)
         assert result.best_config.filters == 4
         assert result.best_config.hidden == 8
@@ -182,8 +182,8 @@ class TestGridSearch:
 
         monkeypatch.setattr(training, "train", tracking_train)
         cfg = TrainConfig(max_epochs=1, patience=1, seed=8)
-        result = grid_search(train_ws, val_ws, 16, cfg, f_values=[1, 2],
-                             k_values=[4], h_values=[1, 2], cls_cfg=TOY_CLS)
+        result = grid_search(train_ws, val_ws, cfg, filters=[1, 2], kernel=[4],
+                             hidden=[1, 2], cls_cfg=TOY_CLS)
         assert alive_at_start == [0, 1, 1, 1]
         assert len(result.leaderboard) == 4
         assert any(ref() is result.best_model for ref in earlier)
@@ -191,5 +191,5 @@ class TestGridSearch:
     def test_empty_grid_rejected(self):
         train_ws, val_ws = toy_windows()
         with pytest.raises(DataError, match="grid"):
-            grid_search(train_ws, val_ws, 16, TrainConfig(), f_values=[],
-                        k_values=[4], h_values=[3], cls_cfg=TOY_CLS)
+            grid_search(train_ws, val_ws, TrainConfig(), filters=[], kernel=[4],
+                        hidden=[3], cls_cfg=TOY_CLS)
