@@ -394,75 +394,113 @@ def make_state_sequence(appliance: PowerSeries, spec: ApplianceSpec):
     return state.astype(np.int8)
 
 
+def _window_view(series, window):
+    """(T - window + 1, window) read-only view of a 1-D series; (0, window)
+    when the series is shorter than one window."""
+    if series.size < window:
+        return np.empty((0, window), dtype=series.dtype)
+    return np.lib.stride_tricks.sliding_window_view(series, window)
+
+
 @dataclass
 class WindowSet:
-    """Aligned (input, target, state) windows with their start offsets."""
-    inputs: np.ndarray    # (N, L) aggregate watts (or standardized values)
-    targets: np.ndarray   # (N, L) appliance watts (or normalized values)
-    states: np.ndarray    # (N, L) binary labels
+    """Windows over three aligned 1-D series: window i is samples
+    starts[i] .. starts[i] + window - 1 of each series.
+
+    The set holds the series and the (N,) starts, not N x L values, so
+    selecting and normalizing windows costs O(samples) however many windows
+    overlap. batch(indices) gathers the (B, L) rows of a mini-batch; the
+    inputs, targets and states properties gather all N rows on every
+    access, for callers that want the (N, L) arrays whole.
+    """
+    x: np.ndarray         # (T,) aggregate watts (or standardized values)
+    y: np.ndarray         # (T,) appliance watts (or normalized values)
+    s: np.ndarray         # (T,) binary labels
+    window: int
     starts: np.ndarray    # (N,) start sample of each window
 
     def __len__(self):
-        return self.inputs.shape[0]
+        return self.starts.size
+
+    def _rows(self, series, indices=slice(None)):
+        return _window_view(series, self.window)[self.starts[indices]]
+
+    def batch(self, indices):
+        """(inputs, targets, states) of the windows at indices, each (B, L)."""
+        return tuple(self._rows(series, indices)
+                     for series in (self.x, self.y, self.s))
 
     @property
-    def window(self):
-        return self.inputs.shape[1]
+    def inputs(self):
+        return self._rows(self.x)
+
+    @property
+    def targets(self):
+        return self._rows(self.y)
+
+    @property
+    def states(self):
+        return self._rows(self.s)
 
     def take(self, indices):
-        return WindowSet(self.inputs[indices], self.targets[indices],
-                         self.states[indices], self.starts[indices])
+        """The windows at indices, over the same series."""
+        return replace(self, starts=self.starts[indices])
+
+
+def _positive_int(value):
+    return isinstance(value, (int, np.integer)) and value >= 1
 
 
 def sliding_windows(x, y, s, window, hop=1) -> WindowSet:
     """All length-``window`` triples at the given hop; window i starts at i*hop.
 
-    Series shorter than one window yield an empty set (with a warning).
+    Only the starts are made: the set keeps x, y and s as they are. window
+    and hop must be positive integers. Series shorter than one window yield
+    an empty set (with a warning).
     """
     x = np.asarray(x)
     y = np.asarray(y)
     s = np.asarray(s)
     if not (x.shape == y.shape == s.shape) or x.ndim != 1:
         raise DataError("input, target, and state series must be equal-length 1-D")
-    if hop < 1:
-        raise DataError("hop must be >= 1")
+    if not _positive_int(window):
+        raise DataError(f"window must be a positive integer, got {window!r}")
+    if not _positive_int(hop):
+        raise DataError(f"hop must be a positive integer, got {hop!r}")
     if x.size < window:
         log.warning("series of %d samples is shorter than one %d-sample window",
                     x.size, window)
-        empty = np.empty((0, window))
-        return WindowSet(empty, empty.copy(), empty.copy(),
-                         np.empty(0, dtype=np.int64))
-    view = np.lib.stride_tricks.sliding_window_view
-    return WindowSet(
-        view(x, window)[::hop],
-        view(y, window)[::hop],
-        view(s, window)[::hop],
-        np.arange(0, x.size - window + 1, hop, dtype=np.int64),
-    )
+    starts = np.arange(0, x.size - window + 1, hop, dtype=np.int64)
+    return WindowSet(x, y, s, int(window), starts)
 
 
 def normalize_windows(ws: WindowSet, meta: NormalizationMeta) -> WindowSet:
-    """Standardize inputs and min-max the targets; states pass through."""
-    return WindowSet(
-        standardize_input(ws.inputs, meta),
-        normalize_target(ws.targets, meta),
-        np.asarray(ws.states),
-        ws.starts,
-    )
+    """Standardize the input series and min-max the target series, once per
+    sample; the states and the starts pass through.
+
+    Normalizing is elementwise, so a window of the result holds the bytes
+    that standardize_input and normalize_target give for that raw window.
+    """
+    return replace(ws, x=standardize_input(ws.x, meta),
+                   y=normalize_target(ws.y, meta))
 
 
 def split_train_val(ws: WindowSet, val_fraction, gap_samples=0):
     """Contiguous tail split: the last fraction of windows is validation.
 
+    Both sets keep ws's series and differ in their starts only.
     val_fraction has no default here; TrainConfig.val_fraction holds it.
 
     gap_samples > 0 additionally drops trailing training windows so that
     every training window start is at least gap_samples + 1 samples before
     the first validation window start (gap_samples = window - 1 means no
-    sample is shared across the split).
+    sample is shared across the split). A negative gap is refused: it would
+    put validation windows into the training set.
     """
     if not 0.0 <= val_fraction < 1.0:
         raise DataError("val_fraction must be in [0, 1)")
+    if gap_samples < 0:
+        raise DataError(f"gap_samples must be >= 0, got {gap_samples}")
     n_val = int(round(val_fraction * len(ws)))
     if n_val == 0:
         return ws, ws.take(np.arange(0))

@@ -101,7 +101,6 @@ class RegressionNet:
     """Conv encoder, BiLSTM, attention unit, and dense decoder."""
 
     def __init__(self, cfg: RegressionConfig, rng, dtype):
-        self.cfg = cfg
         f, k, h = cfg.filters, cfg.kernel, cfg.hidden
         self.convs = [
             nn.Conv1D(f"reg.conv{i + 1}", 1 if i == 0 else f, f, k,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import isfinite
 
 import numpy as np
@@ -87,15 +87,26 @@ def _epoch_loss(model, ws):
     total = 0.0
     for lo in range(0, len(ws), INFERENCE_BATCH):
         hi = min(lo + INFERENCE_BATCH, len(ws))
-        loss = model.batch_loss(ws.inputs[lo:hi], ws.targets[lo:hi],
-                                ws.states[lo:hi])
-        total += loss * (hi - lo)
+        total += model.batch_loss(*ws.batch(slice(lo, hi))) * (hi - lo)
     return total / len(ws)
+
+
+def _in_model_dtype(ws, dtype):
+    """ws with its input and target series cast to dtype, once for the run.
+
+    forward and the loss would cast every gathered batch to the same
+    values, so the cast saves work and changes no result.
+    """
+    return replace(ws, x=ws.x.astype(dtype, copy=False),
+                   y=ws.y.astype(dtype, copy=False))
 
 
 def train(model: GatedAttentionModel, train_ws, val_ws, cfg: TrainConfig):
     """Optimize the model on normalized windows; returns (model, record).
 
+    The input and target series of both window sets are cast to
+    model.dtype once, before the first epoch, and every (B, L) batch is
+    gathered from them by WindowSet.batch, so no (N, L) array is built.
     Mini-batches are drawn in a seeded shuffle; validation loss is computed
     after every epoch with the identical joint loss. Training stops after
     `patience` epochs without validation improvement or at max_epochs, and
@@ -105,6 +116,8 @@ def train(model: GatedAttentionModel, train_ws, val_ws, cfg: TrainConfig):
     if len(train_ws) == 0:
         raise DataError("training set is empty")
     monitor_train = len(val_ws) == 0
+    train_ws = _in_model_dtype(train_ws, model.dtype)
+    val_ws = _in_model_dtype(val_ws, model.dtype)
     rng = np.random.default_rng(cfg.seed)
     optimizer = nn.SgdNesterov(model.weights, model.grads, cfg.base_lr,
                                cfg.momentum, cfg.decay)
@@ -119,9 +132,7 @@ def train(model: GatedAttentionModel, train_ws, val_ws, cfg: TrainConfig):
         epoch_total = 0.0
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
-            loss = model.train_step_grads(train_ws.inputs[batch],
-                                          train_ws.targets[batch],
-                                          train_ws.states[batch])
+            loss = model.train_step_grads(*train_ws.batch(batch))
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss {loss} in epoch {epoch} "

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nilmnet import data
 from nilmnet.errors import DataError
 
+from conftest import traced_peak
 from oracles import load_channel_csv_direct, write_channel_csv_direct
 
 
@@ -670,6 +672,45 @@ class TestSlidingWindows:
                 assert ws.targets[i, k] == y[t]
                 assert ws.states[i, k] == s[t]
 
+    @pytest.mark.parametrize("window, hop", [(0, 1), (-1, 1), (3, 2.5)])
+    def test_window_and_hop_must_be_positive_integers(self, window, hop):
+        with pytest.raises(DataError, match="must be a positive integer"):
+            data.sliding_windows(*self.toy(20), window=window, hop=hop)
+
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+               arrays(np.float64, n, elements=st.floats(0.0, 1e4)),
+               arrays(np.float64, n, elements=st.floats(0.0, 1e4)),
+               arrays(np.int8, n, elements=st.integers(0, 1)))),
+           st.integers(1, 12), st.integers(1, 5),
+           st.tuples(st.floats(-1e3, 1e4), st.floats(0.1, 1e3),
+                     st.floats(0.0, 100.0), st.floats(1.0, 1e4)),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_batches_are_series_slices_and_normalizing_commutes(
+            self, series3, window, hop, stats, pick):
+        x, y, s = series3
+        ws = data.sliding_windows(x, y, s, window, hop=hop)
+        picks = st.lists(st.integers(0, max(len(ws) - 1, 0)),
+                         max_size=8 if len(ws) else 0)
+        taken = ws.take(np.array(pick.draw(picks), dtype=np.intp))
+        rows = np.array(pick.draw(st.lists(st.integers(0, max(len(taken) - 1, 0)),
+                                           max_size=8 if len(taken) else 0)),
+                        dtype=np.intp)
+        inputs, targets, states = taken.batch(rows)
+        assert inputs.shape == targets.shape == states.shape == (rows.size, window)
+        for row, start in enumerate(taken.starts[rows]):
+            assert start % hop == 0 and start + window <= x.size
+            np.testing.assert_array_equal(inputs[row], x[start:start + window])
+            np.testing.assert_array_equal(targets[row], y[start:start + window])
+            np.testing.assert_array_equal(states[row], s[start:start + window])
+        mean, std, lo, width = stats
+        meta = data.NormalizationMeta(mean, std, lo, lo + width)
+        got = data.normalize_windows(taken, meta).batch(rows)
+        want = (data.standardize_input(inputs, meta),
+                data.normalize_target(targets, meta), states)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
 
 class TestNormalization:
     meta = data.NormalizationMeta(10.0, 2.0, 0.0, 50.0)
@@ -759,6 +800,33 @@ class TestSplit:
         train, val = data.split_train_val(self.windows(50), 0.2)
         assert val.starts[0] > train.starts[-1]
         np.testing.assert_array_equal(val.starts, np.arange(40, 50))
+
+    def test_negative_gap_refused(self):
+        # A gap of -5 would keep 4 of the 4 validation windows in training.
+        with pytest.raises(DataError, match="gap_samples must be >= 0"):
+            data.split_train_val(self.windows(17), 0.25, gap_samples=-5)
+
+
+class TestWindowMemory:
+    def test_training_window_chain_holds_no_window_values(self):
+        """The window sets of `nilmnet train` at hop 1 cost O(samples), not
+        O(samples x window): the chain peaks below 100 B per sample, where
+        (N, L) float64 windows alone would be 1 KB per sample at L=128."""
+        n, window = 50_000, 128
+        rng = np.random.default_rng(41)
+        x = rng.uniform(0.0, 3000.0, n)
+        y = rng.uniform(0.0, 2000.0, n)
+        s = (y > 1000.0).astype(np.int8)
+        with traced_peak() as traced:
+            ws = data.sliding_windows(x, y, s, window)
+            train, val = data.split_train_val(ws, 0.15, gap_samples=window - 1)
+            boundary = int(val.starts[0])
+            meta = data.NormalizationMeta.fit(x[:boundary], y[:boundary])
+            train = data.normalize_windows(train, meta)
+            val = data.normalize_windows(val, meta)
+            peak = traced()[1]
+        assert len(train) + len(val) == (n - window + 1) - (window - 1)
+        assert peak < 100 * n
 
 
 class TestSynthHousehold:

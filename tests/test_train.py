@@ -50,8 +50,8 @@ class TestTrain:
             train(toy_model(), empty, val_ws, TrainConfig(max_epochs=1))
 
     def test_constant_zero_window_loss_non_increasing(self):
-        zeros = np.zeros((1, 16))
-        ws = data.WindowSet(zeros, zeros.copy(), zeros.copy(),
+        zeros = np.zeros(16)
+        ws = data.WindowSet(zeros, zeros.copy(), zeros.copy(), 16,
                             np.zeros(1, dtype=np.int64))
         model = toy_model(seed=2)
         cfg = TrainConfig(max_epochs=25, base_lr=0.001, momentum=0.0,
