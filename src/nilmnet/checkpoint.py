@@ -161,10 +161,11 @@ def load_checkpoint(path) -> GatedAttentionModel:
         if reg.window != cls_window:
             raise DataError(f"{path}: regression window {reg.window} differs from "
                             f"classification window {cls_window}")
-        meta = None
-        if reader.u8():
-            meta = NormalizationMeta(reader.f64(), reader.f64(),
-                                     reader.f64(), reader.f64())
+        stats = [reader.f64() for _ in range(4)] if reader.u8() else None
+        try:
+            meta = NormalizationMeta(*stats) if stats else None
+        except DataError as exc:
+            raise DataError(f"{path}: invalid normalization metadata: {exc}") from None
         # Refuse a header whose parameters cannot fit in the rest of the file
         # before the model for it is allocated.
         needed = 4 * parameter_count(reg, cls_cfg)

@@ -100,17 +100,17 @@ class ForwardResult:
 class RegressionNet:
     """Conv encoder, BiLSTM, attention unit, and dense decoder."""
 
-    def __init__(self, cfg: RegressionConfig, rng, dtype):
+    def __init__(self, cfg: RegressionConfig, rng, arena):
         f, k, h = cfg.filters, cfg.kernel, cfg.hidden
         self.convs = [
             nn.Conv1D(f"reg.conv{i + 1}", 1 if i == 0 else f, f, k,
-                      "relu", rng, dtype)
+                      "relu", rng, arena=arena)
             for i in range(4)
         ]
-        self.bilstm = nn.BiLSTM("reg.bilstm", f, h, rng, dtype)
-        self.attention = nn.Attention("reg.attn", 2 * h, h, rng, dtype)
-        self.fc1 = nn.Dense("reg.fc1", 2 * h, h, "relu", rng, dtype)
-        self.fc2 = nn.Dense("reg.fc2", h, cfg.window, "linear", rng, dtype)
+        self.bilstm = nn.BiLSTM("reg.bilstm", f, h, rng, arena=arena)
+        self.attention = nn.Attention("reg.attn", 2 * h, h, rng, arena=arena)
+        self.fc1 = nn.Dense("reg.fc1", 2 * h, h, "relu", rng, arena=arena)
+        self.fc2 = nn.Dense("reg.fc2", h, cfg.window, "linear", rng, arena=arena)
 
     def forward(self, x, cache=True):
         """x: (B, L) standardized windows -> (power (B, L), alpha (B, L))."""
@@ -139,18 +139,18 @@ class RegressionNet:
 class ClassificationNet:
     """Six conv layers, flatten, two dense layers ending in a sigmoid."""
 
-    def __init__(self, cfg: ClassificationConfig, window, rng, dtype):
+    def __init__(self, cfg: ClassificationConfig, window, rng, arena):
         self.window = window
         self.convs = []
         prev = 1
         for i, (f, k) in enumerate(zip(cfg.filters, cfg.kernels)):
             self.convs.append(
-                nn.Conv1D(f"cls.conv{i + 1}", prev, f, k, "relu", rng, dtype))
+                nn.Conv1D(f"cls.conv{i + 1}", prev, f, k, "relu", rng, arena=arena))
             prev = f
         self.fc1 = nn.Dense("cls.fc1", prev * window, cfg.dense_units, "relu",
-                            rng, dtype)
+                            rng, arena=arena)
         self.fc2 = nn.Dense("cls.fc2", cfg.dense_units, window, "sigmoid",
-                            rng, dtype)
+                            rng, arena=arena)
 
     def forward(self, x, cache=True):
         """x: (B, L) standardized windows -> on probabilities (B, L)."""
@@ -192,9 +192,9 @@ class GatedAttentionModel:
     model; `norm_meta` carries the training-set normalization statistics
     and must be attached before disaggregation.
 
-    The model owns its parameter arena: `weights` and `grads` are flat
-    vectors, and every LayerParams tensor of `all_params()` is a reshaped
-    view into them, in that order.
+    The model owns its parameter arena, sized by `parameter_count`:
+    `weights` and `grads` are flat vectors, and every LayerParams tensor of
+    `all_params()` is built as a reshaped view into them, in that order.
     """
 
     def __init__(self, reg_cfg: RegressionConfig, cls_cfg: ClassificationConfig,
@@ -204,22 +204,12 @@ class GatedAttentionModel:
         self.appliance = appliance
         self.dtype = np.dtype(dtype)
         self.norm_meta = None
-        self.regression = RegressionNet(reg_cfg, rng, dtype)
-        self.classification = ClassificationNet(cls_cfg, reg_cfg.window, rng, dtype)
-        size = sum(p.n_params for p in self.all_params())
-        # np.zeros leaves its pages untouched until written, and a zero model
-        # copies nothing in, so a checkpoint load writes each page once.
-        self.weights = np.zeros(size, self.dtype)
-        self.grads = np.zeros(size, self.dtype)
-        offset = 0
-        for p in self.all_params():
-            for key, w in p.weights.items():
-                segment = slice(offset, offset + w.size)
-                if rng is not None:
-                    self.weights[segment] = w.reshape(-1)
-                p.weights[key] = self.weights[segment].reshape(w.shape)
-                p.grads[key] = self.grads[segment].reshape(w.shape)
-                offset = segment.stop
+        arena = nn.Arena(parameter_count(reg_cfg, cls_cfg), self.dtype)
+        self.regression = RegressionNet(reg_cfg, rng, arena)
+        self.classification = ClassificationNet(cls_cfg, reg_cfg.window, rng, arena)
+        if arena.used != arena.weights.size:
+            raise ShapeError(f"layers use {arena.used} of {arena.weights.size} entries")
+        self.weights, self.grads = arena.weights, arena.grads
         self._gate_cache = None
 
     @classmethod
@@ -321,4 +311,8 @@ class GatedAttentionModel:
         return out
 
     def restore_weights(self, snapshot):
+        """Copy a snapshot of the same shape back into the flat weights."""
+        if np.shape(snapshot) != self.weights.shape:
+            raise ShapeError(f"snapshot {np.shape(snapshot)} does not match "
+                             f"{self.weights.shape}")
         self.weights[...] = snapshot

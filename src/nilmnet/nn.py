@@ -28,12 +28,15 @@ slab, and the four gate activations of a step take a single tanh.
 Training runs in float32; tests instantiate everything in float64 so that
 analytic gradients can be compared against central finite differences.
 
-A model keeps its parameters in one arena: GatedAttentionModel allocates
-a flat weight vector and a twin grad vector and makes each LayerParams
-tensor a reshaped view into them. The optimizer steps the two vectors;
-layers keep reading and writing their named views. Assign into a view in
-place (w[...] = x, out=g) and never rebind p.weights[k] or p.grads[k], or
-the tensor drops out of the arena. A standalone layer owns plain arrays.
+Parameters live in an Arena: a flat weight vector and a twin grad vector,
+both zero, that hand out reshaped views in order. Every LayerParams tensor
+is built as such a view, and a layer's initializer draws straight into it.
+GatedAttentionModel sizes one arena for all its layers and the optimizer
+steps its two vectors, while the layers read and write their named views;
+a standalone layer gets an arena of exactly its own size. Assign into a
+view in place (w[...] = x, out=g): p.weights and p.grads are read-only
+mappings, so rebinding an entry, p.weights[k] += x included, raises
+TypeError.
 
 Each parameter gets its gradient from exactly one backward call, so every
 layer backward writes every entry of its parameters' gradients (out=) and
@@ -44,7 +47,9 @@ LSTMCell.step_backward is the one exception; see its docstring.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -105,17 +110,43 @@ def _activation_grad(d_out, out, activation):
     raise ValueError(f"unknown activation {activation!r}")
 
 
+class Arena:
+    """A zero weight vector and its twin grad vector, handed out in order.
+
+    np.zeros leaves its pages untouched until written, so a zero model's
+    checkpoint load writes each page once.
+    """
+
+    def __init__(self, size, dtype):
+        self.weights = np.zeros(size, dtype)
+        self.grads = np.zeros(size, dtype)
+        self.used = 0
+
+    def take(self, shape):
+        """The next (weight, grad) pair of views with the given shape."""
+        start, self.used = self.used, self.used + math.prod(shape)
+        if self.used > self.weights.size:
+            raise ShapeError(f"arena of {self.weights.size} entries is full")
+        segment = slice(start, self.used)
+        return self.weights[segment].reshape(shape), self.grads[segment].reshape(shape)
+
+
 class LayerParams:
     """Named weight tensors of one layer plus matching gradient buffers.
 
-    In a model, weights[k] and grads[k] are views into its arena; assign in
-    place and never rebind them.
+    shapes maps each key to its tensor shape; the weight and grad of each
+    are views taken from arena in that order, or from an arena of exactly
+    this layer's size, in dtype, when none is given. Both mappings are
+    read-only.
     """
 
-    def __init__(self, name, weights):
+    def __init__(self, name, shapes, dtype, arena=None):
+        if arena is None:
+            arena = Arena(sum(math.prod(shape) for shape in shapes.values()), dtype)
+        views = {k: arena.take(shape) for k, shape in shapes.items()}
         self.name = name
-        self.weights = dict(weights)
-        self.grads = {k: np.zeros(v.shape, v.dtype) for k, v in self.weights.items()}
+        self.weights = MappingProxyType({k: w for k, (w, _) in views.items()})
+        self.grads = MappingProxyType({k: g for k, (_, g) in views.items()})
 
     @property
     def n_params(self):
@@ -136,14 +167,28 @@ def _take_cache(layer, name):
     return cache
 
 
-def he_uniform(rng, shape, fan_in, dtype):
+# Float64 draws per block of an initializer, so no float64 copy of a whole
+# tensor is made.
+INIT_BLOCK = 65536
+
+
+def he_uniform(rng, out, fan_in):
+    """He et al. (2015) uniform initialization, written into contiguous out.
+
+    U(-limit, limit) with limit = sqrt(6 / fan_in), drawn in blocks that are
+    cast on assignment, so out gets the stream and the bytes of one
+    rng.uniform(-limit, limit, out.shape).astype(out.dtype).
+    """
     limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, INIT_BLOCK):
+        flat[lo:lo + INIT_BLOCK] = rng.uniform(-limit, limit, min(INIT_BLOCK, flat.size - lo))
 
 
-def glorot_uniform(rng, shape, fan_in, fan_out, dtype):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+def glorot_uniform(rng, out, fan_in, fan_out):
+    """Glorot & Bengio (2010) uniform initialization: limit sqrt(6 / (fan_in
+    + fan_out)), the He limit for a fan of fan_in + fan_out."""
+    he_uniform(rng, out, fan_in + fan_out)
 
 
 def same_padding(kernel):
@@ -166,7 +211,7 @@ class Conv1D:
     """
 
     def __init__(self, name, in_channels, filters, kernel, activation="relu",
-                 rng=None, dtype=np.float32):
+                 rng=None, dtype=np.float32, arena=None):
         if kernel < 1:
             raise ShapeError("kernel size must be >= 1")
         if activation not in ACTIVATIONS:
@@ -175,15 +220,10 @@ class Conv1D:
         self.filters = filters
         self.kernel = kernel
         self.activation = activation
-        fan_in = in_channels * kernel
-        if rng is None:
-            weight = np.zeros((filters, in_channels, kernel), dtype=dtype)
-        else:
-            weight = he_uniform(rng, (filters, in_channels, kernel), fan_in, dtype)
-        self.params = LayerParams(name, {
-            "W": weight,
-            "b": np.zeros(filters, dtype=dtype),
-        })
+        self.params = LayerParams(
+            name, {"W": (filters, in_channels, kernel), "b": (filters,)}, dtype, arena)
+        if rng is not None:
+            he_uniform(rng, self.params.weights["W"], in_channels * kernel)
         self._cache = None
 
     def forward(self, x, cache=True):
@@ -233,22 +273,18 @@ class Dense:
     """Fully connected layer: out = act(x @ W.T + b)."""
 
     def __init__(self, name, in_features, units, activation="linear",
-                 rng=None, dtype=np.float32):
+                 rng=None, dtype=np.float32, arena=None):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.in_features = in_features
         self.units = units
         self.activation = activation
-        if rng is None:
-            weight = np.zeros((units, in_features), dtype=dtype)
-        elif activation == "relu":
-            weight = he_uniform(rng, (units, in_features), in_features, dtype)
-        else:
-            weight = glorot_uniform(rng, (units, in_features), in_features, units, dtype)
-        self.params = LayerParams(name, {
-            "W": weight,
-            "b": np.zeros(units, dtype=dtype),
-        })
+        self.params = LayerParams(
+            name, {"W": (units, in_features), "b": (units,)}, dtype, arena)
+        if rng is not None and activation == "relu":
+            he_uniform(rng, self.params.weights["W"], in_features)
+        elif rng is not None:
+            glorot_uniform(rng, self.params.weights["W"], in_features, units)
         self._cache = None
 
     def forward(self, x, cache=True):
@@ -353,21 +389,18 @@ class LSTMCell:
     The forget-gate bias block is initialized to 1 when an rng is given.
     """
 
-    def __init__(self, name, input_size, hidden_size, rng=None, dtype=np.float32):
+    def __init__(self, name, input_size, hidden_size, rng=None, dtype=np.float32, arena=None):
         self.input_size = input_size
         self.hidden_size = hidden_size
         h = hidden_size
-        if rng is None:
-            w = np.zeros((4 * h, input_size), dtype=dtype)
-            u = np.zeros((4 * h, h), dtype=dtype)
-            b = np.zeros(4 * h, dtype=dtype)
-        else:
+        self.params = LayerParams(
+            name, {"W": (4 * h, input_size), "U": (4 * h, h), "b": (4 * h,)}, dtype, arena)
+        if rng is not None:
             # The four gate blocks share one limit, so one draw covers them.
-            w = glorot_uniform(rng, (4 * h, input_size), input_size, h, dtype)
-            u = glorot_uniform(rng, (4 * h, h), h, h, dtype)
-            b = np.zeros(4 * h, dtype=dtype)
-            b[h:2 * h] = 1.0
-        self.params = LayerParams(name, {"W": w, "U": u, "b": b})
+            w = self.params.weights
+            glorot_uniform(rng, w["W"], input_size, h)
+            glorot_uniform(rng, w["U"], h, h)
+            w["b"][h:2 * h] = 1.0
 
     def step(self, x, h_prev, c_prev):
         """One time step: (B, d), (B, H), (B, H) -> (h, c, cache)."""
@@ -398,9 +431,10 @@ class LSTMCell:
         gates = np.concatenate([i, f, g, o], axis=1)
         d_z = np.empty_like(gates)
         d_c_prev = _lstm_gates_backward(d_h, d_c, gates, c_prev, tanh_c, d_z)
-        self.params.grads["W"] += d_z.T @ x
-        self.params.grads["U"] += d_z.T @ h_prev
-        self.params.grads["b"] += d_z.sum(axis=0)
+        g_w, g_u, g_b = (self.params.grads[k] for k in ("W", "U", "b"))
+        g_w += d_z.T @ x
+        g_u += d_z.T @ h_prev
+        g_b += d_z.sum(axis=0)
         d_x = d_z @ self.params.weights["W"]
         d_h_prev = d_z @ self.params.weights["U"]
         return d_x, d_h_prev, d_c_prev
@@ -445,12 +479,14 @@ class BiLSTM:
     an unrolled composition of the two cells' steps.
     """
 
-    def __init__(self, name, input_size, hidden_size, rng=None, dtype=np.float32):
+    def __init__(self, name, input_size, hidden_size, rng=None, dtype=np.float32, arena=None):
         self.name = name
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.fw = LSTMCell(f"{name}.fw", input_size, hidden_size, rng, dtype)
-        self.bw = LSTMCell(f"{name}.bw", input_size, hidden_size, rng, dtype)
+        if arena is None:   # both cells' W, U and b
+            arena = Arena(8 * hidden_size * (input_size + hidden_size + 1), dtype)
+        self.fw = LSTMCell(f"{name}.fw", input_size, hidden_size, rng, dtype, arena)
+        self.bw = LSTMCell(f"{name}.bw", input_size, hidden_size, rng, dtype, arena)
         self._cache = None
 
     def _stacked(self, key, transpose=False):
@@ -545,20 +581,14 @@ class Attention:
     with a softmax, and returns the weighted sum of states as the context.
     """
 
-    def __init__(self, name, state_size, units, rng=None, dtype=np.float32):
+    def __init__(self, name, state_size, units, rng=None, dtype=np.float32, arena=None):
         self.state_size = state_size
         self.units = units
-        if rng is None:
-            w = np.zeros((units, state_size), dtype=dtype)
-            v = np.zeros(units, dtype=dtype)
-        else:
-            w = glorot_uniform(rng, (units, state_size), state_size, units, dtype)
-            v = glorot_uniform(rng, (units,), units, 1, dtype)
-        self.params = LayerParams(name, {
-            "W": w,
-            "b": np.zeros(units, dtype=dtype),
-            "v": v,
-        })
+        self.params = LayerParams(
+            name, {"W": (units, state_size), "b": (units,), "v": (units,)}, dtype, arena)
+        if rng is not None:
+            glorot_uniform(rng, self.params.weights["W"], state_size, units)
+            glorot_uniform(rng, self.params.weights["v"], units, 1)
         self._cache = None
 
     def forward(self, hidden, cache=True):

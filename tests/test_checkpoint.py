@@ -189,8 +189,9 @@ class TestFormatGuards:
         mean = struct.pack("<d", model.norm_meta.input_mean)
         assert blob.count(mean) == 1
         path.write_bytes(blob.replace(mean, struct.pack("<d", float("nan"))))
-        with pytest.raises(DataError, match="finite"):
+        with pytest.raises(DataError, match="finite") as err:
             ckpt.load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: invalid normalization metadata: ")
 
     @pytest.mark.parametrize("fields", [{"hidden": 0}, {"cls_window": 64}])
     def test_invalid_header_config_is_data_error(self, fields, tmp_path):

@@ -14,9 +14,10 @@ from nilmnet.model import (
     GatedAttentionModel,
     RegressionConfig,
     joint_loss,
+    parameter_count,
 )
 
-from conftest import traced_peak
+from conftest import assert_arena_views, traced_peak
 from oracles import finite_difference, max_rel_err
 
 TOY_REG = RegressionConfig(window=16, filters=2, kernel=4, hidden=3)
@@ -26,6 +27,12 @@ TOY_CLS = ClassificationConfig(filters=(3, 3, 4, 5, 5, 5),
 
 def toy_model(seed=0, dtype=np.float32):
     return GatedAttentionModel.init(TOY_REG, TOY_CLS, "toy", seed=seed, dtype=dtype)
+
+
+def toy_builds(seed):
+    """Builders of a random and of a zero toy model, the two ways to build one."""
+    return (lambda: toy_model(seed),
+            lambda: GatedAttentionModel.zeros(TOY_REG, TOY_CLS, "toy"))
 
 
 def all_layers(model):
@@ -213,60 +220,108 @@ class TestParameterCounts:
 
 
 class TestParameterArena:
+    """Each test runs on a random and on a zero model."""
+
     def test_every_tensor_is_a_view_in_all_params_order(self):
-        model = toy_model(5)
-        weights, grads = model.weights, model.grads
-        offset = 0
-        for p in model.all_params():
-            for key, w in p.weights.items():
-                for view, flat in ((w, weights), (p.grads[key], grads)):
-                    assert view.base is flat
-                    assert (view.__array_interface__["data"][0]
-                            == flat.__array_interface__["data"][0]
-                            + offset * flat.itemsize)
-                offset += w.size
-        assert offset == weights.size == grads.size == model.n_params
+        for build in toy_builds(5):
+            model = build()
+            assert_arena_views(model.all_params(), model.weights, model.grads)
+            assert model.weights.size == model.n_params
 
     def test_optimizer_copies_nothing_and_restore_is_bit_exact(self):
-        model = toy_model(6)
-        weights, grads = model.weights, model.grads
-        opt = nn.SgdNesterov(model.weights, model.grads, base_lr=0.05,
-                             momentum=0.9, decay=1e-6)
-        assert opt.weights is weights and opt.grads is grads
-        saved = model.snapshot_weights()
-        assert not np.shares_memory(saved, weights)
-        rng = np.random.default_rng(7)
-        for _ in range(2):
-            model.train_step_grads(rng.normal(size=(4, 16)),
-                                   rng.normal(size=(4, 16)),
-                                   rng.integers(0, 2, size=(4, 16)))
-            opt.step()
-        assert weights.tobytes() != saved.tobytes()
-        model.restore_weights(saved)
-        assert weights.tobytes() == saved.tobytes()
-        first = model.all_params()[0].weights["W"]
-        np.testing.assert_array_equal(first.reshape(-1), saved[:first.size])
+        for build in toy_builds(6):
+            model = build()
+            weights, grads = model.weights, model.grads
+            opt = nn.SgdNesterov(model.weights, model.grads, base_lr=0.05,
+                                 momentum=0.9, decay=1e-6)
+            assert opt.weights is weights and opt.grads is grads
+            saved = model.snapshot_weights()
+            assert not np.shares_memory(saved, weights)
+            rng = np.random.default_rng(7)
+            for _ in range(2):
+                model.train_step_grads(rng.normal(size=(4, 16)),
+                                       rng.normal(size=(4, 16)),
+                                       rng.integers(0, 2, size=(4, 16)))
+                opt.step()
+            assert weights.tobytes() != saved.tobytes()
+            model.restore_weights(saved)
+            assert weights.tobytes() == saved.tobytes()
+            first = model.all_params()[0].weights["W"]
+            np.testing.assert_array_equal(first.reshape(-1), saved[:first.size])
 
     def test_snapshot_into_out_refreshes_that_buffer(self):
-        model = toy_model(6)
-        buffer = model.snapshot_weights()
-        model.all_params()[0].weights["W"] += 1.0
-        assert buffer.tobytes() != model.snapshot_weights().tobytes()
-        assert model.snapshot_weights(out=buffer) is buffer
-        assert buffer.tobytes() == model.snapshot_weights().tobytes()
-        with pytest.raises(ShapeError):
-            model.snapshot_weights(out=buffer[:-1])
+        for build in toy_builds(6):
+            model = build()
+            buffer = model.snapshot_weights()
+            model.all_params()[0].weights["W"][...] += 1.0
+            assert buffer.tobytes() != model.snapshot_weights().tobytes()
+            assert model.snapshot_weights(out=buffer) is buffer
+            assert buffer.tobytes() == model.snapshot_weights().tobytes()
+            with pytest.raises(ShapeError):
+                model.snapshot_weights(out=buffer[:-1])
+
+    @pytest.mark.parametrize("misshape", [
+        lambda s: s[:1], lambda s: s[0], lambda s: s[None], lambda s: s[:-1],
+        lambda s: np.append(s, 0),
+    ], ids=["one-entry", "scalar", "2-D", "short", "long"])
+    def test_restore_rejects_a_snapshot_of_another_shape(self, misshape):
+        # The first three would broadcast over every weight.
+        for build in toy_builds(6):
+            model = build()
+            saved = model.snapshot_weights()
+            with pytest.raises(ShapeError):
+                model.restore_weights(misshape(saved + 1))
+            assert model.weights.tobytes() == saved.tobytes()
+
+    def test_rebinding_a_tensor_raises_and_keeps_the_arena_view(self):
+        for build in toy_builds(8):
+            model = build()
+            p = model.all_params()[0]
+            for tensors in (p.weights, p.grads):
+                with pytest.raises(TypeError):
+                    tensors["W"] = np.ones(tensors["W"].shape, model.dtype)
+            assert p.weights["W"].base is model.weights
+            assert p.grads["W"].base is model.grads
+            assert [k for k, _ in p.weights.items()] == list(p.grads.keys()) == ["W", "b"]
+
+    @pytest.mark.parametrize("drift", [-1, 1])
+    def test_build_fails_when_parameter_count_drifts_from_the_layers(
+            self, monkeypatch, drift):
+        monkeypatch.setattr("nilmnet.model.parameter_count",
+                            lambda reg, cls_cfg: parameter_count(reg, cls_cfg) + drift)
+        for build in toy_builds(8):
+            with pytest.raises(ShapeError):
+                build()
 
     def test_dropped_model_is_freed_without_the_cycle_collector(self):
-        model = toy_model(9)
-        group = weakref.ref(model.all_params()[0])
-        weights = weakref.ref(model.weights)
-        gc.disable()
-        try:
-            del model
-            assert group() is None and weights() is None
-        finally:
-            gc.enable()
+        for build in toy_builds(9):
+            model = build()
+            group = weakref.ref(model.all_params()[0])
+            weights = weakref.ref(model.weights)
+            gc.disable()
+            try:
+                del model
+                assert group() is None and weights() is None
+            finally:
+                gc.enable()
+
+
+class TestBuildMemory:
+    """A build allocates the weight and grad arenas and little besides."""
+
+    # The toy benchmark shape, with the paper's classification branch:
+    # cls.fc1 holds 3.3 M of its 3.4 M parameters.
+    REG = RegressionConfig(window=64, filters=8, kernel=4, hidden=32)
+
+    @pytest.mark.parametrize("build,bound", [
+        (lambda reg: GatedAttentionModel.init(reg, seed=3), 2.25),
+        (GatedAttentionModel.zeros, 2.1),
+    ], ids=["init", "zeros"])
+    def test_peak_is_about_two_arenas(self, build, bound):
+        with traced_peak() as traced:
+            model = build(self.REG)
+            peak = traced()[1]
+        assert peak < bound * model.weights.nbytes
 
 
 class TestTrainStepMemory:

@@ -5,6 +5,7 @@ import pytest
 
 from nilmnet import nn
 
+from conftest import assert_arena_views
 from oracles import (
     attention_direct,
     bce_direct,
@@ -156,9 +157,10 @@ class TestLSTMCell:
     def test_init_equals_four_gate_block_draws(self, d, hs):
         # Reference: W and U drawn as four (H, .) gate blocks each, joined.
         rng = np.random.default_rng(17)
-        w = np.concatenate([nn.glorot_uniform(rng, (hs, d), d, hs, np.float32)
+        w_limit, u_limit = np.sqrt(6.0 / (d + hs)), np.sqrt(6.0 / (hs + hs))
+        w = np.concatenate([rng.uniform(-w_limit, w_limit, (hs, d)).astype(np.float32)
                             for _ in range(4)])
-        u = np.concatenate([nn.glorot_uniform(rng, (hs, hs), hs, hs, np.float32)
+        u = np.concatenate([rng.uniform(-u_limit, u_limit, (hs, hs)).astype(np.float32)
                             for _ in range(4)])
         cell = nn.LSTMCell("l", d, hs, rng=np.random.default_rng(17))
         assert cell.params.weights["W"].tobytes() == w.tobytes()
@@ -407,3 +409,27 @@ class TestFiniteOutputs:
         out = dense.forward(context)
         for arr in (feats, hidden, context, alpha, out):
             assert np.all(np.isfinite(arr))
+
+
+STANDALONE_LAYERS = {
+    "conv": lambda rng: nn.Conv1D("c", 2, 3, 4, rng=rng),
+    "dense": lambda rng: nn.Dense("d", 5, 4, "relu", rng=rng, dtype=np.float64),
+    "attention": lambda rng: nn.Attention("a", 6, 3, rng=rng),
+    "bilstm": lambda rng: nn.BiLSTM("b", 2, 3, rng=rng),
+}
+
+
+class TestStandaloneParameters:
+    @pytest.mark.parametrize("kind", sorted(STANDALONE_LAYERS))
+    def test_tensors_are_views_of_one_buffer_pair_of_its_own(self, kind):
+        def groups(layer):
+            return layer.param_list if kind == "bilstm" else [layer.params]
+
+        layer = STANDALONE_LAYERS[kind](np.random.default_rng(3))
+        weights = groups(layer)[0].weights["W"].base
+        grads = groups(layer)[0].grads["W"].base
+        assert weights.ndim == grads.ndim == 1 and not np.shares_memory(weights, grads)
+        assert_arena_views(groups(layer), weights, grads)
+        assert not np.any(grads)
+        other = STANDALONE_LAYERS[kind](np.random.default_rng(3))
+        assert not np.shares_memory(groups(other)[0].weights["W"], weights)
