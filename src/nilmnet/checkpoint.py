@@ -15,8 +15,9 @@ Layout (all integers little-endian):
     per tensor          u32 name length + utf-8 name, u32 rank,
                         rank x u32 dims, raw float32 little-endian values
 
-Tensors appear in the model's fixed parameter order; loading verifies
-names and shapes. Unknown versions are rejected outright.
+Tensors appear in the order the model's layers took them from its arena,
+listed by one (name, view) table that save and load share; loading
+verifies names and shapes. Unknown versions are rejected outright.
 """
 
 from __future__ import annotations
@@ -92,6 +93,11 @@ class _Reader:
                             f"trailing bytes after checkpoint payload")
 
 
+def _tensor_table(model):
+    """(name, view) of every parameter tensor, in serialization order."""
+    return [(f"{p.name}.{key}", w) for p in model.all_params() for key, w in p.weights.items()]
+
+
 def save_checkpoint(path, model: GatedAttentionModel):
     """Serialize configs, normalization metadata, and float32 parameters.
 
@@ -116,8 +122,7 @@ def save_checkpoint(path, model: GatedAttentionModel):
     else:
         parts.append(struct.pack("<B4d", 1, meta.input_mean, meta.input_std,
                                  meta.target_min, meta.target_max))
-    tensors = [(f"{p.name}.{key}", w)
-               for p in model.all_params() for key, w in p.weights.items()]
+    tensors = _tensor_table(model)
     parts.append(struct.pack("<I", len(tensors)))
     with open(path, "wb") as fh:
         fh.writelines(parts)
@@ -176,8 +181,7 @@ def load_checkpoint(path) -> GatedAttentionModel:
         model = GatedAttentionModel.zeros(reg, cls_cfg, appliance=appliance,
                                           dtype=np.float32)
         model.norm_meta = meta
-        expected = [(f"{p.name}.{key}", p.weights[key])
-                    for p in model.all_params() for key in p.weights]
+        expected = _tensor_table(model)
         count = reader.u32()
         if count != len(expected):
             raise DataError(

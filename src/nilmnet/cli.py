@@ -202,7 +202,7 @@ def _load_training_series(cfg, args):
         raise DataError(f"config has no [appliance {appliance_name}] section")
     aggregate = data.load_channel_csv(aggregate_path, name="aggregate")
     appliance = data.load_channel_csv(appliance_path, name=appliance_name)
-    period = cfg.data.get("period_s") or appliance.period_s
+    period = cfg.data.get("period_s", appliance.period_s)
     aggregate, appliance = data.align_pair(aggregate, appliance, period)
     return aggregate, appliance, cfg.appliances[appliance_name]
 

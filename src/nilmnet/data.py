@@ -320,7 +320,10 @@ def resample(series: PowerSeries, target_period_s: int) -> PowerSeries:
 
     Downsampling mean-pools; upsampling forward-fills, refusing factors
     that would fabricate more than MAX_FILL_SAMPLES values per sample.
+    A target period below 1 s raises DataError.
     """
+    if target_period_s < 1:
+        raise DataError(f"{series.name}: target period {target_period_s}s is below 1s")
     period = series.period_s
     if target_period_s == period:
         return series

@@ -129,12 +129,6 @@ class RegressionNet:
             d_feats = conv.backward(d_feats)
         return d_feats[:, 0, :]
 
-    @property
-    def param_list(self):
-        return ([c.params for c in self.convs]
-                + self.bilstm.param_list
-                + [self.attention.params, self.fc1.params, self.fc2.params])
-
 
 class ClassificationNet:
     """Six conv layers, flatten, two dense layers ending in a sigmoid."""
@@ -167,11 +161,6 @@ class ClassificationNet:
             d_feats = conv.backward(d_feats)
         return d_feats[:, 0, :]
 
-    @property
-    def param_list(self):
-        return ([c.params for c in self.convs]
-                + [self.fc1.params, self.fc2.params])
-
 
 def joint_loss(output, state, target_power, target_state):
     """MSE on the gated output plus BCE on the state estimate.
@@ -193,8 +182,9 @@ class GatedAttentionModel:
     and must be attached before disaggregation.
 
     The model owns its parameter arena, sized by `parameter_count`:
-    `weights` and `grads` are flat vectors, and every LayerParams tensor of
-    `all_params()` is built as a reshaped view into them, in that order.
+    `weights` and `grads` are flat vectors, and every LayerParams tensor is
+    built as a reshaped view into them. `all_params()` is the arena's record
+    of the groups, in the order the layers took them.
     """
 
     def __init__(self, reg_cfg: RegressionConfig, cls_cfg: ClassificationConfig,
@@ -209,7 +199,7 @@ class GatedAttentionModel:
         self.classification = ClassificationNet(cls_cfg, reg_cfg.window, rng, arena)
         if arena.used != arena.weights.size:
             raise ShapeError(f"layers use {arena.used} of {arena.weights.size} entries")
-        self.weights, self.grads = arena.weights, arena.grads
+        self.weights, self.grads, self._groups = arena.weights, arena.grads, arena.groups
         self._gate_cache = None
 
     @classmethod
@@ -229,8 +219,9 @@ class GatedAttentionModel:
         return self.reg_cfg.window
 
     def all_params(self):
-        """Every parameter tensor group, in the fixed serialization order."""
-        return self.regression.param_list + self.classification.param_list
+        """Every parameter tensor group, in the order the layers took them
+        from the arena, which is also the serialization order."""
+        return list(self._groups)
 
     @property
     def n_params(self):

@@ -31,8 +31,12 @@ analytic gradients can be compared against central finite differences.
 Parameters live in an Arena: a flat weight vector and a twin grad vector,
 both zero, that hand out reshaped views in order. Every LayerParams tensor
 is built as such a view, and a layer's initializer draws straight into it.
-GatedAttentionModel sizes one arena for all its layers and the optimizer
-steps its two vectors, while the layers read and write their named views;
+The order in which layers take their views is the one statement of the
+parameter layout: the arena records each LayerParams it hands out, and
+GatedAttentionModel.all_params() and the checkpoint tensor table read that
+record. GatedAttentionModel sizes one arena for all its layers and the
+optimizer steps its two vectors, while the layers read and write their
+views in place (the BiLSTM through (2, ...) views across its two cells);
 a standalone layer gets an arena of exactly its own size. Assign into a
 view in place (w[...] = x, out=g): p.weights and p.grads are read-only
 mappings, so rebinding an entry, p.weights[k] += x included, raises
@@ -113,6 +117,7 @@ def _activation_grad(d_out, out, activation):
 class Arena:
     """A zero weight vector and its twin grad vector, handed out in order.
 
+    groups lists every LayerParams built from the arena, in arena order.
     np.zeros leaves its pages untouched until written, so a zero model's
     checkpoint load writes each page once.
     """
@@ -121,6 +126,7 @@ class Arena:
         self.weights = np.zeros(size, dtype)
         self.grads = np.zeros(size, dtype)
         self.used = 0
+        self.groups = []
 
     def take(self, shape):
         """The next (weight, grad) pair of views with the given shape."""
@@ -136,8 +142,8 @@ class LayerParams:
 
     shapes maps each key to its tensor shape; the weight and grad of each
     are views taken from arena in that order, or from an arena of exactly
-    this layer's size, in dtype, when none is given. Both mappings are
-    read-only.
+    this layer's size, in dtype, when none is given, and the arena records
+    the group. Both mappings are read-only.
     """
 
     def __init__(self, name, shapes, dtype, arena=None):
@@ -147,6 +153,7 @@ class LayerParams:
         self.name = name
         self.weights = MappingProxyType({k: w for k, (w, _) in views.items()})
         self.grads = MappingProxyType({k: g for k, (_, g) in views.items()})
+        arena.groups.append(self)
 
     @property
     def n_params(self):
@@ -448,6 +455,13 @@ class BiLSTM:
     depends on the previous step, so everything else leaves the time loop,
     and the two directions, which do not depend on each other, run together.
 
+    As cuDNN keeps each direction's matrices in one packed weight space,
+    the two cells' W, U and b are read in place: the fw cell's tensors and
+    then the bw cell's are adjacent in the arena, so the layer takes
+    (2, 4H, d), (2, 4H, H) and (2, 4H) views across both, for the weights
+    and for the grads, once, at build time. Nothing copies them per call,
+    so an in-place edit of a cell's tensor reaches the next forward.
+
     Every buffer is direction-major, (2, T, B, .): row 0 is the forward
     cell in natural time, row 1 the backward cell in reversed time, so
     buffer step s is time s forward and time T-1-s backward, and each
@@ -457,23 +471,25 @@ class BiLSTM:
       copy time-reversed, with one batched (2, d, 4H) GEMM straight into
       the gate buffer. Step s then adds one batched (2, B, H) @ (2, H, 4H)
       recurrent product and applies the cell equations, one tanh for all
-      four gates, to both directions' (2, B, 4H) slab at once.
+      four gates, to both directions' (2, B, 4H) slab at once. The step's h
+      lands in a (2, B, H) step buffer and from there in the (B, T, 2H)
+      output, so each h is held once, in both cache modes.
     - backward runs the same fused loop: the elementwise gate gradients and
       one batched recurrent GEMM d_z @ U per step. Step s's d_z goes through
       one (2, B, 4H) scratch into the gate slab gates[:, s], which that step
       was the last to read, so the gate buffer becomes the d_z buffer and no
-      second (2, T, B, 4H) array is allocated. After the loop, each
-      direction's dW, dU and db is one GEMM or sum over its slab, written
-      straight into that cell's gradients, and the input gradient is one
+      second (2, T, B, 4H) array is allocated. After the loop, dW and db of
+      both directions are each one batched call written into the grad
+      slabs, dU is one GEMM per direction, and the input gradient is one
       batched GEMM.
 
     The forward keeps tanh(c) only in a (2, B, H) step buffer; the backward
     recomputes np.tanh(cells[:, s]), which rounds as the forward's did, so
     the (2, T, B, H) trajectory of tanh(c) is never cached (the trade of
-    Chen et al. 2016, arXiv:1604.06174). Nor is the hidden trajectory: the
-    cache holds the (B, T, 2H) output, the array the attention layer above
-    caches too, and the backward copies each direction's dU operand out of
-    it, so the model holds the BiLSTM's output once.
+    Chen et al. 2016, arXiv:1604.06174). Nor is a hidden trajectory kept:
+    the cache holds the (B, T, 2H) output, the array the attention layer
+    above caches too, and the backward copies each direction's dU operand
+    out of it, so the model holds the BiLSTM's output once.
 
     The cell equations are the ones LSTMCell.step uses, so the layer equals
     an unrolled composition of the two cells' steps.
@@ -483,16 +499,21 @@ class BiLSTM:
         self.name = name
         self.input_size = input_size
         self.hidden_size = hidden_size
+        d, h4 = input_size, 4 * hidden_size
         if arena is None:   # both cells' W, U and b
-            arena = Arena(8 * hidden_size * (input_size + hidden_size + 1), dtype)
+            arena = Arena(2 * h4 * (d + hidden_size + 1), dtype)
+        start = arena.used
         self.fw = LSTMCell(f"{name}.fw", input_size, hidden_size, rng, dtype, arena)
         self.bw = LSTMCell(f"{name}.bw", input_size, hidden_size, rng, dtype, arena)
-        self._cache = None
 
-    def _stacked(self, key, transpose=False):
-        """The two cells' key tensors as one C-contiguous (2, ...) array."""
-        return np.array([c.params.weights[key].T if transpose else c.params.weights[key]
-                         for c in (self.fw, self.bw)])
+        def slabs(flat):
+            """(2, 4H, d) W, (2, 4H, H) U and (2, 4H) b views of both cells."""
+            w, u, b = np.split(flat[start:arena.used].reshape(2, -1), [h4 * d, -h4], axis=1)
+            return w.reshape(2, h4, d), u.reshape(2, h4, hidden_size), b
+
+        self._w, self._u, self._b = slabs(arena.weights)
+        self._dw, self._du, self._db = slabs(arena.grads)
+        self._cache = None
 
     def forward(self, x, cache=True):
         """x: (B, T, d) -> (B, T, 2H). Initial states are zero."""
@@ -504,40 +525,36 @@ class BiLSTM:
         hs = self.hidden_size
         x_tm = x.transpose(1, 0, 2)
         xs = np.stack([x_tm, x_tm[::-1]]).reshape(2, steps * b_sz, d)
-        w = self._stacked("W")
-        gates = np.empty((2, steps, b_sz, 4 * hs), dtype=np.result_type(x, w))
-        np.matmul(xs, w.transpose(0, 2, 1), out=gates.reshape(2, steps * b_sz, 4 * hs))
-        gates += self._stacked("b")[:, None, None]
-        cells, hidden = (
-            np.empty((2, steps, b_sz, hs), dtype=gates.dtype) for _ in range(2))
+        gates = np.empty((2, steps, b_sz, 4 * hs), dtype=np.result_type(x, self._w))
+        np.matmul(xs, self._w.transpose(0, 2, 1), out=gates.reshape(2, steps * b_sz, 4 * hs))
+        gates += self._b[:, None, None]
+        cells = np.empty((2, steps, b_sz, hs), dtype=gates.dtype)
         zeros = np.zeros((2, b_sz, hs), dtype=gates.dtype)
-        tanh_c = np.empty_like(zeros)
+        tanh_c, h = np.empty_like(zeros), np.empty_like(zeros)
         recurrent = np.empty((2, b_sz, 4 * hs), dtype=gates.dtype)
+        out = np.empty((b_sz, steps, 2 * hs), dtype=gates.dtype)
         # A C-contiguous U.T runs the small per-step GEMM about a fifth
         # faster than the transposed layout, whose GEMM also rounds
         # differently at small batches, so a one-window batch would no
         # longer match its row in a larger batch.
-        u_t = self._stacked("U", transpose=True)
+        u_t = np.ascontiguousarray(self._u.transpose(0, 2, 1))
         for s in range(steps):
             z = gates[:, s]
             if s:
-                z += np.matmul(hidden[:, s - 1], u_t, out=recurrent)
-            _lstm_gates(z, cells[:, s - 1] if s else zeros, cells[:, s], tanh_c,
-                        hidden[:, s])
-        out = np.empty((b_sz, steps, 2 * hs), dtype=gates.dtype)
-        np.concatenate([hidden[0].transpose(1, 0, 2),
-                        hidden[1, ::-1].transpose(1, 0, 2)], axis=2, out=out)
-        self._cache = (xs, w, gates, cells, out) if cache else None
+                z += np.matmul(h, u_t, out=recurrent)
+            _lstm_gates(z, cells[:, s - 1] if s else zeros, cells[:, s], tanh_c, h)
+            out[:, s, :hs] = h[0]
+            out[:, steps - 1 - s, hs:] = h[1]
+        self._cache = (xs, gates, cells, out) if cache else None
         return out
 
     def backward(self, d_out):
         """d_out: (B, T, 2H) -> gradient w.r.t. the input sequence."""
-        xs, w, gates, cells, out = _take_cache(self, self.name)
+        xs, gates, cells, out = _take_cache(self, self.name)
         _, steps, b_sz, hs = cells.shape
         if d_out.shape != out.shape:
             raise ShapeError(f"bilstm: upstream shape {d_out.shape} does not match "
                              f"{out.shape}")
-        u = self._stacked("U")
         zeros = np.zeros((2, b_sz, hs), dtype=gates.dtype)
         d_h, d_c = zeros.copy(), zeros
         step_d_z = np.empty((2, b_sz, 4 * hs), dtype=gates.dtype)
@@ -551,27 +568,22 @@ class BiLSTM:
                                        np.tanh(cells[:, s]), step_d_z)
             gates[:, s] = step_d_z
             if s:
-                np.matmul(gates[:, s], u, out=d_h)
+                np.matmul(gates[:, s], self._u, out=d_h)
         d_z = gates
         flat_d_z = d_z.reshape(2, steps * b_sz, 4 * hs)
+        np.matmul(flat_d_z.transpose(0, 2, 1), xs, out=self._dw)
+        np.sum(flat_d_z, axis=1, out=self._db)
         # The h each direction's steps 1..T-1 read, from the output: times
         # 0..T-2 forward and T-1..1 backward.
         h_read = (out[:, :-1, :hs], out[:, :0:-1, hs:])
-        for k, cell in enumerate((self.fw, self.bw)):
-            grads = cell.params.grads
-            np.matmul(flat_d_z[k].T, xs[k], out=grads["W"])
+        for k in range(2):
             # Every step but the first against the h it read, copied to one
             # contiguous ((T-1)*B, H) operand in step order.
             np.matmul(d_z[k, 1:].reshape(-1, 4 * hs).T,
-                      h_read[k].transpose(1, 0, 2).reshape(-1, hs), out=grads["U"])
-            np.sum(flat_d_z[k], axis=0, out=grads["b"])
-        d_xs = (flat_d_z @ w).reshape(2, steps, b_sz, -1)
+                      h_read[k].transpose(1, 0, 2).reshape(-1, hs), out=self._du[k])
+        d_xs = (flat_d_z @ self._w).reshape(2, steps, b_sz, -1)
         return np.add(d_xs[0].transpose(1, 0, 2), d_xs[1, ::-1].transpose(1, 0, 2),
                       order="C")
-
-    @property
-    def param_list(self):
-        return [self.fw.params, self.bw.params]
 
 
 class Attention:
@@ -599,7 +611,8 @@ class Attention:
         if hidden.shape[1] < 1:
             raise ShapeError("attention: empty sequence")
         w, b, v = (self.params.weights[k] for k in ("W", "b", "v"))
-        m = hidden @ w.T                    # (B, T, units)
+        # One flat (B*T, S) GEMM, as the backward runs it.
+        m = (hidden.reshape(-1, self.state_size) @ w.T).reshape(*hidden.shape[:2], self.units)
         m += b
         np.tanh(m, out=m)
         scores = m @ v                      # (B, T)

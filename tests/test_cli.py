@@ -494,8 +494,8 @@ class TestEdgeInputs:
 
 
 class TestBadModelDims:
-    """Unusable model dims, epoch counts or optimizer settings exit 2 with an
-    error line."""
+    """Unusable model dims, epoch counts, optimizer settings or sampling
+    periods exit 2 with an error line."""
 
     def train(self, config, house, out, *extra):
         return run(["train", "--config", config,
@@ -543,6 +543,17 @@ class TestBadModelDims:
         out = tmp_path / "o.ckpt"
         assert self.train(config, house, out) == 2
         assert capsys.readouterr().err.startswith(f"error: {key} must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("period", [0, -1, -3])
+    def test_period_below_one_second_exits_2_without_checkpoint(
+            self, trained, tmp_path, capsys, period):
+        _, house, _ = trained
+        config = tmp_path / "run.ini"
+        config.write_text(CONFIG + f"\n[data]\nperiod_s = {period}\n")
+        out = tmp_path / "p.ckpt"
+        assert self.train(config, house, out) == 2
+        assert "below 1s" in capsys.readouterr().err
         assert not out.exists()
 
     def test_gradcheck_zero_hidden_exits_2(self, capsys):

@@ -485,6 +485,14 @@ class TestAlign:
         with pytest.raises(DataError, match="factor"):
             data.resample(series([1.0, 2.0], period=3), 2)
 
+    @pytest.mark.parametrize("target", [0, -1, -3])
+    def test_target_period_below_one_second_rejected(self, target):
+        s = series([1.0, 2.0, 3.0])
+        with pytest.raises(DataError, match="below 1s"):
+            data.resample(s, target)
+        with pytest.raises(DataError, match="below 1s"):
+            data.align_pair(s, s, target)
+
     def test_disjoint_ranges_rejected(self):
         a = series([1.0, 2.0], t0=0)
         b = series([1.0, 2.0], t0=100)

@@ -206,7 +206,7 @@ class TestParameterCounts:
         model = GatedAttentionModel.zeros(
             RegressionConfig(window=128, filters=2, kernel=4, hidden=2),
             ClassificationConfig())
-        count = sum(p.n_params for p in model.classification.param_list)
+        count = sum(p.n_params for p in model.all_params() if p.name.startswith("cls."))
         assert count == 6_735_774
 
     def test_count_depends_only_on_window(self):
@@ -215,7 +215,7 @@ class TestParameterCounts:
             model = GatedAttentionModel.init(
                 RegressionConfig(window=32, filters=2, kernel=4, hidden=2),
                 ClassificationConfig(), seed=seed)
-            counts.add(sum(p.n_params for p in model.classification.param_list))
+            counts.add(sum(p.n_params for p in model.all_params() if p.name.startswith("cls.")))
         assert len(counts) == 1
 
 

@@ -26,7 +26,8 @@ def check_params_and_input(layer, x, forward_fn, seeds_upstream_rng, tol=GRAD_TO
         return project_loss(forward_fn(x), probe)
 
     loss()  # populate cache
-    layer_params = layer.param_list if hasattr(layer, "param_list") else [layer.params]
+    layer_params = ([layer.fw.params, layer.bw.params] if isinstance(layer, nn.BiLSTM)
+                    else [layer.params])
     # The backward must write every gradient entry, so NaN left over fails.
     for p in layer_params:
         for g in p.grads.values():
@@ -119,7 +120,7 @@ class TestBiLSTMBackward:
         out = layer.forward(rng.normal(size=(1, 3, 2)))
         d_in = layer.backward(np.zeros_like(out))
         assert np.all(d_in == 0.0)
-        for p in layer.param_list:
+        for p in [layer.fw.params, layer.bw.params]:
             assert all(np.all(g == 0.0) for g in p.grads.values())
 
     def test_single_step_equals_two_cell_gradients(self):
@@ -162,12 +163,12 @@ class TestBiLSTMBackward:
     def check_against_unrolled_cells(b_sz, steps, d, hs):
         rng = np.random.default_rng(12)
         layer = nn.BiLSTM("b", d, hs, rng=rng, dtype=np.float64)
-        nn.randomize_biases(layer.param_list, rng)
+        nn.randomize_biases([layer.fw.params, layer.bw.params], rng)
         x = rng.normal(size=(b_sz, steps, d))
         upstream = rng.normal(size=(b_sz, steps, 2 * hs))
         out = layer.forward(x)
         # NaN left in any gradient entry fails, the empty T=1 dU slab too.
-        for p in layer.param_list:
+        for p in [layer.fw.params, layer.bw.params]:
             for g in p.grads.values():
                 g.fill(np.nan)
         d_x = layer.backward(upstream)
@@ -274,7 +275,7 @@ class TestCacheHandOff:
         out = self.forward(layer, x)
         layer.backward(np.ones_like(out))
         assert layer._cache is None
-        params = layer.param_list if kind == "bilstm" else [layer.params]
+        params = [layer.fw.params, layer.bw.params] if kind == "bilstm" else [layer.params]
         once = [g.copy() for p in params for g in p.grads.values()]
         with pytest.raises(RuntimeError, match="layer: backward called before forward"):
             layer.backward(np.ones_like(out))

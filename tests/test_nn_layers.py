@@ -5,7 +5,7 @@ import pytest
 
 from nilmnet import nn
 
-from conftest import assert_arena_views
+from conftest import assert_arena_views, traced_peak
 from oracles import (
     attention_direct,
     bce_direct,
@@ -221,20 +221,73 @@ class TestBiLSTM:
 
     # (B, T, d, H): the toy acceptance dims at a disaggregation batch, at
     # one window and at a small batch, whose GEMMs take other BLAS kernels,
-    # and an odd shape where no dimension is a power of two.
+    # an odd shape where no dimension is a power of two, and the paper's
+    # kettle shape at the training batch.
     @pytest.mark.parametrize("shape", [(256, 64, 8, 32), (1, 64, 8, 32),
-                                       (8, 64, 8, 32), (3, 7, 5, 6)])
+                                       (8, 64, 8, 32), (3, 7, 5, 6),
+                                       (32, 128, 32, 512)])
     def test_float32_bit_identical_to_per_direction_kernel(self, shape):
         b_sz, steps, d, hs = shape
         rng = np.random.default_rng(21)
         layer = nn.BiLSTM("b", d, hs, rng=rng)
-        nn.randomize_biases(layer.param_list, rng)
+        nn.randomize_biases([layer.fw.params, layer.bw.params], rng)
         x = rng.normal(size=(b_sz, steps, d)).astype(np.float32)
         out = layer.forward(x)
         want = bilstm_forward_per_direction(layer, x)
         assert out.dtype == want.dtype == np.float32 and out.flags.c_contiguous
         assert np.array_equal(out, want)
         assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lead", [0, 7])
+    def test_direction_slabs_are_the_cells_tensors(self, lead):
+        """The (2, ...) W, U and b slabs and their grads are views of the two
+        cells' own tensors, also behind another layer's entries."""
+        d, hs = 5, 6
+        arena = nn.Arena(lead + 8 * hs * (d + hs + 1), np.float32)
+        arena.take((lead,))
+        layer = nn.BiLSTM("b", d, hs, rng=np.random.default_rng(25), arena=arena)
+        slabs = {"weights": (layer._w, layer._u, layer._b),
+                 "grads": (layer._dw, layer._du, layer._db)}
+        for k, cell in enumerate((layer.fw, layer.bw)):
+            for kind, views in slabs.items():
+                for slab, key in zip(views, ("W", "U", "b")):
+                    tensor = getattr(cell.params, kind)[key]
+                    assert (slab[k].__array_interface__ == tensor.__array_interface__
+                            and slab.base is tensor.base)
+
+    def test_in_place_weight_edit_reaches_the_next_forward(self):
+        b_sz, steps, d, hs = 3, 6, 4, 5
+        rng = np.random.default_rng(26)
+        layer = nn.BiLSTM("b", d, hs, rng=rng)
+        x = rng.normal(size=(b_sz, steps, d)).astype(np.float32)
+        before = layer.forward(x)
+        layer.fw.params.weights["U"][...] *= 2.0
+        after = layer.forward(x)
+        assert after.tobytes() == bilstm_forward_per_direction(layer, x).tobytes()
+        # Only the forward direction's steps that read an h have moved.
+        assert after[:, 0, :hs].tobytes() == before[:, 0, :hs].tobytes()
+        assert after[:, :, hs:].tobytes() == before[:, :, hs:].tobytes()
+        assert not np.array_equal(after[:, 1:, :hs], before[:, 1:, :hs])
+        for key in ("W", "b"):
+            layer.bw.params.weights[key][...] += 0.25
+            assert (layer.forward(x).tobytes()
+                    == bilstm_forward_per_direction(layer, x).tobytes())
+
+    def test_uncached_forward_holds_each_h_once(self):
+        """Peak of an uncached forward: the gate, cell, output and input
+        buffers, each h in the output only, plus (2, B, .) step buffers. A
+        (2, T, B, H) hidden trajectory would add 16% at this shape."""
+        b_sz, steps, d, hs = 256, 64, 8, 32
+        rng = np.random.default_rng(27)
+        layer = nn.BiLSTM("b", d, hs, rng=rng)
+        x = rng.normal(size=(b_sz, steps, d)).astype(np.float32)
+        layer.forward(x, cache=False)
+        with traced_peak() as traced:
+            layer.forward(x, cache=False)
+            peak = traced()[1]
+        # Per (t, b): 2 x 4H gates, 2 x H cells, 2H output, 2 x d inputs.
+        needed = x.itemsize * steps * b_sz * (8 * hs + 2 * hs + 2 * hs + 2 * d)
+        assert peak < 1.1 * needed
 
     def test_rows_do_not_depend_on_the_batch(self):
         rng = np.random.default_rng(23)
@@ -423,7 +476,7 @@ class TestStandaloneParameters:
     @pytest.mark.parametrize("kind", sorted(STANDALONE_LAYERS))
     def test_tensors_are_views_of_one_buffer_pair_of_its_own(self, kind):
         def groups(layer):
-            return layer.param_list if kind == "bilstm" else [layer.params]
+            return [layer.fw.params, layer.bw.params] if kind == "bilstm" else [layer.params]
 
         layer = STANDALONE_LAYERS[kind](np.random.default_rng(3))
         weights = groups(layer)[0].weights["W"].base
