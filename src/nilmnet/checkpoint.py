@@ -9,7 +9,7 @@ Layout (all integers little-endian):
     classification cfg  u32 window (the regression window again; a
                         model has one), u32 n_conv, n_conv x
                         (u32 filters, u32 kernel), u32 dense_units
-    normalization meta  u8 presence flag, then 4 x f64
+    normalization meta  u8 presence flag (0 or 1), then 4 x f64
                         (input_mean, input_std, target_min, target_max)
     tensor count        u32
     per tensor          u32 name length + utf-8 name, u32 rank,
@@ -166,7 +166,11 @@ def load_checkpoint(path) -> GatedAttentionModel:
         if reg.window != cls_window:
             raise DataError(f"{path}: regression window {reg.window} differs from "
                             f"classification window {cls_window}")
-        stats = [reader.f64() for _ in range(4)] if reader.u8() else None
+        flag_at, flag = fh.tell(), reader.u8()
+        if flag > 1:
+            raise DataError(f"{path}: normalization flag at byte {flag_at} is "
+                            f"{flag}, not 0 or 1")
+        stats = [reader.f64() for _ in range(4)] if flag else None
         try:
             meta = NormalizationMeta(*stats) if stats else None
         except DataError as exc:

@@ -3,8 +3,11 @@
 Disaggregation standardizes the aggregate with the model's stored training
 statistics, runs the gated forward pass over every hop-1 window, converts
 each window back to watts, and combines the overlapped windows with a
-per-sample median. Metrics are mean absolute error, per-period signal
-aggregate error, and precision/recall/F1 of thresholded on/off states.
+per-sample median. One loop does both: each forward batch of
+INFERENCE_BATCH windows goes straight into the median's buffer of
+INFERENCE_BATCH + L - 1 sample rows, so no (N, L) array of watts is held.
+Metrics are mean absolute error, per-period signal aggregate error, and
+precision/recall/F1 of thresholded on/off states.
 """
 
 from __future__ import annotations
@@ -24,8 +27,39 @@ REPORT_COLUMNS = ("appliance", "mae_w", "sae_w", "precision", "recall", "f1",
 DEFAULT_THRESHOLD_W = 15.0
 DEFAULT_PERIOD_LEN_K = 1200
 
-# memory cap for the median matrix, in values per chunk
-_MEDIAN_CHUNK_VALUES = 8_000_000
+
+def _median_of_windows(n, window, windows_at):
+    """Per-sample median of N hop-1 windows, taken one block at a time.
+
+    windows_at(lo, hi) returns windows lo..hi-1 as a (hi - lo, L) array; it
+    is called once per block of INFERENCE_BATCH windows, in order. Sample
+    row t of the buffer holds window t-k's value at offset k in slot k, and
+    +inf where that window does not exist, so the buffer needs the block's
+    INFERENCE_BATCH rows plus the L - 1 rows that later windows still fill.
+    After each block the rows whose windows are all in (the block's own
+    rows, or every row left after the last block) are sorted, their two
+    middle values at (count - 1) // 2 and count // 2 are averaged, and the
+    last L - 1 rows move to the front.
+    """
+    total = n + window - 1
+    out = np.empty(total, dtype=np.float64)
+    buf = np.full((INFERENCE_BATCH + window - 1, window), np.inf)
+    # skew[j, k] is buf[j + k, k]: where value k of the block's window j goes
+    row_step, slot_step = buf.strides
+    skew = np.lib.stride_tricks.as_strided(
+        buf, (INFERENCE_BATCH, window), (row_step, row_step + slot_step))
+    for lo in range(0, n, INFERENCE_BATCH):
+        hi = min(lo + INFERENCE_BATCH, n)
+        skew[:hi - lo] = windows_at(lo, hi)
+        done = hi - lo if hi < n else total - lo
+        buf[:done].sort(axis=1)
+        rows = np.arange(done)  # row r is sample lo + r
+        c = np.minimum(np.minimum(lo + rows + 1, total - lo - rows), min(window, n))
+        out[lo:lo + done] = (buf[rows, (c - 1) // 2] + buf[rows, c // 2]) / 2
+        # overlapping when L - 1 > INFERENCE_BATCH; numpy then copies via a temporary
+        buf[:window - 1] = buf[INFERENCE_BATCH:]
+        buf[window - 1:] = np.inf
+    return out
 
 
 def reconstruct_median(windows):
@@ -34,13 +68,9 @@ def reconstruct_median(windows):
     Window i of the (N, L) array covers samples i..i+L-1, so the output has
     N + L - 1 samples and sample t is covered by min(t+1, N+L-1-t, L, N)
     values. Even counts take the mean of the two middle values. Every
-    window value must be finite.
-
-    Row t of the median matrix holds windows[t-k, k] in slot k, for each
-    offset k whose window exists, and +inf in the other slots. Each row is
-    sorted and its two middle values are read at (count - 1) // 2 and
-    count // 2. Rows go in chunks of about _MEDIAN_CHUNK_VALUES values, and
-    a chunk reads only the windows that cover it.
+    window value must be finite. The median is taken over blocks of
+    INFERENCE_BATCH windows and holds INFERENCE_BATCH + L - 1 sample rows
+    of L values at a time.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 2:
@@ -49,23 +79,7 @@ def reconstruct_median(windows):
         raise DataError("no windows to reconstruct from")
     if not np.isfinite(windows).all():
         raise DataError("window values must be finite")
-    n, window = windows.shape
-    total = n + window - 1
-    out = np.empty(total, dtype=np.float64)
-    chunk = max(1, _MEDIAN_CHUNK_VALUES // window)
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        mat = np.full((hi - lo, window), np.inf)
-        for k in range(window):
-            a, b = max(lo, k), min(hi, n + k)
-            if a < b:  # a negative slice bound would wrap around
-                mat[a - lo:b - lo, k] = windows[a - k:b - k, k]
-        mat.sort(axis=1)
-        t = np.arange(lo, hi)
-        c = np.minimum(np.minimum(t + 1, total - t), min(window, n))
-        rows = np.arange(hi - lo)
-        out[lo:hi] = (mat[rows, (c - 1) // 2] + mat[rows, c // 2]) / 2
-    return out
+    return _median_of_windows(*windows.shape, lambda lo, hi: windows[lo:hi])
 
 
 def disaggregate(model, aggregate: PowerSeries, export_attention=False):
@@ -76,6 +90,9 @@ def disaggregate(model, aggregate: PowerSeries, export_attention=False):
     that starts at sample i. The model must carry normalization metadata;
     the output has the same length, period, and origin as the input and is
     at least 0 W. A non-finite model output raises NumericalError.
+
+    Each forward batch of INFERENCE_BATCH windows goes straight to the
+    median, so the windows' watts are never held for the whole series.
     """
     meta = model.norm_meta
     if meta is None:
@@ -88,21 +105,21 @@ def disaggregate(model, aggregate: PowerSeries, export_attention=False):
     standardized = standardize_input(aggregate.values, meta)
     views = np.lib.stride_tricks.sliding_window_view(standardized, window)
     n = views.shape[0]
-    watts = np.empty((n, window), dtype=np.float64)
     alphas = np.empty((n, window), dtype=np.float64) if export_attention else None
-    for lo in range(0, n, INFERENCE_BATCH):
-        hi = min(lo + INFERENCE_BATCH, n)
+
+    def watts(lo, hi):
         result = model.forward(views[lo:hi], cache=False)
         if not np.isfinite(result.output).all():
             raise NumericalError(
                 f"model output is non-finite in windows {lo}..{hi - 1}")
-        # clamped at 0 W, so the median of each sample is too
-        watts[lo:hi] = denormalize_target(result.output, meta)
         if export_attention:
             alphas[lo:hi] = result.attention
+        # clamped at 0 W, so the median of each sample is too
+        return denormalize_target(result.output, meta)
+
     prediction = PowerSeries(model.appliance or "prediction",
                              aggregate.period_s, aggregate.t0,
-                             reconstruct_median(watts))
+                             _median_of_windows(n, window, watts))
     return prediction, alphas
 
 

@@ -193,6 +193,18 @@ class TestFormatGuards:
             ckpt.load_checkpoint(path)
         assert str(err.value).startswith(f"{path}: invalid normalization metadata: ")
 
+    @pytest.mark.parametrize("flag", [2, 255])
+    def test_normalization_flag_other_than_0_or_1_rejected(self, flag, tmp_path):
+        blob = bytearray(small_checkpoint_bytes(tmp_path))
+        at = blob.index(struct.pack("<B4d", 1, 200.0, 300.0, 0.0, 2500.0))
+        blob[at] = flag
+        path = tmp_path / "flag.ckpt"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError) as err:
+            ckpt.load_checkpoint(path)
+        assert str(err.value) == (f"{path}: normalization flag at byte {at} "
+                                  f"is {flag}, not 0 or 1")
+
     @pytest.mark.parametrize("fields", [{"hidden": 0}, {"cls_window": 64}])
     def test_invalid_header_config_is_data_error(self, fields, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -1,5 +1,7 @@
 """Metrics and reconstruction against brute-force oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,12 +42,12 @@ class TestReconstructMedian:
                                           (9, 4), (23, 6)])
     def test_bytes_match_brute_force_at_every_chunk_edge(self, n, window,
                                                          monkeypatch):
-        # chunks of 1..L+1 rows put an edge at every row offset modulo L;
+        # blocks of 1..L+1 windows put an edge at every row offset modulo L;
         # N < L caps the coverage of the middle rows at N
         windows = np.random.default_rng(n * 100 + window).normal(size=(n, window))
         want = median_reconstruct_direct(windows, np.arange(n), n + window - 1)
         for rows in range(1, window + 2):
-            monkeypatch.setattr(ev, "_MEDIAN_CHUNK_VALUES", rows * window)
+            monkeypatch.setattr(ev, "INFERENCE_BATCH", rows)
             assert ev.reconstruct_median(windows).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -286,6 +288,31 @@ class TestDisaggregate:
             "agg", 3, 0, np.abs(np.random.default_rng(5).normal(size=48)) * 20)
         with pytest.raises(NumericalError, match="non-finite"):
             ev.disaggregate(model, aggregate)
+
+    @pytest.mark.parametrize("n,window", [(1, 5), (3, 5), (23, 6), (40, 7)])
+    def test_every_block_edge_matches_one_shot_median(self, n, window, monkeypatch):
+        """Blocks of 1..L+1 windows, with a stub forward whose rows depend
+        only on their own window, give the median of the one-shot windows."""
+        def forward(x, cache):
+            assert cache is False
+            weights = np.exp(np.sin(3.0 * x))
+            return SimpleNamespace(output=np.cos(x) + 0.1 * x[:, ::-1],
+                                   attention=weights / weights.sum(axis=1, keepdims=True))
+
+        model = SimpleNamespace(appliance="stub", window=window, forward=forward,
+                                norm_meta=data.NormalizationMeta(10.0, 2.0, 0.0, 100.0))
+        aggregate = data.PowerSeries(
+            "agg", 3, 0, np.random.default_rng(n).uniform(0.0, 40.0, n + window - 1))
+        views = np.lib.stride_tricks.sliding_window_view(
+            data.standardize_input(aggregate.values, model.norm_meta), window)
+        one_shot = model.forward(views, cache=False)
+        want = ev.reconstruct_median(data.denormalize_target(one_shot.output,
+                                                             model.norm_meta))
+        for rows in range(1, window + 2):
+            monkeypatch.setattr(ev, "INFERENCE_BATCH", rows)
+            prediction, alphas = ev.disaggregate(model, aggregate, export_attention=True)
+            assert prediction.values.tobytes() == want.tobytes()
+            assert alphas.tobytes() == one_shot.attention.tobytes()
 
     def test_output_never_negative(self):
         model = self.zero_model()

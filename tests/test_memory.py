@@ -1,0 +1,71 @@
+"""Memory against series length: each entry point's traced peak at N and 2N
+samples bounds what it holds per sample. Fixed costs (imports, the model,
+BLAS buffers) cancel in the slope; a warm-up call first pays the one-time
+costs that would not."""
+
+import numpy as np
+import pytest
+
+from nilmnet import data, evaluation as ev
+from nilmnet.model import ClassificationConfig, GatedAttentionModel, RegressionConfig
+
+from conftest import traced_peak
+
+N = 20_000
+WARM_UP = 2_000
+
+
+def aggregate(n):
+    return data.PowerSeries("agg", 6, 0, np.random.default_rng(n).uniform(0.0, 3000.0, n))
+
+
+@pytest.fixture(scope="module")
+def model():
+    reg = RegressionConfig(window=64, filters=2, kernel=4, hidden=3)
+    cls_cfg = ClassificationConfig(filters=(3, 3, 4, 5, 5, 5),
+                                   kernels=(10, 8, 6, 5, 5, 5), dense_units=16)
+    model = GatedAttentionModel.init(reg, cls_cfg, appliance="toy", seed=5)
+    model.norm_meta = data.NormalizationMeta(1500.0, 800.0, 0.0, 2000.0)
+    return model
+
+
+def load_channel_csv(n, tmp_path, model):
+    path = tmp_path / f"channel_{n}.csv"
+    data.write_channel_csv(path, aggregate(n))
+    return lambda: data.load_channel_csv(path)
+
+
+def evaluate(n, tmp_path, model):
+    rng = np.random.default_rng(n)
+    y, y_hat = rng.uniform(0.0, 100.0, (2, n))
+    return lambda: ev.evaluate("toy", y, y_hat)
+
+
+def disaggregate(export_attention):
+    def entry(n, tmp_path, model):
+        series = aggregate(n)
+        return lambda: ev.disaggregate(model, series, export_attention=export_attention)
+    return entry
+
+
+# (entry point, bound in bytes per sample). The attention export returns the
+# (N, L) float64 alphas, 512 B per sample at L=64.
+SLOPES = [
+    pytest.param(load_channel_csv, 80, id="load_channel_csv"),
+    pytest.param(evaluate, 32, id="evaluate"),
+    pytest.param(disaggregate(False), 64, id="disaggregate-L64"),
+    pytest.param(disaggregate(True), 600, id="disaggregate-L64-attention"),
+]
+
+
+@pytest.mark.parametrize("entry,bound", SLOPES)
+def test_peak_grows_by_bounded_bytes_per_sample(entry, bound, tmp_path, model):
+    entry(WARM_UP, tmp_path, model)()
+    peaks = []
+    for n in (N, 2 * N):
+        call = entry(n, tmp_path, model)
+        with traced_peak() as traced:
+            call()
+            peaks.append(traced()[1])
+    slope = (peaks[1] - peaks[0]) / N
+    assert slope < bound, f"{slope:.0f} B per sample"
