@@ -6,7 +6,8 @@ command is deterministic given identical flags, files, and seed. The CLI
 passes on only the values the file or the flags set, so every default lives
 once, in the library dataclass or signature that uses it.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error (bad input, including an
+input that needs more memory than is available), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -443,11 +444,8 @@ def main(argv=None):
         return exc.code if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DataError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PowerSeries, denormalize_target, standardize_input
+from .data import PowerSeries, _csv_rows, denormalize_target, standardize_input
 from .errors import DataError, NumericalError
 from .model import INFERENCE_BATCH
 
@@ -239,16 +239,30 @@ def write_report_csv(path, reports):
 
 
 def read_report_csv(path):
-    """Rows of the results CSV as dictionaries keyed by column name."""
+    """Rows of the results CSV as dictionaries keyed by column name.
+
+    An empty file, another header, a row without one field per column or a
+    numeric field that does not parse raises DataError naming the line.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        rows = _csv_rows(reader, path)
+        header = next(rows, None)
+        if header is None:
+            raise DataError(f"{path}:1: empty results file")
         if tuple(header) != REPORT_COLUMNS:
-            raise DataError(f"{path}: unexpected results header {header!r}")
-        rows = []
-        for row in reader:
+            raise DataError(f"{path}:1: unexpected results header {header!r}")
+        records = []
+        for row in rows:
+            if len(row) != len(REPORT_COLUMNS):
+                raise DataError(f"{path}:{reader.line_num}: {len(row)} fields, "
+                                f"expected {len(REPORT_COLUMNS)}")
             record = dict(zip(REPORT_COLUMNS, row))
-            for key in REPORT_COLUMNS[1:]:
-                record[key] = float(record[key])
-            rows.append(record)
-    return rows
+            try:
+                for key in REPORT_COLUMNS[1:]:
+                    record[key] = float(record[key])
+            except ValueError:
+                raise DataError(f"{path}:{reader.line_num}: {key} {record[key]!r} "
+                                "is not a number") from None
+            records.append(record)
+    return records

@@ -200,7 +200,7 @@ class GatedAttentionModel:
         if arena.used != arena.weights.size:
             raise ShapeError(f"layers use {arena.used} of {arena.weights.size} entries")
         self.weights, self.grads, self._groups = arena.weights, arena.grads, arena.groups
-        self._gate_cache = None
+        self._cache = None
 
     @classmethod
     def init(cls, reg_cfg, cls_cfg=ClassificationConfig(), appliance="", seed=0,
@@ -240,7 +240,7 @@ class GatedAttentionModel:
             raise ShapeError(f"expected (B, {self.window}) windows, got {x.shape}")
         power, alpha = self.regression.forward(x, cache)
         state = self.classification.forward(x, cache)
-        self._gate_cache = (power, state) if cache else None
+        self._cache = (power, state) if cache else None
         return ForwardResult(power * state, power, state, alpha)
 
     def backward(self, d_output, d_state_extra=None):
@@ -248,13 +248,12 @@ class GatedAttentionModel:
 
         The product rule routes d_output into both branches, and every
         layer writes its parameter gradients, so the call sets every entry
-        of `grads` and nothing needs zeroing first. Like every layer's, the
-        forward's cache feeds exactly one backward, which frees it.
+        of `grads` and nothing needs zeroing first. The gate cache is handed
+        off as every layer's is (nn._take_cache): the forward's cache feeds
+        exactly one backward, which frees it, and a backward without one
+        raises RuntimeError naming the model.
         """
-        if self._gate_cache is None:
-            raise RuntimeError("backward called before forward")
-        power, state = self._gate_cache
-        self._gate_cache = None
+        power, state = nn._take_cache(self, "model")
         d_output = np.asarray(d_output, dtype=self.dtype)
         d_power = d_output * state
         d_state = d_output * power

@@ -43,9 +43,10 @@ mappings, so rebinding an entry, p.weights[k] += x included, raises
 TypeError.
 
 Each parameter gets its gradient from exactly one backward call, so every
-layer backward writes every entry of its parameters' gradients (out=) and
-the optimizer only reads them: nothing zeroes a gradient between steps.
-LSTMCell.step_backward is the one exception; see its docstring.
+backward, LSTMCell.step_backward included, writes every entry of its
+parameters' gradients (out=) and the optimizer only reads them: nothing
+zeroes a gradient between steps. A caller that unrolls LSTMCell over time
+sums the steps' gradients itself.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ShapeError
-
-ACTIVATIONS = ("relu", "linear", "sigmoid", "tanh")
 
 
 def sigmoid(x, out=None):
@@ -84,34 +83,21 @@ def softmax(x):
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _apply_activation(pre, activation):
-    """The activation of pre, written over pre, which is returned."""
-    if activation == "relu":
-        return np.maximum(pre, 0.0, out=pre)
-    if activation == "linear":
-        return pre
-    if activation == "sigmoid":
-        return sigmoid(pre, out=pre)
-    if activation == "tanh":
-        return np.tanh(pre, out=pre)
-    raise ValueError(f"unknown activation {activation!r}")
-
-
-def _activation_grad(d_out, out, activation):
-    """Gradient w.r.t. the pre-activation, given the output and its gradient.
-
-    The ReLU slope reads out > 0, the same mask as pre > 0 for every float:
-    max(pre, 0) is positive exactly where pre is, and NaN stays NaN.
-    """
-    if activation == "relu":
-        return d_out * (out > 0)
-    if activation == "linear":
-        return d_out
-    if activation == "sigmoid":
-        return d_out * out * (1.0 - out)
-    if activation == "tanh":
-        return d_out * (1.0 - out * out)
-    raise ValueError(f"unknown activation {activation!r}")
+# Each activation as a pair (apply, grad): apply(pre) writes the activation
+# over the pre-activation and returns it; grad(d_out, out) is the gradient
+# w.r.t. the pre-activation, given the output and its gradient. The ReLU
+# slope reads out > 0, the same mask as pre > 0 for every float: max(pre, 0)
+# is positive exactly where pre is, and NaN stays NaN.
+ACTIVATIONS = {
+    "relu": (lambda pre: np.maximum(pre, 0.0, out=pre),
+             lambda d_out, out: d_out * (out > 0)),
+    "linear": (lambda pre: pre,
+               lambda d_out, out: d_out),
+    "sigmoid": (lambda pre: sigmoid(pre, out=pre),
+                lambda d_out, out: d_out * out * (1.0 - out)),
+    "tanh": (lambda pre: np.tanh(pre, out=pre),
+             lambda d_out, out: d_out * (1.0 - out * out)),
+}
 
 
 class Arena:
@@ -248,7 +234,7 @@ class Conv1D:
         w = self.params.weights["W"].reshape(self.filters, -1)
         out = w @ cols
         out += self.params.weights["b"][:, None]
-        _apply_activation(out, self.activation)
+        ACTIVATIONS[self.activation][0](out)
         self._cache = (cols, out) if cache else None
         return out
 
@@ -259,7 +245,7 @@ class Conv1D:
             raise ShapeError(
                 f"{self.params.name}: upstream shape {d_out.shape} does not match "
                 f"forward output {out.shape}")
-        d_pre = _activation_grad(d_out, out, self.activation)
+        d_pre = ACTIVATIONS[self.activation][1](d_out, out)
         w = self.params.weights["W"].reshape(self.filters, -1)
         # One GEMM per batch item with its columns as a transposed operand
         # (no copy), summed over the batch.
@@ -301,7 +287,7 @@ class Dense:
                 f"{self.params.name}: expected (B, {self.in_features}), got {x.shape}")
         out = x @ self.params.weights["W"].T
         out += self.params.weights["b"]
-        _apply_activation(out, self.activation)
+        ACTIVATIONS[self.activation][0](out)
         self._cache = (x, out) if cache else None
         return out
 
@@ -311,7 +297,7 @@ class Dense:
             raise ShapeError(
                 f"{self.params.name}: upstream shape {d_out.shape} does not match "
                 f"forward output {out.shape}")
-        d_pre = _activation_grad(d_out, out, self.activation)
+        d_pre = ACTIVATIONS[self.activation][1](d_out, out)
         np.matmul(d_pre.T, x, out=self.params.grads["W"])
         np.sum(d_pre, axis=0, out=self.params.grads["b"])
         return d_pre @ self.params.weights["W"]
@@ -410,7 +396,11 @@ class LSTMCell:
             w["b"][h:2 * h] = 1.0
 
     def step(self, x, h_prev, c_prev):
-        """One time step: (B, d), (B, H), (B, H) -> (h, c, cache)."""
+        """One time step: (B, d), (B, H), (B, H) -> (h, c, cache).
+
+        The cache is (x, h_prev, c_prev, z, tanh(c)), where z holds the
+        step's (B, 4H) gate activations in gate order.
+        """
         if x.ndim != 2 or x.shape[1] != self.input_size:
             raise ShapeError(
                 f"{self.params.name}: expected input (B, {self.input_size}), got {x.shape}")
@@ -422,29 +412,21 @@ class LSTMCell:
         z += h_prev @ self.params.weights["U"].T
         c, tanh_c, h = (np.empty_like(h_prev, dtype=z.dtype) for _ in range(3))
         _lstm_gates(z, c_prev, c, tanh_c, h)
-        cache = (x, h_prev, c_prev, *_split_gates(z), tanh_c)
-        return h, c, cache
+        return h, c, (x, h_prev, c_prev, z, tanh_c)
 
     def step_backward(self, d_h, d_c, cache):
-        """Backward through one step; adds to the parameter gradients.
+        """Backward through one step; writes the parameter gradients.
 
-        Unlike the layer backwards, which write their gradients, this adds
-        (+=): a caller unrolls the cell over time and calls it once per
-        step, so the steps' gradients must sum. Zero the cell's grads
-        before the first step of a sequence. Returns (d_x, d_h_prev,
-        d_c_prev).
+        A caller that unrolls the cell over time sums the steps' gradients.
+        Returns (d_x, d_h_prev, d_c_prev).
         """
-        x, h_prev, c_prev, i, f, g, o, tanh_c = cache
-        gates = np.concatenate([i, f, g, o], axis=1)
-        d_z = np.empty_like(gates)
-        d_c_prev = _lstm_gates_backward(d_h, d_c, gates, c_prev, tanh_c, d_z)
-        g_w, g_u, g_b = (self.params.grads[k] for k in ("W", "U", "b"))
-        g_w += d_z.T @ x
-        g_u += d_z.T @ h_prev
-        g_b += d_z.sum(axis=0)
-        d_x = d_z @ self.params.weights["W"]
-        d_h_prev = d_z @ self.params.weights["U"]
-        return d_x, d_h_prev, d_c_prev
+        x, h_prev, c_prev, z, tanh_c = cache
+        d_z = np.empty_like(z)
+        d_c_prev = _lstm_gates_backward(d_h, d_c, z, c_prev, tanh_c, d_z)
+        np.matmul(d_z.T, x, out=self.params.grads["W"])
+        np.matmul(d_z.T, h_prev, out=self.params.grads["U"])
+        np.sum(d_z, axis=0, out=self.params.grads["b"])
+        return d_z @ self.params.weights["W"], d_z @ self.params.weights["U"], d_c_prev
 
 
 class BiLSTM:

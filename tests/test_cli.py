@@ -380,6 +380,24 @@ class TestGradcheckCommand:
         assert "6-layer table (kernels 10,8,6,5,5,5)" in capsys.readouterr().err
 
 
+class TestOutOfMemory:
+    """An input that needs more memory than the host gives exits 2."""
+
+    @pytest.mark.parametrize("exc,message", [
+        (MemoryError("Unable to allocate 243. TiB"), "Unable to allocate 243. TiB"),
+        (MemoryError(), "MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_exits_2_with_one_error_line(
+            self, config_path, tmp_path, monkeypatch, capsys, exc, message):
+        def synth_household(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(data, "synth_household", synth_household)
+        assert run(["synth", "--config", config_path, "--out", tmp_path,
+                    "--duration-s", "300"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_1(self, capsys):
         assert run(["frobnicate"]) == 1

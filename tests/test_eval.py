@@ -353,3 +353,19 @@ class TestReportCsv:
         assert row["f1"] == pytest.approx(scores.f1)
         header = path.read_text().splitlines()[0]
         assert header == "appliance,mae_w,sae_w,precision,recall,f1,threshold_w,period_len_k"
+
+    HEADER = "appliance,mae_w,sae_w,precision,recall,f1,threshold_w,period_len_k\n"
+    ROW = "kettle,1.5,0.25,0.5,0.75,0.6,15.0,1200\n"
+
+    @pytest.mark.parametrize("body,where", [
+        ("", ":1: empty results file"),
+        (HEADER + ROW + "kettle,1.5,0.25\n", ":3: 3 fields, expected 8"),
+        (HEADER + ROW.replace("\n", ",9,9\n"), ":2: 10 fields, expected 8"),
+        (HEADER + ROW + ROW.replace("1.5", "lots"), ":3: mae_w 'lots' is not a number"),
+    ], ids=["empty", "short-row", "long-row", "non-numeric"])
+    def test_malformed_file_raises_data_error_naming_the_line(self, tmp_path, body, where):
+        path = tmp_path / "results.csv"
+        path.write_text(body)
+        with pytest.raises(DataError) as err:
+            ev.read_report_csv(path)
+        assert str(err.value) == f"{path}{where}"

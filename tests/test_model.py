@@ -136,6 +136,12 @@ class TestForward:
         with pytest.raises(RuntimeError, match="before forward"):
             model.backward(np.zeros((4, 16), dtype=np.float32))
 
+    def test_backward_after_uncached_forward_names_the_model(self):
+        model = toy_model(18)
+        model.forward(np.random.default_rng(19).normal(size=(4, 16)), cache=False)
+        with pytest.raises(RuntimeError, match="^model: backward called before forward"):
+            model.backward(np.zeros((4, 16), dtype=np.float32))
+
     def test_backward_after_batch_loss_raises(self):
         model = toy_model(16)
         windows = np.random.default_rng(17).normal(size=(4, 16))
@@ -349,7 +355,7 @@ class TestTrainStepMemory:
             model.train_step_grads(windows, power, state)
             after = traced()[0]
         assert all(layer._cache is None for layer in all_layers(model))
-        assert model._gate_cache is None
+        assert model._cache is None
         assert abs(after - before) < 0.01 * before
 
     def backward_peaks(self, monkeypatch, layer_cls, seed):

@@ -113,6 +113,41 @@ class TestDenseBackward:
         check_params_and_input(layer, x, layer.forward, rng)
 
 
+class TestLSTMCellBackward:
+    """step_backward writes its cell's gradients, as every backward does."""
+
+    @staticmethod
+    def cell_and_step(seed):
+        """A float64 cell, one step's cache, and upstream (d_h, d_c)."""
+        rng = np.random.default_rng(seed)
+        cell = nn.LSTMCell("l", 2, 3, rng=rng, dtype=np.float64)
+        nn.randomize_biases([cell.params], rng)
+        x, h_prev, c_prev = rng.normal(size=(4, 2)), *rng.normal(size=(2, 4, 3))
+        _, _, cache = cell.step(x, h_prev, c_prev)
+        return cell, cache, *rng.normal(size=(2, 4, 3))
+
+    def test_writes_every_gradient_entry(self):
+        stale, cache, d_h, d_c = self.cell_and_step(40)
+        for g in stale.params.grads.values():
+            g.fill(np.nan)
+        stale.step_backward(d_h, d_c, cache)
+        fresh, cache, d_h, d_c = self.cell_and_step(40)
+        fresh.step_backward(d_h, d_c, cache)
+        for key, g in stale.params.grads.items():
+            assert np.all(np.isfinite(g))
+            np.testing.assert_array_equal(g, fresh.params.grads[key])
+
+    def test_two_backwards_from_one_cache_write_the_same_gradients(self):
+        cell, cache, d_h, d_c = self.cell_and_step(41)
+        first = cell.step_backward(d_h, d_c, cache)
+        once = {key: g.copy() for key, g in cell.params.grads.items()}
+        second = cell.step_backward(d_h, d_c, cache)
+        for key, g in cell.params.grads.items():
+            np.testing.assert_array_equal(g, once[key])
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestBiLSTMBackward:
     def test_zero_upstream(self):
         rng = np.random.default_rng(7)
@@ -179,6 +214,9 @@ class TestBiLSTMBackward:
                 cell.params.weights[key][...] = fused.params.weights[key]
         want_out = np.zeros_like(out)
         want_dx = np.zeros_like(x)
+        # The cell writes each step's gradients; the sequence's are their sum.
+        want_grads = [{key: np.zeros_like(g) for key, g in cell.params.grads.items()}
+                      for cell in cells]
         orders = (range(steps), range(steps - 1, -1, -1))
         for k, (cell, order) in enumerate(zip(cells, orders)):
             cols = slice(k * hs, (k + 1) * hs)
@@ -193,13 +231,14 @@ class TestBiLSTMBackward:
                 dx_t, d_h, d_c = cell.step_backward(
                     d_h + upstream[:, t, cols], d_c, cache)
                 want_dx[:, t, :] += dx_t
+                for key, g in cell.params.grads.items():
+                    want_grads[k][key] += g
 
         np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
         np.testing.assert_allclose(d_x, want_dx, rtol=0, atol=1e-12)
-        for cell, fused in zip(cells, (layer.fw, layer.bw)):
+        for want, fused in zip(want_grads, (layer.fw, layer.bw)):
             for key in ("W", "U", "b"):
-                np.testing.assert_allclose(fused.params.grads[key],
-                                           cell.params.grads[key],
+                np.testing.assert_allclose(fused.params.grads[key], want[key],
                                            rtol=0, atol=1e-12)
         return layer
 

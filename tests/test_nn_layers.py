@@ -90,6 +90,10 @@ class TestConv1D:
         out = layer.forward(rng.normal(size=(1, 1, length)).astype(np.float32))
         assert out.shape == (1, 2, length)
 
+    def test_unknown_activation_raises(self):
+        with pytest.raises(ValueError, match="unknown activation 'softplus'"):
+            nn.Conv1D("c", 1, 1, 1, "softplus")
+
 
 class TestDense:
     def test_identity(self):
@@ -115,6 +119,10 @@ class TestDense:
                                 layer.params.weights["b"], activation)
         assert np.max(np.abs(layer.forward(x)[0] - expected)) < 1e-10
 
+    def test_unknown_activation_raises(self):
+        with pytest.raises(ValueError, match="unknown activation 'softplus'"):
+            nn.Dense("d", 3, 2, "softplus")
+
     def test_shape_mismatch_raises(self):
         layer = nn.Dense("d", 3, 2)
         with pytest.raises(nn.ShapeError):
@@ -127,7 +135,7 @@ class TestLSTMCell:
         h, c, cache = cell.step(np.ones((1, 2)), np.zeros((1, 3)), np.zeros((1, 3)))
         np.testing.assert_array_equal(h, np.zeros((1, 3)))
         np.testing.assert_array_equal(c, np.zeros((1, 3)))
-        i, f, o = cache[3], cache[4], cache[6]
+        i, f, _, o = nn._split_gates(cache[3])
         assert np.all(i == 0.5) and np.all(f == 0.5) and np.all(o == 0.5)
 
     def test_zero_cell_state_means_input_times_candidate(self):
@@ -136,7 +144,7 @@ class TestLSTMCell:
         x = rng.normal(size=(2, 2))
         h_prev = rng.normal(size=(2, 3))
         _, c, cache = cell.step(x, h_prev, np.zeros((2, 3)))
-        i, g = cache[3], cache[5]
+        i, _, g, _ = nn._split_gates(cache[3])
         np.testing.assert_allclose(c, i * g, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(N_SEEDS))
