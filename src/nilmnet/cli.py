@@ -7,7 +7,8 @@ passes on only the values the file or the flags set, so every default lives
 once, in the library dataclass or signature that uses it.
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad input, including an
-input that needs more memory than is available), 3 numerical failure.
+input that needs more memory than is available or a size past numpy's
+index range), 3 numerical failure.
 """
 
 from __future__ import annotations

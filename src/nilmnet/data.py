@@ -13,6 +13,7 @@ import logging
 import warnings
 from array import array
 from dataclasses import dataclass, replace
+from itertools import chain
 from math import isfinite
 
 import numpy as np
@@ -152,8 +153,8 @@ def _header_columns(reader, path):
                         f"{CSV_HEADER[0]!r}/{CSV_HEADER[1]!r}") from None
 
 
-def _plain_lines(fh):
-    """The rest of fh line by line, read in blocks of READ_BLOCK_CHARS.
+def _plain_blocks(fh):
+    """The rest of fh as lists of lines, read in blocks of READ_BLOCK_CHARS.
 
     Raises ValueError on a block that numpy's reader could take differently
     from the row loop: one with text outside ASCII (numpy's integer parser
@@ -161,40 +162,37 @@ def _plain_lines(fh):
     U+001C-U+001F (numpy strips them as whitespace; int and float refuse
     them), with a quote (csv.reader has quoting rules of its own), or longer
     than csv.field_size_limit() (csv.reader refuses a longer field, and
-    without quotes a field lies within one block). A body of blank lines
-    raises at its end, where numpy would only warn.
+    without quotes a field lies within one block).
     """
-    blank = True
     while lines := fh.readlines(READ_BLOCK_CHARS):
         block = "".join(lines)
         if (not block.isascii() or len(block) > csv.field_size_limit()
                 or any(c in block for c in '"\x1c\x1d\x1e\x1f')):
             raise ValueError("text for the row loop")
-        blank = blank and block.isspace()
-        yield from lines
-    if blank:
-        raise ValueError("no data rows")
+        yield lines
 
 
 def _read_body_numpy(fh, path):
     """(timestamps, watts) of the rows after the header, read by numpy's C
-    reader, or None when the row loop must decide: when _plain_lines or
-    numpy raises, fewer than two rows are read, a watt value is not finite
-    or the timestamps do not increase.
+    reader, or None when the row loop must decide: when _plain_blocks or
+    numpy raises or warns, fewer than two rows are read, a watt value is
+    not finite or the timestamps do not increase.
 
-    numpy releases that keep the deprecated integer-via-float fallback
-    parse an int64 field that is not an integer (1.5, 1e3, nan, a value
-    outside int64) as a float and cast it, with only a DeprecationWarning.
-    That warning is an error here, so such a timestamp goes to the row
-    loop, which refuses it.
+    Every numpy warning is an error here. A body with no rows only warns
+    ("input contained no data"), and numpy releases that keep the
+    deprecated integer-via-float fallback parse an int64 field that is not
+    an integer (1.5, 1e3, nan, a value outside int64) as a float and cast
+    it, with only a DeprecationWarning; both go to the row loop, which
+    refuses them.
     """
     ts_idx, pw_idx = _header_columns(_csv_rows(csv.reader(fh), path), path)
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            body = np.loadtxt(_plain_lines(fh), dtype=_BODY_DTYPE, delimiter=",",
-                              usecols=(ts_idx, pw_idx), comments=None, ndmin=1)
-    except (ValueError, DeprecationWarning):
+            warnings.simplefilter("error")
+            body = np.loadtxt(chain.from_iterable(_plain_blocks(fh)), dtype=_BODY_DTYPE,
+                              delimiter=",", usecols=(ts_idx, pw_idx), comments=None,
+                              ndmin=1)
+    except (ValueError, Warning):
         return None
     timestamps, watts = body["timestamp"], body["power_w"]
     if (len(body) < 2 or not np.isfinite(watts).all()
@@ -327,20 +325,15 @@ def resample(series: PowerSeries, target_period_s: int) -> PowerSeries:
     period = series.period_s
     if target_period_s == period:
         return series
-    if target_period_s > period:
-        if target_period_s % period != 0:
-            raise DataError(
-                f"{series.name}: cannot resample {period}s -> {target_period_s}s "
-                f"(non-integer factor)")
-        factor = target_period_s // period
-        usable = (len(series) // factor) * factor
-        pooled = series.values[:usable].reshape(-1, factor).mean(axis=1)
-        return replace(series, period_s=target_period_s, values=pooled)
-    if period % target_period_s != 0:
+    factor, rest = divmod(max(period, target_period_s), min(period, target_period_s))
+    if rest:
         raise DataError(
             f"{series.name}: cannot resample {period}s -> {target_period_s}s "
             f"(non-integer factor)")
-    factor = period // target_period_s
+    if target_period_s > period:
+        usable = (len(series) // factor) * factor
+        pooled = series.values[:usable].reshape(-1, factor).mean(axis=1)
+        return replace(series, period_s=target_period_s, values=pooled)
     if factor - 1 > MAX_FILL_SAMPLES:
         raise DataError(
             f"{series.name}: refusing to forward-fill {factor - 1} samples per "
@@ -534,6 +527,8 @@ def synth_household(specs, duration_s, noise_std=0.0, seed=0, period_s=3,
     n = int(duration_s) // int(period_s)
     if n < 1:
         raise DataError("duration too short for one sample")
+    if n * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
+        raise DataError(f"{n} samples are past numpy's index range")
     rng = np.random.default_rng(seed)
     appliance_series = []
     total = np.zeros(n, dtype=np.float64)

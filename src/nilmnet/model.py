@@ -236,8 +236,7 @@ class GatedAttentionModel:
         a backward that follows raises instead of reusing stale caches.
         """
         x = np.asarray(windows, dtype=self.dtype)
-        if x.ndim != 2 or x.shape[1] != self.window:
-            raise ShapeError(f"expected (B, {self.window}) windows, got {x.shape}")
+        nn._expect("model", x, ("B", self.window))
         power, alpha = self.regression.forward(x, cache)
         state = self.classification.forward(x, cache)
         self._cache = (power, state) if cache else None
@@ -246,18 +245,21 @@ class GatedAttentionModel:
     def backward(self, d_output, d_state_extra=None):
         """Backpropagate gradients of the gated output (and extra state grad).
 
-        The product rule routes d_output into both branches, and every
-        layer writes its parameter gradients, so the call sets every entry
-        of `grads` and nothing needs zeroing first. The gate cache is handed
-        off as every layer's is (nn._take_cache): the forward's cache feeds
-        exactly one backward, which frees it, and a backward without one
-        raises RuntimeError naming the model.
+        Both have the forward's (B, L) shape; any other raises ShapeError
+        rather than broadcasting. The product rule routes d_output into both
+        branches, and every layer writes its parameter gradients, so the
+        call sets every entry of `grads` and nothing needs zeroing first.
+        The gate cache is handed off as every layer's is (nn._take_cache):
+        the forward's cache feeds exactly one backward, which frees it, and
+        a backward without one raises RuntimeError naming the model.
         """
         power, state = nn._take_cache(self, "model")
+        nn._expect("model", d_output, state.shape)
         d_output = np.asarray(d_output, dtype=self.dtype)
         d_power = d_output * state
         d_state = d_output * power
         if d_state_extra is not None:
+            nn._expect("model", d_state_extra, state.shape)
             d_state = d_state + np.asarray(d_state_extra, dtype=self.dtype)
         self.regression.backward(d_power)
         self.classification.backward(d_state)
@@ -294,15 +296,11 @@ class GatedAttentionModel:
         """
         if out is None:
             return self.weights.copy()
-        if out.shape != self.weights.shape:
-            raise ShapeError(f"snapshot buffer {out.shape} does not match "
-                             f"{self.weights.shape}")
+        nn._expect("model", out, self.weights.shape)
         out[...] = self.weights
         return out
 
     def restore_weights(self, snapshot):
         """Copy a snapshot of the same shape back into the flat weights."""
-        if np.shape(snapshot) != self.weights.shape:
-            raise ShapeError(f"snapshot {np.shape(snapshot)} does not match "
-                             f"{self.weights.shape}")
+        nn._expect("model", snapshot, self.weights.shape)
         self.weights[...] = snapshot

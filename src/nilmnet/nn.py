@@ -19,6 +19,12 @@ Arrays are batch-first throughout:
     BiLSTM     (B, T, d)    -> (B, T, 2H)
     Attention  (B, T, 2H)   -> context (B, 2H), weights (B, T)
 
+The shape contract is stated in one place, _expect: every array that
+crosses a layer, loss or model boundary, upstream gradients and LSTM
+states included, is checked against the shape it must have, and a wrong
+one raises ShapeError naming the layer instance (or the loss or model)
+instead of broadcasting into a result.
+
 Conv1D computes channels-first, as it is called: its im2col columns are
 (B, C_in*K, L) and its output is a contiguous (B, F, L) array. BiLSTM
 computes direction-major: its buffers are (2, T, B, .) with the backward
@@ -105,10 +111,14 @@ class Arena:
 
     groups lists every LayerParams built from the arena, in arena order.
     np.zeros leaves its pages untouched until written, so a zero model's
-    checkpoint load writes each page once.
+    checkpoint load writes each page once. A size whose bytes are past
+    numpy's index range raises MemoryError, as one that does not fit in
+    memory does.
     """
 
     def __init__(self, size, dtype):
+        if size * np.dtype(dtype).itemsize > np.iinfo(np.intp).max:
+            raise MemoryError(f"arena of {size} entries is past numpy's index range")
         self.weights = np.zeros(size, dtype)
         self.grads = np.zeros(size, dtype)
         self.used = 0
@@ -148,6 +158,16 @@ class LayerParams:
     def __repr__(self):
         shapes = {k: v.shape for k, v in self.weights.items()}
         return f"LayerParams({self.name!r}, {shapes})"
+
+
+def _expect(name, array, dims):
+    """Raise ShapeError naming name unless array has one axis per entry of
+    dims and every int entry equals its axis; a str entry such as "B"
+    names a free axis."""
+    shape = np.shape(array)
+    if len(shape) != len(dims) or any(
+            not isinstance(d, str) and d != n for d, n in zip(dims, shape)):
+        raise ShapeError(f"{name}: expected ({', '.join(map(str, dims))}), got {shape}")
 
 
 def _take_cache(layer, name):
@@ -221,9 +241,7 @@ class Conv1D:
 
     def forward(self, x, cache=True):
         """x: (B, C_in, L) -> (B, F, L)."""
-        if x.ndim != 3 or x.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"{self.params.name}: expected (B, {self.in_channels}, L), got {x.shape}")
+        _expect(self.params.name, x, ("B", self.in_channels, "L"))
         b_sz, _, length = x.shape
         xp = np.pad(x, ((0, 0), (0, 0), same_padding(self.kernel)))
         # im2col in the given layout: the K length-L windows of xp, one per
@@ -241,10 +259,7 @@ class Conv1D:
     def backward(self, d_out):
         """d_out: (B, F, L) -> gradient w.r.t. the input, (B, C_in, L)."""
         cols, out = _take_cache(self, self.params.name)
-        if d_out.shape != out.shape:
-            raise ShapeError(
-                f"{self.params.name}: upstream shape {d_out.shape} does not match "
-                f"forward output {out.shape}")
+        _expect(self.params.name, d_out, out.shape)
         d_pre = ACTIVATIONS[self.activation][1](d_out, out)
         w = self.params.weights["W"].reshape(self.filters, -1)
         # One GEMM per batch item with its columns as a transposed operand
@@ -282,9 +297,7 @@ class Dense:
 
     def forward(self, x, cache=True):
         """x: (B, n) -> (B, m)."""
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ShapeError(
-                f"{self.params.name}: expected (B, {self.in_features}), got {x.shape}")
+        _expect(self.params.name, x, ("B", self.in_features))
         out = x @ self.params.weights["W"].T
         out += self.params.weights["b"]
         ACTIVATIONS[self.activation][0](out)
@@ -293,10 +306,7 @@ class Dense:
 
     def backward(self, d_out):
         x, out = _take_cache(self, self.params.name)
-        if d_out.shape != out.shape:
-            raise ShapeError(
-                f"{self.params.name}: upstream shape {d_out.shape} does not match "
-                f"forward output {out.shape}")
+        _expect(self.params.name, d_out, out.shape)
         d_pre = ACTIVATIONS[self.activation][1](d_out, out)
         np.matmul(d_pre.T, x, out=self.params.grads["W"])
         np.sum(d_pre, axis=0, out=self.params.grads["b"])
@@ -401,11 +411,9 @@ class LSTMCell:
         The cache is (x, h_prev, c_prev, z, tanh(c)), where z holds the
         step's (B, 4H) gate activations in gate order.
         """
-        if x.ndim != 2 or x.shape[1] != self.input_size:
-            raise ShapeError(
-                f"{self.params.name}: expected input (B, {self.input_size}), got {x.shape}")
-        if h_prev.shape != (x.shape[0], self.hidden_size):
-            raise ShapeError(f"{self.params.name}: bad state shape {h_prev.shape}")
+        _expect(self.params.name, x, ("B", self.input_size))
+        for state in (h_prev, c_prev):
+            _expect(self.params.name, state, (len(x), self.hidden_size))
         # Same summation order as BiLSTM: input projection plus bias, then
         # the recurrent term.
         z = x @ self.params.weights["W"].T + self.params.weights["b"]
@@ -499,11 +507,10 @@ class BiLSTM:
 
     def forward(self, x, cache=True):
         """x: (B, T, d) -> (B, T, 2H). Initial states are zero."""
-        if x.ndim != 3 or x.shape[2] != self.input_size:
-            raise ShapeError(f"bilstm: expected (B, T, {self.input_size}), got {x.shape}")
+        _expect(self.name, x, ("B", "T", self.input_size))
         b_sz, steps, d = x.shape
         if steps < 1:
-            raise ShapeError("bilstm: empty sequence")
+            raise ShapeError(f"{self.name}: empty sequence")
         hs = self.hidden_size
         x_tm = x.transpose(1, 0, 2)
         xs = np.stack([x_tm, x_tm[::-1]]).reshape(2, steps * b_sz, d)
@@ -534,9 +541,7 @@ class BiLSTM:
         """d_out: (B, T, 2H) -> gradient w.r.t. the input sequence."""
         xs, gates, cells, out = _take_cache(self, self.name)
         _, steps, b_sz, hs = cells.shape
-        if d_out.shape != out.shape:
-            raise ShapeError(f"bilstm: upstream shape {d_out.shape} does not match "
-                             f"{out.shape}")
+        _expect(self.name, d_out, out.shape)
         zeros = np.zeros((2, b_sz, hs), dtype=gates.dtype)
         d_h, d_c = zeros.copy(), zeros
         step_d_z = np.empty((2, b_sz, 4 * hs), dtype=gates.dtype)
@@ -587,11 +592,9 @@ class Attention:
 
     def forward(self, hidden, cache=True):
         """hidden: (B, T, S) -> (context (B, S), weights (B, T))."""
-        if hidden.ndim != 3 or hidden.shape[2] != self.state_size:
-            raise ShapeError(
-                f"{self.params.name}: expected (B, T, {self.state_size}), got {hidden.shape}")
+        _expect(self.params.name, hidden, ("B", "T", self.state_size))
         if hidden.shape[1] < 1:
-            raise ShapeError("attention: empty sequence")
+            raise ShapeError(f"{self.params.name}: empty sequence")
         w, b, v = (self.params.weights[k] for k in ("W", "b", "v"))
         # One flat (B*T, S) GEMM, as the backward runs it.
         m = (hidden.reshape(-1, self.state_size) @ w.T).reshape(*hidden.shape[:2], self.units)
@@ -606,10 +609,7 @@ class Attention:
     def backward(self, d_context):
         """d_context: (B, S) -> gradient w.r.t. the hidden states (B, T, S)."""
         hidden, m, alpha = _take_cache(self, self.params.name)
-        if d_context.shape != (hidden.shape[0], self.state_size):
-            raise ShapeError(
-                f"{self.params.name}: upstream shape {d_context.shape} does not match "
-                f"{(hidden.shape[0], self.state_size)}")
+        _expect(self.params.name, d_context, (len(hidden), self.state_size))
         w, v = self.params.weights["W"], self.params.weights["v"]
         d_alpha = np.einsum("bs,bts->bt", d_context, hidden)
         # softmax Jacobian: couples all time steps of one sequence
@@ -642,8 +642,7 @@ def mse_loss(pred, target):
     """
     pred = np.asarray(pred)
     target = np.asarray(target)
-    if pred.shape != target.shape:
-        raise ShapeError(f"mse: shapes {pred.shape} and {target.shape} differ")
+    _expect("mse", target, pred.shape)
     diff = pred - target
     scale = 2.0 / pred.size
     loss = float(np.mean(diff * diff))
@@ -661,8 +660,7 @@ def bce_loss(pred, target):
     """
     pred = np.asarray(pred)
     target = np.asarray(target)
-    if pred.shape != target.shape:
-        raise ShapeError(f"bce: shapes {pred.shape} and {target.shape} differ")
+    _expect("bce", target, pred.shape)
     if not np.all((target == 0) | (target == 1)):
         raise ValueError("bce: target values must be 0 or 1")
     clamped = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)

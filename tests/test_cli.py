@@ -398,6 +398,24 @@ class TestOutOfMemory:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+class TestIndexRange:
+    """A size past numpy's index range exits 2 before anything is allocated."""
+
+    def test_synth_duration_exits_2_with_one_error_line(self, config_path, tmp_path,
+                                                        capsys):
+        assert run(["synth", "--config", config_path, "--out", tmp_path,
+                    "--duration-s", 10 ** 30]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 333333333333333333333333333333 samples ")
+        assert err.count("\n") == 1
+
+    def test_gradcheck_hidden_exits_2_with_one_error_line(self, capsys):
+        assert run(["gradcheck", "--hidden", "4000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: arena of ") and "index range" in err
+        assert err.count("\n") == 1
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_1(self, capsys):
         assert run(["frobnicate"]) == 1
@@ -572,6 +590,18 @@ class TestBadModelDims:
         out = tmp_path / "p.ckpt"
         assert self.train(config, house, out) == 2
         assert "below 1s" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hidden_past_the_index_range_exits_2_without_checkpoint(
+            self, trained, tmp_path, capsys):
+        _, house, _ = trained
+        config = tmp_path / "run.ini"
+        config.write_text(CONFIG.replace("hidden = 4", "hidden = 4000000000"))
+        out = tmp_path / "h.ckpt"
+        assert self.train(config, house, out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: arena of ") and "index range" in err
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_gradcheck_zero_hidden_exits_2(self, capsys):

@@ -151,6 +151,17 @@ class TestForward:
         with pytest.raises(RuntimeError, match="before forward"):
             model.backward(np.zeros((4, 16), dtype=np.float32))
 
+    @pytest.mark.parametrize("shape", [(1, 16), (16,), (4, 15)])
+    @pytest.mark.parametrize("arg", ["d_output", "d_state_extra"])
+    def test_backward_refuses_a_gradient_of_another_shape(self, shape, arg):
+        # (1, 16) and (16,) would broadcast over the batch of 4.
+        model = toy_model(20)
+        model.forward(np.random.default_rng(21).normal(size=(4, 16)))
+        grads = {"d_output": np.ones((4, 16)), "d_state_extra": np.ones((4, 16))}
+        grads[arg] = np.ones(shape)
+        with pytest.raises(ShapeError, match="^model: "):
+            model.backward(**grads)
+
     def test_wrong_window_length_raises(self):
         model = toy_model(13)
         with pytest.raises(ShapeError):

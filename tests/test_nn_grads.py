@@ -322,6 +322,15 @@ class TestCacheHandOff:
             np.testing.assert_array_equal(g, before)
 
 
+class TestUpstreamShape:
+    @pytest.mark.parametrize("kind", HAND_OFF_LAYERS)
+    def test_upstream_of_another_shape_names_the_layer(self, kind):
+        layer, x = HAND_OFF_LAYERS[kind](np.random.default_rng(22))
+        out = TestCacheHandOff.forward(layer, x)
+        with pytest.raises(nn.ShapeError, match="layer: "):
+            layer.backward(np.ones(out.shape[:-1] + (out.shape[-1] + 1,)))
+
+
 class TestLossGradients:
     @pytest.mark.parametrize("seed", range(N_SEEDS))
     def test_mse_grad_fd(self, seed):

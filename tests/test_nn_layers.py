@@ -1,5 +1,7 @@
 """Forward-pass contracts of the differentiable kernels vs. brute-force oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,20 @@ N_SEEDS = 25
 # Conv1D shapes (batch, C_in, kernel, length): batches and channels above
 # 1, even kernels, and kernels longer than the sequence.
 CONV_CASES = [(3, 1, 2, 7), (2, 3, 4, 6), (4, 2, 8, 3), (2, 2, 5, 2), (3, 2, 6, 1)]
+
+
+class TestExpect:
+    """The one shape check every layer, loss and model boundary calls."""
+
+    @pytest.mark.parametrize("shape", [(4, 3), (1, 3), (0, 3)])
+    def test_str_entries_match_any_axis(self, shape):
+        nn._expect("layer", np.zeros(shape), ("B", 3))
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3,), (3, 3, 1), ()])
+    def test_wrong_axis_or_axis_count_names_the_instance(self, shape):
+        with pytest.raises(nn.ShapeError,
+                           match=rf"^layer: expected \(B, 3\), got {re.escape(str(shape))}$"):
+            nn._expect("layer", np.zeros(shape), ("B", 3))
 
 
 def make_conv(seed, c_in=2, filters=3, kernel=3, activation="linear"):
@@ -179,6 +195,13 @@ class TestLSTMCell:
         with pytest.raises(nn.ShapeError):
             cell.step(np.zeros((1, 1)), np.zeros((1, 3)), np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("c_shape", [(1, 3), (3,), (2, 4)])
+    def test_cell_state_of_another_shape_raises(self, c_shape):
+        # (1, 3) and (3,) would broadcast over the batch of 2.
+        cell = nn.LSTMCell("l", 1, 3)
+        with pytest.raises(nn.ShapeError, match="^l: "):
+            cell.step(np.zeros((2, 1)), np.zeros((2, 3)), np.zeros(c_shape))
+
 
 class TestBiLSTM:
     def test_single_step_concatenates_both_directions(self):
@@ -225,6 +248,13 @@ class TestBiLSTM:
     def test_empty_sequence_raises(self):
         layer = nn.BiLSTM("b", 2, 3)
         with pytest.raises(nn.ShapeError):
+            layer.forward(np.zeros((1, 0, 2)))
+
+    @pytest.mark.parametrize("layer", [nn.BiLSTM("layer", 2, 3),
+                                       nn.Attention("layer", 2, 3)],
+                             ids=["bilstm", "attention"])
+    def test_empty_sequence_error_names_the_layer(self, layer):
+        with pytest.raises(nn.ShapeError, match="^layer: empty sequence"):
             layer.forward(np.zeros((1, 0, 2)))
 
     # (B, T, d, H): the toy acceptance dims at a disaggregation batch, at
