@@ -17,7 +17,9 @@ Layout (all integers little-endian):
 
 Tensors appear in the order the model's layers took them from its arena,
 listed by one (name, view) table that save and load share; loading
-verifies names and shapes. Unknown versions are rejected outright.
+verifies names, shapes and that every value is finite, and saving writes
+no value that is not finite in float32. Unknown versions are rejected
+outright.
 """
 
 from __future__ import annotations
@@ -98,11 +100,25 @@ def _tensor_table(model):
     return [(f"{p.name}.{key}", w) for p in model.all_params() for key, w in p.weights.items()]
 
 
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def _refuse_non_finite(path, name, w):
+    """Raise DataError naming the tensor and the file unless every value of
+    w is finite as float32, the file's type, so a float64 weight past its
+    range is refused too. min and max propagate NaN, which fails both
+    comparisons, so two reductions decide it without a mask the size of
+    the tensor."""
+    if not (-FLOAT32_MAX <= w.min() and w.max() <= FLOAT32_MAX):
+        raise DataError(f"{path}: tensor {name!r} holds a non-finite value")
+
+
 def save_checkpoint(path, model: GatedAttentionModel):
     """Serialize configs, normalization metadata, and float32 parameters.
 
     Each tensor goes to the file from its own buffer (a float32 model's
-    arena views need no conversion), so no copy of the payload is made.
+    arena views need no conversion), so no copy of the payload is made. A
+    non-finite weight raises DataError before the file is opened.
     """
     reg, cls_cfg = model.reg_cfg, model.cls_cfg
     parts = [
@@ -123,6 +139,8 @@ def save_checkpoint(path, model: GatedAttentionModel):
         parts.append(struct.pack("<B4d", 1, meta.input_mean, meta.input_std,
                                  meta.target_min, meta.target_max))
     tensors = _tensor_table(model)
+    for name, w in tensors:
+        _refuse_non_finite(path, name, w)
     parts.append(struct.pack("<I", len(tensors)))
     with open(path, "wb") as fh:
         fh.writelines(parts)
@@ -138,6 +156,8 @@ def load_checkpoint(path) -> GatedAttentionModel:
     Each tensor is read with readinto straight into its view of the model's
     arena, which no earlier write has touched, so the payload is copied
     once, by the kernel, and the file is never held in memory as a whole.
+    A tensor holding a NaN or an infinity raises DataError naming it, so a
+    corrupt file is bad input rather than a model with non-finite outputs.
     """
     with open(path, "rb") as fh:
         reader = _Reader(fh, str(path))
@@ -204,5 +224,6 @@ def load_checkpoint(path) -> GatedAttentionModel:
                     f"{path}: tensor {name!r} has shape {dims}, expected "
                     f"{target.shape}")
             reader.take_into(target)
+            _refuse_non_finite(path, name, target)
         reader.done()
         return model

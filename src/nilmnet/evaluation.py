@@ -5,7 +5,8 @@ statistics, runs the gated forward pass over every hop-1 window, converts
 each window back to watts, and combines the overlapped windows with a
 per-sample median. One loop does both: each forward batch of
 INFERENCE_BATCH windows goes straight into the median's buffer of
-INFERENCE_BATCH + L - 1 sample rows, so no (N, L) array of watts is held.
+S + L - 1 sample rows (S the least multiple of INFERENCE_BATCH that is at
+least L), so no (N, L) array of watts is held.
 Metrics are mean absolute error, per-period signal aggregate error, and
 precision/recall/F1 of thresholded on/off states.
 """
@@ -34,31 +35,37 @@ def _median_of_windows(n, window, windows_at):
     windows_at(lo, hi) returns windows lo..hi-1 as a (hi - lo, L) array; it
     is called once per block of INFERENCE_BATCH windows, in order. Sample
     row t of the buffer holds window t-k's value at offset k in slot k, and
-    +inf where that window does not exist, so the buffer needs the block's
-    INFERENCE_BATCH rows plus the L - 1 rows that later windows still fill.
-    After each block the rows whose windows are all in (the block's own
-    rows, or every row left after the last block) are sorted, their two
-    middle values at (count - 1) // 2 and count // 2 are averaged, and the
-    last L - 1 rows move to the front.
+    +inf where that window does not exist. The buffer has a span of rows,
+    the least multiple of INFERENCE_BATCH that is at least L, plus the
+    L - 1 rows that later windows still fill. After each block the rows
+    whose windows are all in (the block's own rows, or every row left after
+    the last block) are sorted and their two middle values at
+    (count - 1) // 2 and count // 2 are averaged. Once the blocks have
+    filled the span, the last L - 1 rows move to the front, so a window
+    longer than a block moves them about once per L windows, not once per
+    block.
     """
     total = n + window - 1
     out = np.empty(total, dtype=np.float64)
-    buf = np.full((INFERENCE_BATCH + window - 1, window), np.inf)
-    # skew[j, k] is buf[j + k, k]: where value k of the block's window j goes
+    span = -(-window // INFERENCE_BATCH) * INFERENCE_BATCH
+    buf = np.full((span + window - 1, window), np.inf)
+    # skew[j, k] is buf[j + k, k]: where value k of the span's window j goes
     row_step, slot_step = buf.strides
     skew = np.lib.stride_tricks.as_strided(
-        buf, (INFERENCE_BATCH, window), (row_step, row_step + slot_step))
+        buf, (span, window), (row_step, row_step + slot_step))
     for lo in range(0, n, INFERENCE_BATCH):
         hi = min(lo + INFERENCE_BATCH, n)
-        skew[:hi - lo] = windows_at(lo, hi)
+        at = lo % span  # buffer row of sample lo
+        skew[at:at + hi - lo] = windows_at(lo, hi)
         done = hi - lo if hi < n else total - lo
-        buf[:done].sort(axis=1)
-        rows = np.arange(done)  # row r is sample lo + r
-        c = np.minimum(np.minimum(lo + rows + 1, total - lo - rows), min(window, n))
-        out[lo:lo + done] = (buf[rows, (c - 1) // 2] + buf[rows, c // 2]) / 2
-        # overlapping when L - 1 > INFERENCE_BATCH; numpy then copies via a temporary
-        buf[:window - 1] = buf[INFERENCE_BATCH:]
-        buf[window - 1:] = np.inf
+        rows = buf[at:at + done]
+        rows.sort(axis=1)
+        r = np.arange(done)  # row r is sample lo + r
+        c = np.minimum(np.minimum(lo + r + 1, total - lo - r), min(window, n))
+        out[lo:lo + done] = (rows[r, (c - 1) // 2] + rows[r, c // 2]) / 2
+        if at + INFERENCE_BATCH == span:
+            buf[:window - 1] = buf[span:]
+            buf[window - 1:] = np.inf
     return out
 
 
@@ -69,8 +76,8 @@ def reconstruct_median(windows):
     N + L - 1 samples and sample t is covered by min(t+1, N+L-1-t, L, N)
     values. Even counts take the mean of the two middle values. Every
     window value must be finite. The median is taken over blocks of
-    INFERENCE_BATCH windows and holds INFERENCE_BATCH + L - 1 sample rows
-    of L values at a time.
+    INFERENCE_BATCH windows and holds S + L - 1 sample rows of L values at
+    a time, S the least multiple of INFERENCE_BATCH that is at least L.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 2:

@@ -4,13 +4,21 @@ Every layer needed by the architecture is implemented here with an explicit
 forward pass and an analytic backward pass: 1-D convolution, dense layers,
 LSTM cells, a bidirectional LSTM, the feed-forward attention unit, the two
 losses, and SGD with Nesterov momentum. There is no general autodiff graph;
-layers cache whatever their own backward pass needs, so a forward call must
-be paired with the matching backward call on the same instance. The cache
-is a one-shot hand-off: a forward's cache goes to exactly one backward,
-which drops it, so a training step's activations are freed before the next
+layers cache what their own backward pass reads, so a forward call must be
+paired with the matching backward call on the same instance. The cache is
+a one-shot hand-off: a forward's cache goes to exactly one backward, which
+drops it, so a training step's activations are freed before the next
 forward allocates. A forward with cache=False keeps nothing, for
 inference; a backward after it, or a second backward after one forward,
 raises RuntimeError naming the layer.
+
+The cache rule: every cache and buffer holds only what its next reader
+needs. A layer caches its input and output, which the layers beside it
+hold anyway, plus what the backward cannot rebuild; a cheap array it can
+rebuild (Conv1D's im2col columns, the BiLSTM's tanh(c)) is recomputed in
+the backward instead (Chen et al. 2016, arXiv:1604.06174). An uncached
+forward holds a buffer only as long as the next step reads it, as the
+BiLSTM's block of gates.
 
 Arrays are batch-first throughout:
 
@@ -221,6 +229,12 @@ class Conv1D:
     layout the layer is given: the (F, C_in*K) filters times (B, C_in*K, L)
     columns write the (B, F, L) output directly, so no layout conversion
     goes in or out, forward or backward.
+
+    The cache holds the input, which the layer below holds as its output
+    anyway, and the output. The backward rebuilds the columns, C_in*K
+    times the input's size, with the forward's own _columns, so they live
+    only within one call: one im2col copy per step buys them out of the
+    memory held from forward to backward (Chen et al. 2016).
     """
 
     def __init__(self, name, in_channels, filters, kernel, activation="relu",
@@ -239,32 +253,35 @@ class Conv1D:
             he_uniform(rng, self.params.weights["W"], in_channels * kernel)
         self._cache = None
 
+    def _columns(self, x):
+        """im2col in the given layout: the K length-L windows of the padded
+        x, one per kernel offset, as (B, C_in*K, L) columns whose rows run
+        in (c, k) order, the order of W.reshape(F, C_in*K)."""
+        b_sz, _, length = x.shape
+        xp = np.pad(x, ((0, 0), (0, 0), same_padding(self.kernel)))
+        windows = np.lib.stride_tricks.sliding_window_view(xp, length, axis=2)
+        return windows.reshape(b_sz, -1, length)
+
     def forward(self, x, cache=True):
         """x: (B, C_in, L) -> (B, F, L)."""
         _expect(self.params.name, x, ("B", self.in_channels, "L"))
-        b_sz, _, length = x.shape
-        xp = np.pad(x, ((0, 0), (0, 0), same_padding(self.kernel)))
-        # im2col in the given layout: the K length-L windows of xp, one per
-        # kernel offset, as (B, C_in*K, L) columns whose rows run in (c, k)
-        # order, the order of W.reshape(F, C_in*K).
-        windows = np.lib.stride_tricks.sliding_window_view(xp, length, axis=2)
-        cols = windows.reshape(b_sz, -1, length)
         w = self.params.weights["W"].reshape(self.filters, -1)
-        out = w @ cols
+        out = w @ self._columns(x)
         out += self.params.weights["b"][:, None]
         ACTIVATIONS[self.activation][0](out)
-        self._cache = (cols, out) if cache else None
+        self._cache = (x, out) if cache else None
         return out
 
     def backward(self, d_out):
         """d_out: (B, F, L) -> gradient w.r.t. the input, (B, C_in, L)."""
-        cols, out = _take_cache(self, self.params.name)
+        x, out = _take_cache(self, self.params.name)
         _expect(self.params.name, d_out, out.shape)
         d_pre = ACTIVATIONS[self.activation][1](d_out, out)
         w = self.params.weights["W"].reshape(self.filters, -1)
-        # One GEMM per batch item with its columns as a transposed operand
-        # (no copy), summed over the batch.
-        np.sum(d_pre @ cols.swapaxes(1, 2), axis=0,
+        # The forward's columns, rebuilt by the same code, in one GEMM per
+        # batch item as a transposed operand (no copy), summed over the
+        # batch; they are freed before the input gradient's columns exist.
+        np.sum(d_pre @ self._columns(x).swapaxes(1, 2), axis=0,
                out=self.params.grads["W"].reshape(self.filters, -1))
         np.sum(d_pre, axis=(0, 2), out=self.params.grads["b"])
         b_sz, _, length = out.shape
@@ -437,6 +454,10 @@ class LSTMCell:
         return d_z @ self.params.weights["W"], d_z @ self.params.weights["U"], d_c_prev
 
 
+# Time steps per input-projection GEMM of an uncached BiLSTM forward.
+BLOCK = 8
+
+
 class BiLSTM:
     """Bidirectional LSTM; output concatenates the two directions per step.
 
@@ -458,12 +479,13 @@ class BiLSTM:
     direction's buffer is one contiguous slab.
 
     - forward projects the inputs, stacked as (2, T*B, d) with the second
-      copy time-reversed, with one batched (2, d, 4H) GEMM straight into
-      the gate buffer. Step s then adds one batched (2, B, H) @ (2, H, 4H)
-      recurrent product and applies the cell equations, one tanh for all
-      four gates, to both directions' (2, B, 4H) slab at once. The step's h
-      lands in a (2, B, H) step buffer and from there in the (B, T, 2H)
-      output, so each h is held once, in both cache modes.
+      copy time-reversed, with one batched (2, d, 4H) GEMM per block of
+      steps straight into the gate buffer. Step s then adds one batched
+      (2, B, H) @ (2, H, 4H) recurrent product and applies the cell
+      equations, one tanh for all four gates, to both directions'
+      (2, B, 4H) slab at once. The step's h lands in a (2, B, H) step
+      buffer and from there in the (B, T, 2H) output, so each h is held
+      once, in both cache modes.
     - backward runs the same fused loop: the elementwise gate gradients and
       one batched recurrent GEMM d_z @ U per step. Step s's d_z goes through
       one (2, B, 4H) scratch into the gate slab gates[:, s], which that step
@@ -480,6 +502,16 @@ class BiLSTM:
     the cache holds the (B, T, 2H) output, the array the attention layer
     above caches too, and the backward copies each direction's dU operand
     out of it, so the model holds the BiLSTM's output once.
+
+    Only the backward reads the (2, T, B, 4H) gates and (2, T, B, H) cells,
+    so only a cached forward holds them, as one block of all T steps. With
+    cache=False the same loop projects blocks of BLOCK steps into a
+    (2, BLOCK + 1, B, 4H) gate buffer and keeps a ring of two cell states,
+    (2, 2, B, H): at the paper shape with B=256 that is 40 MB in place of
+    671 MB. A GEMM rounds each row alike whatever its row count, except a
+    one-row GEMM, which numpy runs as a matrix-vector product and no
+    block is given, so both modes give the same bytes (tested, not
+    assumed).
 
     The cell equations are the ones LSTMCell.step uses, so the layer equals
     an unrolled composition of the two cells' steps.
@@ -514,10 +546,16 @@ class BiLSTM:
         hs = self.hidden_size
         x_tm = x.transpose(1, 0, 2)
         xs = np.stack([x_tm, x_tm[::-1]]).reshape(2, steps * b_sz, d)
-        gates = np.empty((2, steps, b_sz, 4 * hs), dtype=np.result_type(x, self._w))
-        np.matmul(xs, self._w.transpose(0, 2, 1), out=gates.reshape(2, steps * b_sz, 4 * hs))
-        gates += self._b[:, None, None]
-        cells = np.empty((2, steps, b_sz, hs), dtype=gates.dtype)
+        # The backward reads every step's gates and cells. Without it, a
+        # step reads the gates of its own block and a ring of two cell
+        # states, its own and the one before. Blocks are BLOCK steps, and a
+        # last block of one step joins the one before: for a one-window
+        # batch it would be a one-row GEMM, which numpy runs as a
+        # matrix-vector product that rounds differently.
+        block, ring = (steps, steps) if cache else (min(BLOCK + 1, steps), 2)
+        flat_gates = np.empty((2, block * b_sz, 4 * hs), dtype=np.result_type(x, self._w))
+        gates = flat_gates.reshape(2, block, b_sz, 4 * hs)
+        cells = np.empty((2, ring, b_sz, hs), dtype=gates.dtype)
         zeros = np.zeros((2, b_sz, hs), dtype=gates.dtype)
         tanh_c, h = np.empty_like(zeros), np.empty_like(zeros)
         recurrent = np.empty((2, b_sz, 4 * hs), dtype=gates.dtype)
@@ -527,11 +565,20 @@ class BiLSTM:
         # differently at small batches, so a one-window batch would no
         # longer match its row in a larger batch.
         u_t = np.ascontiguousarray(self._u.transpose(0, 2, 1))
+        start = end = 0
         for s in range(steps):
-            z = gates[:, s]
+            if s == end:
+                # The input projection of the next block, one batched GEMM.
+                start, end = s, steps if steps - s <= block else s + BLOCK
+                n = (end - start) * b_sz
+                np.matmul(xs[:, start * b_sz:end * b_sz], self._w.transpose(0, 2, 1),
+                          out=flat_gates[:, :n])
+                flat_gates[:, :n] += self._b[:, None]
+            z = gates[:, s - start]
             if s:
                 z += np.matmul(h, u_t, out=recurrent)
-            _lstm_gates(z, cells[:, s - 1] if s else zeros, cells[:, s], tanh_c, h)
+            _lstm_gates(z, cells[:, (s - 1) % ring] if s else zeros, cells[:, s % ring],
+                        tanh_c, h)
             out[:, s, :hs] = h[0]
             out[:, steps - 1 - s, hs:] = h[1]
         self._cache = (xs, gates, cells, out) if cache else None

@@ -112,6 +112,12 @@ def train(model: GatedAttentionModel, train_ws, val_ws, cfg: TrainConfig):
     `patience` epochs without validation improvement or at max_epochs, and
     the parameters of the best-validation epoch are restored before
     returning. A non-finite loss aborts with NumericalError.
+
+    A weight snapshot is kept only while a later epoch could overwrite the
+    best weights: it is first taken after an improving epoch that is not
+    the last one allowed, and it is restored only when the best epoch is
+    not the last one run. A 1-epoch run takes no snapshot, and a longer
+    one holds the copy from the end of epoch 1 on.
     """
     if len(train_ws) == 0:
         raise DataError("training set is empty")
@@ -123,7 +129,7 @@ def train(model: GatedAttentionModel, train_ws, val_ws, cfg: TrainConfig):
                                cfg.momentum, cfg.decay)
     record = TrainRecord()
     best_val = np.inf
-    best_weights = model.snapshot_weights()
+    best_weights = None
     bad_epochs = 0
     n = len(train_ws)
     for epoch in range(1, cfg.max_epochs + 1):
@@ -151,7 +157,8 @@ def train(model: GatedAttentionModel, train_ws, val_ws, cfg: TrainConfig):
         if val_loss < best_val:
             best_val = val_loss
             record.best_epoch = epoch
-            model.snapshot_weights(out=best_weights)
+            if epoch < cfg.max_epochs:
+                best_weights = model.snapshot_weights(out=best_weights)
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -160,7 +167,8 @@ def train(model: GatedAttentionModel, train_ws, val_ws, cfg: TrainConfig):
                 break
     if not record.stop_reason:
         record.stop_reason = "max_epochs"
-    model.restore_weights(best_weights)
+    if record.best_epoch < len(record.val_losses):
+        model.restore_weights(best_weights)
     return model, record
 
 

@@ -230,6 +230,50 @@ def small_checkpoint_bytes(tmp_path):
     return path.read_bytes()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+class TestNonFiniteWeights:
+    """A NaN or an infinity in the first or the last tensor is refused, on
+    load as bad input and on save before the file is opened."""
+
+    def test_load_names_the_tensor_and_the_file(self, bad, where, tmp_path):
+        model = random_model(4)
+        name, w = ckpt._tensor_table(model)[where]
+        sentinel = np.array(1234.5, "<f4").tobytes()
+        w.reshape(-1)[-1] = 1234.5
+        path = tmp_path / "model.ckpt"
+        ckpt.save_checkpoint(path, model)
+        blob = path.read_bytes()
+        assert blob.count(sentinel) == 1
+        path.write_bytes(blob.replace(sentinel, np.array(bad, "<f4").tobytes()))
+        with pytest.raises(DataError) as err:
+            ckpt.load_checkpoint(path)
+        assert str(err.value) == f"{path}: tensor {name!r} holds a non-finite value"
+
+    def test_save_refuses_before_opening_the_file(self, bad, where, tmp_path):
+        model = random_model(4)
+        name, w = ckpt._tensor_table(model)[where]
+        w.reshape(-1)[0] = bad
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"earlier")
+        with pytest.raises(DataError) as err:
+            ckpt.save_checkpoint(path, model)
+        assert str(err.value) == f"{path}: tensor {name!r} holds a non-finite value"
+        assert path.read_bytes() == b"earlier"
+
+
+def test_save_refuses_a_float64_weight_past_the_float32_range(tmp_path):
+    """The file stores float32, where 1e39 would be written as inf."""
+    reg = RegressionConfig(window=8, filters=1, kernel=2, hidden=2)
+    cls_cfg = ClassificationConfig(filters=(), kernels=(), dense_units=2)
+    model = GatedAttentionModel.init(reg, cls_cfg, seed=1, dtype=np.float64)
+    model.regression.fc1.params.weights["b"][1] = -1e39
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(DataError, match="'reg.fc1.b' holds a non-finite value"):
+        ckpt.save_checkpoint(path, model)
+    assert not path.exists()
+
+
 class TestV1Layout:
     """save_checkpoint writes the v1 layout of the module docstring, byte
     for byte, with the model's one window in the classification slot."""

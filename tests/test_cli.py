@@ -217,13 +217,31 @@ class TestDisaggregate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_nan_weight_exits_3(self, trained, tmp_path):
+    def test_nan_weight_exits_2(self, trained, tmp_path, capsys):
+        """A NaN weight in a checkpoint is bad input, refused at load."""
+        config, house, ckpt = trained
+        model = load_checkpoint(ckpt)
+        model.regression.fc2.params.weights["W"][0, 0] = 1234.5
+        broken = tmp_path / "nan.ckpt"
+        save_checkpoint(broken, model)
+        blob = broken.read_bytes()
+        sentinel = np.array(1234.5, "<f4").tobytes()
+        assert blob.count(sentinel) == 1
+        broken.write_bytes(blob.replace(sentinel, np.array(np.nan, "<f4").tobytes()))
+        capsys.readouterr()
+        assert run(["disaggregate", "--checkpoint", broken,
+                    "--input", house / "aggregate.csv",
+                    "--out", tmp_path / "pred.csv"]) == 2
+        assert "'reg.fc2.W' holds a non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
+
+    def test_non_finite_model_output_exits_3(self, trained, tmp_path, monkeypatch):
+        """A model whose output is non-finite is a numerical failure."""
         config, house, ckpt = trained
         model = load_checkpoint(ckpt)
         model.regression.fc2.params.weights["W"][0, 0] = np.nan
-        broken = tmp_path / "nan.ckpt"
-        save_checkpoint(broken, model)
-        assert run(["disaggregate", "--checkpoint", broken,
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: model)
+        assert run(["disaggregate", "--checkpoint", ckpt,
                     "--input", house / "aggregate.csv",
                     "--out", tmp_path / "pred.csv"]) == 3
         assert not (tmp_path / "pred.csv").exists()

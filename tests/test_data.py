@@ -13,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 from nilmnet import data
 from nilmnet.errors import DataError
 
-from conftest import traced_peak
 from oracles import load_channel_csv_direct, write_channel_csv_direct
 
 
@@ -813,28 +812,6 @@ class TestSplit:
         # A gap of -5 would keep 4 of the 4 validation windows in training.
         with pytest.raises(DataError, match="gap_samples must be >= 0"):
             data.split_train_val(self.windows(17), 0.25, gap_samples=-5)
-
-
-class TestWindowMemory:
-    def test_training_window_chain_holds_no_window_values(self):
-        """The window sets of `nilmnet train` at hop 1 cost O(samples), not
-        O(samples x window): the chain peaks below 100 B per sample, where
-        (N, L) float64 windows alone would be 1 KB per sample at L=128."""
-        n, window = 50_000, 128
-        rng = np.random.default_rng(41)
-        x = rng.uniform(0.0, 3000.0, n)
-        y = rng.uniform(0.0, 2000.0, n)
-        s = (y > 1000.0).astype(np.int8)
-        with traced_peak() as traced:
-            ws = data.sliding_windows(x, y, s, window)
-            train, val = data.split_train_val(ws, 0.15, gap_samples=window - 1)
-            boundary = int(val.starts[0])
-            meta = data.NormalizationMeta.fit(x[:boundary], y[:boundary])
-            train = data.normalize_windows(train, meta)
-            val = data.normalize_windows(val, meta)
-            peak = traced()[1]
-        assert len(train) + len(val) == (n - window + 1) - (window - 1)
-        assert peak < 100 * n
 
 
 class TestSynthHousehold:

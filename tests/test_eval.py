@@ -50,6 +50,15 @@ class TestReconstructMedian:
             monkeypatch.setattr(ev, "INFERENCE_BATCH", rows)
             assert ev.reconstruct_median(windows).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n,window", [(700, 300), (1100, 513)])
+    def test_window_longer_than_a_batch_matches_brute_force(self, n, window):
+        """At the real INFERENCE_BATCH, with L past it and N not a multiple
+        of it, the carried rows move once per span of whole batches."""
+        assert window > ev.INFERENCE_BATCH and n % ev.INFERENCE_BATCH
+        windows = np.random.default_rng(n).normal(size=(n, window))
+        want = median_reconstruct_direct(windows, np.arange(n), n + window - 1)
+        assert ev.reconstruct_median(windows).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, bad):
         windows = np.ones((3, 3))

@@ -41,6 +41,23 @@ def evaluate(n, tmp_path, model):
     return lambda: ev.evaluate("toy", y, y_hat)
 
 
+def training_windows(n, tmp_path, model):
+    """The window chain of `nilmnet train` at hop 1 and the paper's L=128."""
+    window = 128
+    rng = np.random.default_rng(n)
+    x = rng.uniform(0.0, 3000.0, n)
+    y = rng.uniform(0.0, 2000.0, n)
+    s = (y > 1000.0).astype(np.int8)
+
+    def call():
+        ws = data.sliding_windows(x, y, s, window)
+        train, val = data.split_train_val(ws, 0.15, gap_samples=window - 1)
+        boundary = int(val.starts[0])
+        meta = data.NormalizationMeta.fit(x[:boundary], y[:boundary])
+        return data.normalize_windows(train, meta), data.normalize_windows(val, meta)
+    return call
+
+
 def disaggregate(export_attention):
     def entry(n, tmp_path, model):
         series = aggregate(n)
@@ -49,10 +66,13 @@ def disaggregate(export_attention):
 
 
 # (entry point, bound in bytes per sample). The attention export returns the
-# (N, L) float64 alphas, 512 B per sample at L=64.
+# (N, L) float64 alphas, 512 B per sample at L=64. The training window sets
+# hold no window values: (N, L) float64 windows alone would be 1 KB per
+# sample at L=128.
 SLOPES = [
     pytest.param(load_channel_csv, 80, id="load_channel_csv"),
     pytest.param(evaluate, 32, id="evaluate"),
+    pytest.param(training_windows, 100, id="training_windows"),
     pytest.param(disaggregate(False), 64, id="disaggregate-L64"),
     pytest.param(disaggregate(True), 600, id="disaggregate-L64-attention"),
 ]

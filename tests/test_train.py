@@ -85,6 +85,27 @@ class TestTrain:
                                       val_ws.states[lo:hi]) * (hi - lo)
         assert total / len(val_ws) == pytest.approx(record.best_val_loss, rel=1e-5)
 
+    def test_one_epoch_takes_no_weight_snapshot(self, monkeypatch):
+        """A snapshot is for a later epoch that could overwrite the best
+        weights, and a 1-epoch run has none."""
+        calls = []
+
+        def counted(name):
+            original = getattr(GatedAttentionModel, name)
+
+            def wrapper(model, *args, **kwargs):
+                calls.append(name)
+                return original(model, *args, **kwargs)
+            return wrapper
+
+        for name in ("snapshot_weights", "restore_weights"):
+            monkeypatch.setattr(GatedAttentionModel, name, counted(name))
+        train_ws, val_ws = toy_windows()
+        _, record = train(toy_model(seed=12), train_ws, val_ws,
+                          TrainConfig(max_epochs=1, seed=12))
+        assert record.best_epoch == 1
+        assert calls == []
+
     def test_early_stopping_reports_reason(self):
         train_ws, val_ws = toy_windows()
         cfg = TrainConfig(max_epochs=60, patience=2, seed=5)
