@@ -11,6 +11,7 @@ with the MSE gradient flowing through the gate into both branches.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,8 +184,11 @@ class GatedAttentionModel:
 
     The model owns its parameter arena, sized by `parameter_count`:
     `weights` and `grads` are flat vectors, and every LayerParams tensor is
-    built as a reshaped view into them. `all_params()` is the arena's record
-    of the groups, in the order the layers took them.
+    a reshaped view into them. `all_params()` is the arena's record of the
+    groups, in the order the layers took them. A built or loaded model
+    holds only `weights`: the grad vector is made zero by its first reader
+    (a backward, `grads`, or training's optimizer) and lives until
+    `scoped_grads` releases it.
     """
 
     def __init__(self, reg_cfg: RegressionConfig, cls_cfg: ClassificationConfig,
@@ -199,7 +203,8 @@ class GatedAttentionModel:
         self.classification = ClassificationNet(cls_cfg, reg_cfg.window, rng, arena)
         if arena.used != arena.weights.size:
             raise ShapeError(f"layers use {arena.used} of {arena.weights.size} entries")
-        self.weights, self.grads, self._groups = arena.weights, arena.grads, arena.groups
+        self.weights, self._groups = arena.weights, arena.groups
+        self._grad_vector = arena.grad_vector
         self._cache = None
 
     @classmethod
@@ -226,6 +231,26 @@ class GatedAttentionModel:
     @property
     def n_params(self):
         return self.weights.size
+
+    @property
+    def grads(self):
+        """The flat grad vector, made zero if the model holds none."""
+        return self._grad_vector.read()
+
+    @contextlib.contextmanager
+    def scoped_grads(self):
+        """Yield the grad vector; if the block made it, release it on exit.
+
+        A vector that existed before the block stays in place, because an
+        optimizer or a caller may still hold it and would otherwise read
+        gradients that no backward writes any more.
+        """
+        made = self._grad_vector.vector is None
+        try:
+            yield self.grads
+        finally:
+            if made:
+                self._grad_vector.release()
 
     def forward(self, windows, cache=True) -> ForwardResult:
         """Gated forward pass over (B, L) standardized windows.

@@ -18,7 +18,7 @@ hold anyway, plus what the backward cannot rebuild; a cheap array it can
 rebuild (Conv1D's im2col columns, the BiLSTM's tanh(c)) is recomputed in
 the backward instead (Chen et al. 2016, arXiv:1604.06174). An uncached
 forward holds a buffer only as long as the next step reads it, as the
-BiLSTM's block of gates.
+BiLSTM's block of gates and the attention's block of projections.
 
 Arrays are batch-first throughout:
 
@@ -42,9 +42,10 @@ slab, and the four gate activations of a step take a single tanh.
 Training runs in float32; tests instantiate everything in float64 so that
 analytic gradients can be compared against central finite differences.
 
-Parameters live in an Arena: a flat weight vector and a twin grad vector,
-both zero, that hand out reshaped views in order. Every LayerParams tensor
-is built as such a view, and a layer's initializer draws straight into it.
+Parameters live in an Arena: a flat zero weight vector that hands out
+reshaped views in order, and a twin grad vector of the same layout that
+exists only while something reads it. Every LayerParams weight tensor is
+built as such a view, and a layer's initializer draws straight into it.
 The order in which layers take their views is the one statement of the
 parameter layout: the arena records each LayerParams it hands out, and
 GatedAttentionModel.all_params() and the checkpoint tensor table read that
@@ -55,6 +56,13 @@ a standalone layer gets an arena of exactly its own size. Assign into a
 view in place (w[...] = x, out=g): p.weights and p.grads are read-only
 mappings, so rebinding an entry, p.weights[k] += x included, raises
 TypeError.
+
+A built arena holds no grad vector. Its first reader, a backward,
+p.grads or the model's grads, makes it zero, and grad views are taken
+from the current vector when they are read, never bound at build time.
+GradVector.release drops it, and the next read makes a fresh zero one;
+training.train releases a vector that its own call made, so a trained
+model holds its weights and no gradients.
 
 Each parameter gets its gradient from exactly one backward call, so every
 backward, LSTMCell.step_backward included, writes every entry of its
@@ -114,40 +122,68 @@ ACTIVATIONS = {
 }
 
 
+class GradVector:
+    """The zero grad vector of an arena, made by its first read.
+
+    The arena and every LayerParams it hands out share this holder and
+    read the vector through it, so release() frees the vector for all of
+    them at once and the next read() makes a fresh zero one. The holder
+    refers to nothing else, so an arena and its groups form no reference
+    cycle and a dropped model is freed at once.
+    """
+
+    __slots__ = ("size", "dtype", "vector")
+
+    def __init__(self, size, dtype):
+        self.size, self.dtype, self.vector = size, dtype, None
+
+    def read(self):
+        """The grad vector, made (zero) if there is none."""
+        if self.vector is None:
+            self.vector = np.zeros(self.size, self.dtype)
+        return self.vector
+
+    def release(self):
+        self.vector = None
+
+
 class Arena:
-    """A zero weight vector and its twin grad vector, handed out in order.
+    """A zero weight vector handed out in order, and its grad vector.
 
     groups lists every LayerParams built from the arena, in arena order.
     np.zeros leaves its pages untouched until written, so a zero model's
-    checkpoint load writes each page once. A size whose bytes are past
-    numpy's index range raises MemoryError, as one that does not fit in
-    memory does.
+    checkpoint load writes each page once. The grad vector is made by its
+    first read (GradVector), not here. A size whose bytes are past numpy's
+    index range raises MemoryError, as one that does not fit in memory
+    does.
     """
 
     def __init__(self, size, dtype):
         if size * np.dtype(dtype).itemsize > np.iinfo(np.intp).max:
             raise MemoryError(f"arena of {size} entries is past numpy's index range")
         self.weights = np.zeros(size, dtype)
-        self.grads = np.zeros(size, dtype)
+        self.grad_vector = GradVector(size, dtype)
         self.used = 0
         self.groups = []
 
     def take(self, shape):
-        """The next (weight, grad) pair of views with the given shape."""
+        """The next weight view with the given shape, and its slice of the
+        arena, where the grad vector holds its gradient."""
         start, self.used = self.used, self.used + math.prod(shape)
         if self.used > self.weights.size:
             raise ShapeError(f"arena of {self.weights.size} entries is full")
         segment = slice(start, self.used)
-        return self.weights[segment].reshape(shape), self.grads[segment].reshape(shape)
+        return self.weights[segment].reshape(shape), segment
 
 
 class LayerParams:
     """Named weight tensors of one layer plus matching gradient buffers.
 
-    shapes maps each key to its tensor shape; the weight and grad of each
-    are views taken from arena in that order, or from an arena of exactly
-    this layer's size, in dtype, when none is given, and the arena records
-    the group. Both mappings are read-only.
+    shapes maps each key to its tensor shape; the weights are views taken
+    from arena in that order, or from an arena of exactly this layer's
+    size, in dtype, when none is given, and the arena records the group.
+    grads reads the same segments of the arena's current grad vector, and
+    makes the vector if there is none. Both mappings are read-only.
     """
 
     def __init__(self, name, shapes, dtype, arena=None):
@@ -156,8 +192,15 @@ class LayerParams:
         views = {k: arena.take(shape) for k, shape in shapes.items()}
         self.name = name
         self.weights = MappingProxyType({k: w for k, (w, _) in views.items()})
-        self.grads = MappingProxyType({k: g for k, (_, g) in views.items()})
+        self._segments = {k: segment for k, (_, segment) in views.items()}
+        self._grad_vector = arena.grad_vector
         arena.groups.append(self)
+
+    @property
+    def grads(self):
+        vector = self._grad_vector.read()
+        return MappingProxyType({k: vector[segment].reshape(self.weights[k].shape)
+                                 for k, segment in self._segments.items()})
 
     @property
     def n_params(self):
@@ -454,7 +497,8 @@ class LSTMCell:
         return d_z @ self.params.weights["W"], d_z @ self.params.weights["U"], d_c_prev
 
 
-# Time steps per input-projection GEMM of an uncached BiLSTM forward.
+# Time steps per input-projection GEMM of an uncached BiLSTM forward, and
+# windows per scoring GEMM of an uncached Attention forward.
 BLOCK = 8
 
 
@@ -469,9 +513,11 @@ class BiLSTM:
     As cuDNN keeps each direction's matrices in one packed weight space,
     the two cells' W, U and b are read in place: the fw cell's tensors and
     then the bw cell's are adjacent in the arena, so the layer takes
-    (2, 4H, d), (2, 4H, H) and (2, 4H) views across both, for the weights
-    and for the grads, once, at build time. Nothing copies them per call,
-    so an in-place edit of a cell's tensor reaches the next forward.
+    (2, 4H, d), (2, 4H, H) and (2, 4H) views across both. The weight views
+    are taken once, at build time; the grad views are taken from the
+    arena's current grad vector by each backward (_grad_slabs). Nothing
+    copies them per call, so an in-place edit of a cell's tensor reaches
+    the next forward.
 
     Every buffer is direction-major, (2, T, B, .): row 0 is the forward
     cell in natural time, row 1 the backward cell in reversed time, so
@@ -527,15 +573,22 @@ class BiLSTM:
         start = arena.used
         self.fw = LSTMCell(f"{name}.fw", input_size, hidden_size, rng, dtype, arena)
         self.bw = LSTMCell(f"{name}.bw", input_size, hidden_size, rng, dtype, arena)
-
-        def slabs(flat):
-            """(2, 4H, d) W, (2, 4H, H) U and (2, 4H) b views of both cells."""
-            w, u, b = np.split(flat[start:arena.used].reshape(2, -1), [h4 * d, -h4], axis=1)
-            return w.reshape(2, h4, d), u.reshape(2, h4, hidden_size), b
-
-        self._w, self._u, self._b = slabs(arena.weights)
-        self._dw, self._du, self._db = slabs(arena.grads)
+        self._segment = slice(start, arena.used)
+        self._grad_vector = arena.grad_vector
+        self._w, self._u, self._b = self._slabs(arena.weights)
         self._cache = None
+
+    def _slabs(self, flat):
+        """(2, 4H, d) W, (2, 4H, H) U and (2, 4H) b views of both cells in
+        flat, the arena's weight or grad vector."""
+        h4 = 4 * self.hidden_size
+        w, u, b = np.split(flat[self._segment].reshape(2, -1),
+                           [h4 * self.input_size, -h4], axis=1)
+        return w.reshape(2, h4, self.input_size), u.reshape(2, h4, self.hidden_size), b
+
+    def _grad_slabs(self):
+        """The dW, dU and db slabs of the arena's current grad vector."""
+        return self._slabs(self._grad_vector.read())
 
     def forward(self, x, cache=True):
         """x: (B, T, d) -> (B, T, 2H). Initial states are zero."""
@@ -605,8 +658,9 @@ class BiLSTM:
                 np.matmul(gates[:, s], self._u, out=d_h)
         d_z = gates
         flat_d_z = d_z.reshape(2, steps * b_sz, 4 * hs)
-        np.matmul(flat_d_z.transpose(0, 2, 1), xs, out=self._dw)
-        np.sum(flat_d_z, axis=1, out=self._db)
+        dw, du, db = self._grad_slabs()
+        np.matmul(flat_d_z.transpose(0, 2, 1), xs, out=dw)
+        np.sum(flat_d_z, axis=1, out=db)
         # The h each direction's steps 1..T-1 read, from the output: times
         # 0..T-2 forward and T-1..1 backward.
         h_read = (out[:, :-1, :hs], out[:, :0:-1, hs:])
@@ -614,7 +668,7 @@ class BiLSTM:
             # Every step but the first against the h it read, copied to one
             # contiguous ((T-1)*B, H) operand in step order.
             np.matmul(d_z[k, 1:].reshape(-1, 4 * hs).T,
-                      h_read[k].transpose(1, 0, 2).reshape(-1, hs), out=self._du[k])
+                      h_read[k].transpose(1, 0, 2).reshape(-1, hs), out=du[k])
         d_xs = (flat_d_z @ self._w).reshape(2, steps, b_sz, -1)
         return np.add(d_xs[0].transpose(1, 0, 2), d_xs[1, ::-1].transpose(1, 0, 2),
                       order="C")
@@ -625,6 +679,13 @@ class Attention:
 
     Scores each time step with v . tanh(W h_t + b), normalizes the scores
     with a softmax, and returns the weighted sum of states as the context.
+
+    Only the backward reads the (B, T, H) tanh projection m, so only a
+    cached forward holds it whole. With cache=False the windows are scored
+    in blocks of BLOCK, each projected into one buffer of BLOCK windows'
+    m once the block before is scored: at the paper shape with B=256 that
+    is 2 MB in place of 64 MB. Each row rounds as it does in one
+    whole-batch GEMM, so both modes give the same bytes (tested).
     """
 
     def __init__(self, name, state_size, units, rng=None, dtype=np.float32, arena=None):
@@ -643,11 +704,24 @@ class Attention:
         if hidden.shape[1] < 1:
             raise ShapeError(f"{self.params.name}: empty sequence")
         w, b, v = (self.params.weights[k] for k in ("W", "b", "v"))
-        # One flat (B*T, S) GEMM, as the backward runs it.
-        m = (hidden.reshape(-1, self.state_size) @ w.T).reshape(*hidden.shape[:2], self.units)
-        m += b
-        np.tanh(m, out=m)
-        scores = m @ v                      # (B, T)
+        b_sz, steps = hidden.shape[:2]
+        # One flat GEMM per block of windows, as the backward runs it, into
+        # one buffer of projections; a cached forward takes the whole batch
+        # as one block. At T=1 a one-window block is a one-row GEMM, which
+        # numpy runs as a matrix-vector product that rounds differently,
+        # but then the one step's weight is 1 whatever its score.
+        block = b_sz if cache else min(BLOCK, b_sz)
+        flat_m = np.empty((block * steps, self.units), dtype=np.result_type(hidden, w))
+        scores = np.empty((b_sz, steps), dtype=flat_m.dtype)
+        stops = () if cache else range(BLOCK, b_sz, BLOCK)
+        lo = 0
+        for hi in (*stops, b_sz):
+            m = np.matmul(hidden[lo:hi].reshape(-1, self.state_size), w.T,
+                          out=flat_m[:(hi - lo) * steps]).reshape(hi - lo, steps, self.units)
+            m += b
+            np.tanh(m, out=m)
+            np.matmul(m, v, out=scores[lo:hi])
+            lo = hi
         alpha = softmax(scores)
         context = np.einsum("bt,bts->bs", alpha, hidden)
         self._cache = (hidden, m, alpha) if cache else None
@@ -737,7 +811,10 @@ class SgdNesterov:
     weights and grads are the flat vectors of a model's arena, or any
     pair of the same shape. The step updates weights and the velocity in
     place and only reads grads, which are expected to hold the mini-batch
-    mean that the last backward wrote. With mu = 0 the update is exactly
+    mean that the last backward wrote. Reading a model's grads makes its
+    grad vector, and the optimizer holds that vector: the model's backwards
+    write into it until the vector is released, which training.train does
+    only to a vector its own call made. With mu = 0 the update is exactly
     plain gradient descent at the same rate. base_lr, momentum and decay
     have no defaults here: training.TrainConfig holds them.
     """

@@ -125,6 +125,14 @@ class TestRoundTrip:
             load_peak = traced()[1]
         assert load_peak - zeros_peak < 0.25 * payload
 
+    def test_loaded_model_holds_no_grad_vector(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        ckpt.save_checkpoint(path, GatedAttentionModel.init(TOY_REG, seed=1))
+        with traced_peak() as traced:
+            model = ckpt.load_checkpoint(path)
+            held = traced()[0]
+        assert held < 1.05 * model.weights.nbytes
+
     def test_loaded_model_runs_forward_identically(self, tmp_path):
         model = random_model(2)
         path = tmp_path / "model.ckpt"

@@ -271,6 +271,23 @@ class TestDisaggregate:
         np.testing.assert_allclose(alphas.sum(axis=1), 1.0, atol=1e-5)
         assert prediction.values.min() >= 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_export_holds_the_model_dtype(self, dtype):
+        """The export is the forward's own attention, not a widened copy."""
+        reg = RegressionConfig(window=16, filters=2, kernel=4, hidden=3)
+        cls_cfg = ClassificationConfig(filters=(3, 3, 4, 5, 5, 5),
+                                       kernels=(10, 8, 6, 5, 5, 5), dense_units=16)
+        model = GatedAttentionModel.init(reg, cls_cfg, appliance="toy", seed=5, dtype=dtype)
+        model.norm_meta = data.NormalizationMeta(10.0, 2.0, 0.0, 100.0)
+        aggregate = data.PowerSeries(
+            "agg", 3, 0, np.abs(np.random.default_rng(6).normal(size=300)) * 20)
+        _, alphas = ev.disaggregate(model, aggregate, export_attention=True)
+        views = np.lib.stride_tricks.sliding_window_view(
+            data.standardize_input(aggregate.values, model.norm_meta), 16)
+        want = model.forward(views, cache=False).attention
+        assert alphas.dtype == want.dtype == dtype
+        assert alphas.tobytes() == want.tobytes()
+
     def test_keeps_no_backward_caches(self):
         reg = RegressionConfig(window=16, filters=2, kernel=4, hidden=3)
         cls_cfg = ClassificationConfig(filters=(3, 3, 4, 5, 5, 5),

@@ -66,7 +66,8 @@ def disaggregate(export_attention):
 
 
 # (entry point, bound in bytes per sample). The attention export returns the
-# (N, L) float64 alphas, 512 B per sample at L=64. The training window sets
+# (N, L) alphas in the model's float32, 256 B per sample at L=64, and 272 B
+# per sample were measured. The training window sets
 # hold no window values: (N, L) float64 windows alone would be 1 KB per
 # sample at L=128.
 SLOPES = [
@@ -74,7 +75,7 @@ SLOPES = [
     pytest.param(evaluate, 32, id="evaluate"),
     pytest.param(training_windows, 100, id="training_windows"),
     pytest.param(disaggregate(False), 64, id="disaggregate-L64"),
-    pytest.param(disaggregate(True), 600, id="disaggregate-L64-attention"),
+    pytest.param(disaggregate(True), 300, id="disaggregate-L64-attention"),
 ]
 
 

@@ -324,17 +324,18 @@ class TestParameterArena:
 
 
 class TestBuildMemory:
-    """A build allocates the weight and grad arenas and little besides."""
+    """A build allocates the weight arena and little besides: the grad
+    vector is made by its first reader, not by the build."""
 
     # The toy benchmark shape, with the paper's classification branch:
     # cls.fc1 holds 3.3 M of its 3.4 M parameters.
     REG = RegressionConfig(window=64, filters=8, kernel=4, hidden=32)
 
     @pytest.mark.parametrize("build,bound", [
-        (lambda reg: GatedAttentionModel.init(reg, seed=3), 2.25),
-        (GatedAttentionModel.zeros, 2.1),
+        (lambda reg: GatedAttentionModel.init(reg, seed=3), 1.15),
+        (GatedAttentionModel.zeros, 1.05),
     ], ids=["init", "zeros"])
-    def test_peak_is_about_two_arenas(self, build, bound):
+    def test_peak_is_about_one_arena(self, build, bound):
         with traced_peak() as traced:
             model = build(self.REG)
             peak = traced()[1]
@@ -362,6 +363,7 @@ class TestTrainStepMemory:
         with traced_peak() as traced:
             model = GatedAttentionModel.init(self.REG, self.CLS, seed=31)
             model.batch_loss(windows, power, state)     # fills lru caches
+            model.grads                   # makes the vector the backward writes
             before = traced()[0]
             model.train_step_grads(windows, power, state)
             after = traced()[0]

@@ -279,13 +279,17 @@ class TestBiLSTM:
     @pytest.mark.parametrize("lead", [0, 7])
     def test_direction_slabs_are_the_cells_tensors(self, lead):
         """The (2, ...) W, U and b slabs and their grads are views of the two
-        cells' own tensors, also behind another layer's entries."""
+        cells' own tensors, also behind another layer's entries; the grad
+        slabs are read from the arena's current grad vector."""
         d, hs = 5, 6
         arena = nn.Arena(lead + 8 * hs * (d + hs + 1), np.float32)
         arena.take((lead,))
         layer = nn.BiLSTM("b", d, hs, rng=np.random.default_rng(25), arena=arena)
+        built = arena.grad_vector.read()
+        arena.grad_vector.release()
         slabs = {"weights": (layer._w, layer._u, layer._b),
-                 "grads": (layer._dw, layer._du, layer._db)}
+                 "grads": layer._grad_slabs()}
+        assert slabs["grads"][0].base is arena.grad_vector.vector is not built
         for k, cell in enumerate((layer.fw, layer.bw)):
             for kind, views in slabs.items():
                 for slab, key in zip(views, ("W", "U", "b")):
@@ -411,6 +415,51 @@ class TestAttention:
             _, alpha = layer.forward(rng.normal(size=(3, 7, 6)))
             assert np.all(alpha >= 0.0)
             np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
+
+    # (B, T, H), states of 2H: one window; T=1, where a last block of one
+    # window is a one-row GEMM, and with a last block of two; blocks that
+    # end on and past the batch; the toy B=256 and the paper's kettle shape.
+    @pytest.mark.parametrize("shape", [
+        (1, 1, 4), (nn.BLOCK + 1, 1, 4), (nn.BLOCK + 2, 1, 4), (2 * nn.BLOCK + 1, 1, 4),
+        (3, 1, 4), (5, 17, 6), (2 * nn.BLOCK, 3, 5), (256, 64, 32), (32, 128, 512)])
+    def test_uncached_forward_equals_cached_byte_for_byte(self, shape):
+        b_sz, steps, units = shape
+        rng = np.random.default_rng(29)
+        layer = nn.Attention("a", 2 * units, units, rng=rng)
+        nn.randomize_biases([layer.params], rng)
+        hidden = rng.standard_normal((b_sz, steps, 2 * units), dtype=np.float32)
+        uncached = layer.forward(hidden, cache=False)
+        for got, want in zip(uncached, layer.forward(hidden)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_any_block_of_windows_gives_the_same_bytes(self, block, monkeypatch):
+        rng = np.random.default_rng(30)
+        layer = nn.Attention("a", 12, 6, rng=rng)
+        hidden = rng.standard_normal((17, 5, 12), dtype=np.float32)
+        want = layer.forward(hidden)
+        monkeypatch.setattr(nn, "BLOCK", block)
+        for got, ref in zip(layer.forward(hidden, cache=False), want):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_uncached_paper_batch_holds_one_block_of_projections(self):
+        """Peak above entry of an uncached forward at the paper's kettle shape
+        and the inference batch: the tanh projections of one block of BLOCK
+        windows, four (B, T) arrays (scores, the softmax's shifted scores
+        and exponentials, alpha) and the (B, 2H) context."""
+        b_sz, steps, units = 256, 128, 512
+        rng = np.random.default_rng(31)
+        layer = nn.Attention("a", 2 * units, units, rng=rng)
+        hidden = rng.standard_normal((b_sz, steps, 2 * units), dtype=np.float32)
+        layer.forward(hidden[:nn.BLOCK + 2], cache=False)
+        with traced_peak() as traced:
+            layer.forward(hidden, cache=False)
+            peak = traced()[1]
+        needed = hidden.itemsize * (nn.BLOCK * steps * units
+                                    + 4 * b_sz * steps + b_sz * 2 * units)
+        # 3.3 MiB measured against 3.5 MiB needed; the whole-batch
+        # projections alone would be 64 MiB.
+        assert peak < needed
 
 
 class TestSigmoid:
@@ -546,3 +595,17 @@ class TestStandaloneParameters:
         assert not np.any(grads)
         other = STANDALONE_LAYERS[kind](np.random.default_rng(3))
         assert not np.shares_memory(groups(other)[0].weights["W"], weights)
+
+    @pytest.mark.parametrize("kind", sorted(STANDALONE_LAYERS))
+    def test_grad_vector_is_made_by_its_first_read_and_remade_after_release(self, kind):
+        layer = STANDALONE_LAYERS[kind](np.random.default_rng(3))
+        params = [layer.fw.params, layer.bw.params] if kind == "bilstm" else [layer.params]
+        holder = params[0]._grad_vector
+        assert holder.vector is None
+        first = params[0].grads["W"].base
+        assert first is holder.vector
+        first.fill(1.0)
+        holder.release()
+        again = params[-1].grads["W"].base
+        assert again is holder.vector is not first and not np.any(again)
+        assert_arena_views(params, params[0].weights["W"].base, again)
