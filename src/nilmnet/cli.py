@@ -35,6 +35,7 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 APPLIANCE_SECTION = "appliance"
+RECORD_COLUMNS = ("epoch", "train_loss", "val_loss", "wall_time_s", "is_best")
 
 
 def _schema(cls, *skip):
@@ -122,9 +123,14 @@ def load_run_config(path) -> RunConfig:
     except configparser.Error as exc:
         raise DataError(f"malformed config {path}: {exc}") from None
     cfg = RunConfig()
+    appliance_sections = {}
     for section in parser.sections():
         if section.startswith(APPLIANCE_SECTION + " "):
             name = section[len(APPLIANCE_SECTION) + 1:].strip()
+            if name in appliance_sections:
+                raise DataError(f"config: sections [{appliance_sections[name]}] and "
+                                f"[{section}] both name appliance {name!r}")
+            appliance_sections[name] = section
             values = _read_section(parser, section, *SCHEMAS[APPLIANCE_SECTION])
             cfg.appliances[name] = data.ApplianceSpec(name=name, **values)
         elif section == "train":
@@ -175,6 +181,16 @@ def cmd_synth(args):
     cfg = load_run_config(args.config)
     if not cfg.appliances:
         raise DataError("config defines no [appliance <name>] sections")
+    # Each channel needs a file of its own in --out, on file systems that
+    # fold letter case too.
+    taken = {"aggregate": "aggregate"}
+    for name in cfg.appliances:
+        if not name or any(c in name for c in "/\\\0"):
+            raise DataError(f"appliance name {name!r} cannot name a channel file")
+        if name.casefold() in taken:
+            raise DataError(f"appliance {name!r} would overwrite the file of "
+                            f"channel {taken[name.casefold()]!r}")
+        taken[name.casefold()] = name
     seed = args.seed if args.seed is not None else cfg.train_cfg.seed
     specs = list(cfg.appliances.values())
     aggregate, appliances = data.synth_household(
@@ -239,11 +255,9 @@ def cmd_train(args):
                              **grid)
         model, record = result.best_model, result.best_record
         grid_path = Path(args.out).with_suffix(".grid.csv")
-        with open(grid_path, "w", encoding="utf-8") as fh:
-            fh.write("filters,kernel,hidden,val_loss,n_params\n")
-            for reg_cfg, val_loss, n_params in result.leaderboard:
-                fh.write(f"{reg_cfg.filters},{reg_cfg.kernel},"
-                         f"{reg_cfg.hidden},{float(val_loss)},{n_params}\n")
+        configs, losses, sizes = zip(*result.leaderboard)
+        data.write_table(grid_path, "filters,kernel,hidden,val_loss,n_params".split(","),
+                         [[(c.filters, c.kernel, c.hidden) for c in configs], losses, sizes])
         print(f"grid: best f={result.best_config.filters} "
               f"k={result.best_config.kernel} h={result.best_config.hidden} "
               f"leaderboard={grid_path}")
@@ -256,13 +270,11 @@ def cmd_train(args):
     model.norm_meta = meta
     save_checkpoint(args.out, model)
     record_path = Path(args.out).with_suffix(".train.csv")
-    with open(record_path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,val_loss,wall_time_s,is_best\n")
-        for i, (tl, vl, wt) in enumerate(zip(record.train_losses,
-                                             record.val_losses,
-                                             record.wall_times), start=1):
-            fh.write(f"{i},{tl},{vl},{wt:.3f},"
-                     f"{1 if i == record.best_epoch else 0}\n")
+    epochs = np.arange(1, len(record.val_losses) + 1)
+    data.write_table(record_path, RECORD_COLUMNS,
+                     [epochs, record.train_losses, record.val_losses,
+                      [f"{wt:.3f}" for wt in record.wall_times],
+                      (epochs == record.best_epoch).astype(np.int64)])
     print(f"stopped={record.stop_reason} best_epoch={record.best_epoch} "
           f"best_val_loss={record.best_val_loss:.6g}")
     print(f"checkpoint={args.out} record={record_path}")
@@ -285,11 +297,8 @@ def cmd_disaggregate(args):
 
 def write_attention_csv(path, alphas):
     """One row per hop-1 window: its start i, then its L weights as reprs."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["window_start"]
-                          + [f"alpha_{i}" for i in range(alphas.shape[1])]) + "\n")
-        for start, row in enumerate(alphas):
-            fh.write(f"{start},{','.join(map(repr, row.tolist()))}\n")
+    header = ["window_start"] + [f"alpha_{i}" for i in range(alphas.shape[1])]
+    data.write_table(path, header, [np.arange(len(alphas)), alphas])
 
 
 def cmd_evaluate(args):

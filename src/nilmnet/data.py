@@ -4,6 +4,10 @@ Channel files are plain CSV with the header ``timestamp,power_w``, integer
 epoch-second timestamps, and non-negative watts. All series carry a uniform
 sampling period; loading fills small gaps and refuses large ones, so
 everything downstream can index by sample.
+
+write_table is the one CSV writer of the package: the channel, results,
+attention, grid leaderboard and training record files all go through it,
+so they share one line format.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ log = logging.getLogger(__name__)
 
 CSV_HEADER = ("timestamp", "power_w")
 MAX_FILL_SAMPLES = 3
-WRITE_BLOCK_ROWS = 65536
+WRITE_BLOCK_FIELDS = 4096
 READ_BLOCK_CHARS = 65536
 _BODY_DTYPE = np.dtype([("timestamp", np.int64), ("power_w", np.float64)])
 
@@ -298,19 +302,45 @@ def load_channel_csv(path, name=None):
                        int(timestamps[0]), filled)
 
 
-def write_channel_csv(path, series: PowerSeries):
-    """Write a channel CSV, each watt value as the repr of its Python float.
+def _field_texts(block, alone):
+    """The texts of one block of a field's values. A number is its repr,
+    which for an int or a float is what str() gives; any other value is
+    str() of it, quoted by _quoted. alone: the field is its row's only one."""
+    if block.dtype.kind in "iuf":
+        return list(map(repr, block.tolist()))
+    return [_quoted(str(value), alone) for value in block.tolist()]
 
-    Rows are formatted from .tolist() blocks of WRITE_BLOCK_ROWS, so the
-    Python objects in hand stay bounded however long the series is.
+
+def _quoted(text, alone):
+    """text as a CSV field, quoted as RFC 4180 asks when it holds a comma,
+    a quote, CR or LF; also when it is empty and alone in its row, where an
+    unquoted empty field would make an empty line, which reads as no row."""
+    quote = any(c in text for c in ',"\r\n') or (alone and not text)
+    return '"' + text.replace('"', '""') + '"' if quote else text
+
+
+def write_table(path, header, columns):
+    """Write a CSV file: the header row, then row i of every column.
+
+    This is the package's one CSV writer. A column is N values, or an
+    (N, k) array whose rows fill k fields. The file is UTF-8 with LF line
+    ends on every OS. Rows are formatted from .tolist() blocks of about
+    WRITE_BLOCK_FIELDS fields, so the Python objects in hand stay bounded
+    however long or wide the table is. No rows writes the header alone.
     """
-    timestamps = series.timestamps()
+    # One 1-D array per field: an (N, k) column gives k of them.
+    fields = [f for column in columns for f in np.atleast_2d(np.asarray(column).T)]
+    rows = max(1, WRITE_BLOCK_FIELDS // len(fields))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        for lo in range(0, len(series), WRITE_BLOCK_ROWS):
-            block = slice(lo, lo + WRITE_BLOCK_ROWS)
-            fh.write("".join(f"{ts},{value!r}\n" for ts, value in zip(
-                timestamps[block].tolist(), series.values[block].tolist())))
+        fh.write(",".join(_quoted(name, len(fields) == 1) for name in header) + "\n")
+        for lo in range(0, len(fields[0]), rows):
+            texts = [_field_texts(f[lo:lo + rows], len(fields) == 1) for f in fields]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+
+
+def write_channel_csv(path, series: PowerSeries):
+    """Write a channel CSV, each watt value as the repr of its Python float."""
+    write_table(path, CSV_HEADER, [series.timestamps(), series.values])
 
 
 def resample(series: PowerSeries, target_period_s: int) -> PowerSeries:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PowerSeries, _csv_rows, denormalize_target, standardize_input
+from .data import (PowerSeries, _csv_rows, denormalize_target, standardize_input,
+                   write_table)
 from .errors import DataError, NumericalError
 from .model import INFERENCE_BATCH
 
@@ -240,13 +241,12 @@ def evaluate(appliance, y_true, y_pred, threshold_w=DEFAULT_THRESHOLD_W,
 
 def write_report_csv(path, reports):
     """One flat key-value row per appliance, fixed column order."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for r in reports:
-            writer.writerow([r.appliance, float(r.mae_w), float(r.sae_w),
-                             float(r.precision), float(r.recall), float(r.f1),
-                             float(r.threshold_w), int(r.period_len_k)])
+    # object keeps each name as given (numpy's str dtype drops trailing
+    # NULs); the scores are written as floats and the period as an int
+    # whatever types the report holds, so threshold_w=15 reads 15.0.
+    dtypes = (object,) + (np.float64,) * 6 + (np.int64,)
+    write_table(path, REPORT_COLUMNS, [np.array([getattr(r, key) for r in reports], t)
+                                       for key, t in zip(REPORT_COLUMNS, dtypes)])
 
 
 def read_report_csv(path):

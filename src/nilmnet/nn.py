@@ -524,14 +524,15 @@ class BiLSTM:
     buffer step s is time s forward and time T-1-s backward, and each
     direction's buffer is one contiguous slab.
 
-    - forward projects the inputs, stacked as (2, T*B, d) with the second
-      copy time-reversed, with one batched (2, d, 4H) GEMM per block of
-      steps straight into the gate buffer. Step s then adds one batched
-      (2, B, H) @ (2, H, 4H) recurrent product and applies the cell
-      equations, one tanh for all four gates, to both directions'
-      (2, B, 4H) slab at once. The step's h lands in a (2, B, H) step
-      buffer and from there in the (B, T, 2H) output, so each h is held
-      once, in both cache modes.
+    - forward projects one block of steps at a time: the block's inputs,
+      stacked as (2, steps*B, d) with the second copy time-reversed, go
+      through one batched (2, d, 4H) GEMM straight into the gate buffer.
+      A cached forward's one block stacks all T steps, which the backward
+      reads for dW. Step s then adds one batched (2, B, H) @ (2, H, 4H)
+      recurrent product and applies the cell equations, one tanh for all
+      four gates, to both directions' (2, B, 4H) slab at once. The step's
+      h lands in a (2, B, H) step buffer and from there in the (B, T, 2H)
+      output, so each h is held once, in both cache modes.
     - backward runs the same fused loop: the elementwise gate gradients and
       one batched recurrent GEMM d_z @ U per step. Step s's d_z goes through
       one (2, B, 4H) scratch into the gate slab gates[:, s], which that step
@@ -598,7 +599,6 @@ class BiLSTM:
             raise ShapeError(f"{self.name}: empty sequence")
         hs = self.hidden_size
         x_tm = x.transpose(1, 0, 2)
-        xs = np.stack([x_tm, x_tm[::-1]]).reshape(2, steps * b_sz, d)
         # The backward reads every step's gates and cells. Without it, a
         # step reads the gates of its own block and a ring of two cell
         # states, its own and the one before. Blocks are BLOCK steps, and a
@@ -624,8 +624,8 @@ class BiLSTM:
                 # The input projection of the next block, one batched GEMM.
                 start, end = s, steps if steps - s <= block else s + BLOCK
                 n = (end - start) * b_sz
-                np.matmul(xs[:, start * b_sz:end * b_sz], self._w.transpose(0, 2, 1),
-                          out=flat_gates[:, :n])
+                xs = np.stack([x_tm[start:end], x_tm[::-1][start:end]]).reshape(2, n, d)
+                np.matmul(xs, self._w.transpose(0, 2, 1), out=flat_gates[:, :n])
                 flat_gates[:, :n] += self._b[:, None]
             z = gates[:, s - start]
             if s:

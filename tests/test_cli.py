@@ -111,6 +111,31 @@ class TestSynth:
         assert run(["synth", "--config", tmp_path / "nope.ini",
                     "--out", tmp_path, "--duration-s", "300"]) == 2
 
+    # Each name would replace another channel's file or write outside --out:
+    # aggregate.csv in any letter case (macOS and Windows fold case), a
+    # twin that differs in case only, a path, a NUL, which no file name
+    # holds, and no name at all.
+    @pytest.mark.parametrize("sections,message", [
+        (["aggregate"], "'aggregate' would overwrite the file of channel 'aggregate'"),
+        (["AggreGate"], "'AggreGate' would overwrite the file of channel 'aggregate'"),
+        (["heater", "Heater"], "'Heater' would overwrite the file of channel 'heater'"),
+        (["../escaped"], "appliance name '../escaped' cannot name"),
+        (["a\\b"], "appliance name 'a\\\\b' cannot name"),
+        (["a\x00b"], "appliance name 'a\\x00b' cannot name"),
+        ([" "], "appliance name '' cannot name"),
+    ], ids=["aggregate", "aggregate-case", "case-twin", "slash", "backslash", "nul",
+            "empty"])
+    def test_name_without_a_file_of_its_own_exits_2(self, tmp_path, capsys,
+                                                     sections, message):
+        config = tmp_path / "run.ini"
+        config.write_text("".join(f"[appliance {name}]\nwindow_l = 16\n"
+                                  for name in sections))
+        out = tmp_path / "house" / "out"
+        assert run(["synth", "--config", config, "--out", out,
+                    "--duration-s", "300"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "house").exists()
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -258,10 +283,12 @@ class TestDisaggregate:
 
 class TestAttentionCsvWriter:
     @given(st.integers(0, 6), st.integers(1, 5), st.data(),
-           st.sampled_from([np.float64, np.float32]))
+           st.sampled_from([np.float64, np.float32]), st.integers(1, 8))
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_bytes_match_row_by_row_writer(self, tmp_path, n, window, draw, dtype):
+    def test_bytes_match_row_by_row_writer(self, tmp_path, monkeypatch, n, window,
+                                           draw, dtype, block_rows):
+        monkeypatch.setattr(data, "WRITE_BLOCK_FIELDS", block_rows * (window + 1))
         values = draw.draw(st.lists(WRITTEN_FLOATS | WRITTEN_FLOATS.map(lambda v: -v),
                                     min_size=n * window, max_size=n * window))
         with np.errstate(over="ignore"):
@@ -657,6 +684,15 @@ class TestRunConfig:
                         "hidden": [256, 512]}
         with pytest.raises(DataError):
             cli.parse_grid_flag("F=a,b")
+
+    def test_two_sections_for_one_appliance_are_refused(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[appliance heater]\nwindow_l = 32\n\n"
+                        "[appliance  heater]\nwindow_l = 16\n")
+        with pytest.raises(DataError, match=r"sections \[appliance heater\] and "
+                                            r"\[appliance  heater\] both name "
+                                            r"appliance 'heater'"):
+            cli.load_run_config(path)
 
     def test_defaults_without_sections(self, tmp_path):
         path = tmp_path / "run.ini"

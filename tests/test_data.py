@@ -449,11 +449,67 @@ class TestChannelCsvWriter:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_bytes_match_row_by_row_writer(self, tmp_path, monkeypatch,
                                            values, period, t0, block_rows):
-        monkeypatch.setattr(data, "WRITE_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(data, "WRITE_BLOCK_FIELDS", 2 * block_rows)
         s = series(values, period=period, t0=t0)
         data.write_channel_csv(tmp_path / "new.csv", s)
         write_channel_csv_direct(tmp_path / "ref.csv", s)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# csv.reader before Python 3.11 refuses a NUL, so the text holds none.
+TABLE_TEXT = st.text(st.characters(exclude_characters="\x00"), max_size=6)
+
+
+@st.composite
+def table_columns(draw):
+    """One to four columns of one length: int64, float64 (WRITTEN_FLOATS
+    and their negatives), float32 (any, NaN and infinities included), text
+    as str or object arrays, and (N, k) float64 arrays."""
+    n = draw(st.integers(0, 12))
+    floats = WRITTEN_FLOATS | WRITTEN_FLOATS.map(lambda v: -v)
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["int", "float", "float32", "text", "2d"]),
+                              min_size=1, max_size=4)):
+        k = draw(st.integers(1, 4)) if kind == "2d" else 1
+        values = draw(st.lists({"int": st.integers(-2**63, 2**63 - 1), "float": floats,
+                                "float32": st.floats(width=32), "text": TABLE_TEXT,
+                                "2d": floats}[kind], min_size=n * k, max_size=n * k))
+        if kind == "text":
+            dtype = draw(st.sampled_from([object, str]))
+        else:
+            dtype = {"int": np.int64, "float32": np.float32}.get(kind, np.float64)
+        columns.append(np.array(values, dtype=dtype).reshape((n, k) if kind == "2d" else n))
+    return columns
+
+
+class TestTableWriter:
+    @given(table_columns(), st.data(), st.integers(1, 40))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_reads_back_and_matches_csv_writer(self, tmp_path, monkeypatch,
+                                               columns, draw, block_fields):
+        monkeypatch.setattr(data, "WRITE_BLOCK_FIELDS", block_fields)
+        width = sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
+        header = draw.draw(st.lists(TABLE_TEXT, min_size=width, max_size=width))
+        # Each row's Python values, as .tolist() gives them, a 2-D row's inline.
+        rows = [[v for c in columns for v in np.atleast_1d(c[i]).tolist()]
+                for i in range(len(columns[0]))]
+        path = tmp_path / "table.csv"
+        data.write_table(path, header, columns)
+        with open(path, newline="", encoding="utf-8") as fh:
+            read = list(csv.reader(fh))
+        assert read == [header] + [[v if isinstance(v, str) else repr(v) for v in row]
+                                   for row in rows]
+        if not any("\r" in text for text in header + [v for row in rows for v in row
+                                                       if isinstance(v, str)]):
+            with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([header] + rows)
+            assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_carriage_return_is_quoted(self, tmp_path):
+        path = tmp_path / "table.csv"
+        data.write_table(path, ["name", "n"], [np.array(["a\rb"], dtype=object), [1]])
+        assert path.read_bytes() == b'name,n\n"a\rb",1\n'
 
 
 class TestAlign:

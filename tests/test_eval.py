@@ -380,6 +380,13 @@ class TestReportCsv:
         header = path.read_text().splitlines()[0]
         assert header == "appliance,mae_w,sae_w,precision,recall,f1,threshold_w,period_len_k"
 
+    @pytest.mark.parametrize("appliance", ["a,b", 'a"b', "a\nb", "a\rb"])
+    def test_appliance_name_with_csv_syntax_round_trips(self, tmp_path, appliance):
+        y = np.full(40, 20.0)
+        path = tmp_path / "results.csv"
+        ev.write_report_csv(path, [ev.evaluate(appliance, y, y, period_len_k=10)])
+        assert [row["appliance"] for row in ev.read_report_csv(path)] == [appliance]
+
     HEADER = "appliance,mae_w,sae_w,precision,recall,f1,threshold_w,period_len_k\n"
     ROW = "kettle,1.5,0.25,0.5,0.75,0.6,15.0,1200\n"
 

@@ -316,11 +316,11 @@ class TestBiLSTM:
                     == bilstm_forward_per_direction(layer, x).tobytes())
 
     def test_uncached_forward_holds_each_h_once(self):
-        """Peak of an uncached forward: the output and input buffers, each h
-        in the output only, one block of gates, a ring of two cell states
-        and the (2, B, .) step buffers. A (2, T, B, H) hidden trajectory
-        would add 50% at this shape, and the (2, T, B, 4H) gates in place
-        of the block 170%."""
+        """Peak of an uncached forward: the output, each h in the output
+        only, one block of stacked inputs and of gates, a ring of two cell
+        states and the (2, B, .) step buffers. At this shape the inputs of
+        all T steps stacked would add 12%, a (2, T, B, H) hidden trajectory
+        57%, and the (2, T, B, 4H) gates in place of the block 196%."""
         b_sz, steps, d, hs = 256, 64, 8, 32
         rng = np.random.default_rng(27)
         layer = nn.BiLSTM("b", d, hs, rng=rng)
@@ -329,11 +329,11 @@ class TestBiLSTM:
         with traced_peak() as traced:
             layer.forward(x, cache=False)
             peak = traced()[1]
-        # Per batch row: 2H output and 2 x d inputs per step, 2 x 4H gates
-        # per step of a block of at most BLOCK + 1, a ring of 2 x 2 x H
+        # Per batch row: 2H output per step, 2 x d stacked inputs and 2 x 4H
+        # gates per step of a block of at most BLOCK + 1, a ring of 2 x 2 x H
         # cells, four (2, H) step buffers (zeros, tanh(c), h, i * g) and the
         # (2, 4H) recurrent product; and the (2, H, 4H) contiguous U.T.
-        per_row = (steps * (2 * hs + 2 * d) + (nn.BLOCK + 1) * 2 * 4 * hs
+        per_row = (steps * 2 * hs + (nn.BLOCK + 1) * (2 * d + 2 * 4 * hs)
                    + 2 * 2 * hs + 4 * 2 * hs + 2 * 4 * hs)
         needed = x.itemsize * (b_sz * per_row + 2 * 4 * hs * hs)
         assert peak < 1.05 * needed
