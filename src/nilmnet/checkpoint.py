@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .data import NormalizationMeta
+from .data import NormalizationMeta, refuse_nul
 from .errors import DataError
 from .model import (ClassificationConfig, GatedAttentionModel, RegressionConfig,
                     parameter_count)
@@ -159,6 +159,7 @@ def load_checkpoint(path) -> GatedAttentionModel:
     A tensor holding a NaN or an infinity raises DataError naming it, so a
     corrupt file is bad input rather than a model with non-finite outputs.
     """
+    refuse_nul(path)
     with open(path, "rb") as fh:
         reader = _Reader(fh, str(path))
         if reader.take(4) != MAGIC:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
 import warnings
 from array import array
 from dataclasses import dataclass, replace
@@ -205,6 +206,14 @@ def _read_body_numpy(fh, path):
     return timestamps, watts
 
 
+def refuse_nul(path):
+    """Raise DataError naming path if it holds a NUL, which no file name
+    can hold and on which open raises ValueError, not OSError."""
+    text = os.fsdecode(path)
+    if "\0" in text:
+        raise DataError(f"{text!r}: a path cannot hold a NUL character")
+
+
 def _csv_rows(reader, path):
     """The rows of reader; its csv.Error, such as a field longer than
     csv.field_size_limit(), is raised as a DataError naming the line."""
@@ -267,6 +276,7 @@ def load_channel_csv(path, name=None):
     messages do not depend on which reader ran.
     """
     path = str(path)
+    refuse_nul(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             body = _read_body_numpy(fh, path)
@@ -319,6 +329,18 @@ def _quoted(text, alone):
     return '"' + text.replace('"', '""') + '"' if quote else text
 
 
+def _refuse_unencodable(path, texts):
+    """Raise DataError naming path and the first of texts that UTF-8
+    cannot encode, such as the lone surrogate os.fsdecode makes of an
+    argument byte that does not decode."""
+    for text in map(str, texts):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataError(f"{path}: {text!r} cannot be written as UTF-8 "
+                            f"({exc.reason})") from None
+
+
 def write_table(path, header, columns):
     """Write a CSV file: the header row, then row i of every column.
 
@@ -327,9 +349,13 @@ def write_table(path, header, columns):
     ends on every OS. Rows are formatted from .tolist() blocks of about
     WRITE_BLOCK_FIELDS fields, so the Python objects in hand stay bounded
     however long or wide the table is. No rows writes the header alone.
+    A text that UTF-8 cannot encode raises DataError before the file is
+    opened.
     """
     # One 1-D array per field: an (N, k) column gives k of them.
     fields = [f for column in columns for f in np.atleast_2d(np.asarray(column).T)]
+    _refuse_unencodable(path, chain(header, *(f.tolist() for f in fields
+                                              if f.dtype.kind not in "iuf")))
     rows = max(1, WRITE_BLOCK_FIELDS // len(fields))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_quoted(name, len(fields) == 1) for name in header) + "\n")

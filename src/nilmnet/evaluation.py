@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (PowerSeries, _csv_rows, denormalize_target, standardize_input,
-                   write_table)
+from .data import (PowerSeries, _csv_rows, denormalize_target, refuse_nul,
+                   standardize_input, write_table)
 from .errors import DataError, NumericalError
 from .model import INFERENCE_BATCH
 
@@ -255,6 +255,7 @@ def read_report_csv(path):
     An empty file, another header, a row without one field per column or a
     numeric field that does not parse raises DataError naming the line.
     """
+    refuse_nul(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         rows = _csv_rows(reader, path)

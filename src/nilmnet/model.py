@@ -277,6 +277,11 @@ class GatedAttentionModel:
         The gate cache is handed off as every layer's is (nn._take_cache):
         the forward's cache feeds exactly one backward, which frees it, and
         a backward without one raises RuntimeError naming the model.
+
+        The classification branch goes first. The branches write disjoint
+        gradients and their input gradients are dropped, so the order
+        changes no byte, and this one frees the classification caches
+        before the regression backward allocates its largest arrays.
         """
         power, state = nn._take_cache(self, "model")
         nn._expect("model", d_output, state.shape)
@@ -286,8 +291,8 @@ class GatedAttentionModel:
         if d_state_extra is not None:
             nn._expect("model", d_state_extra, state.shape)
             d_state = d_state + np.asarray(d_state_extra, dtype=self.dtype)
-        self.regression.backward(d_power)
         self.classification.backward(d_state)
+        self.regression.backward(d_power)
 
     def train_step_grads(self, windows, target_power, target_state):
         """Forward + joint loss + backward for one mini-batch.

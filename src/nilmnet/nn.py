@@ -15,8 +15,9 @@ raises RuntimeError naming the layer.
 The cache rule: every cache and buffer holds only what its next reader
 needs. A layer caches its input and output, which the layers beside it
 hold anyway, plus what the backward cannot rebuild; a cheap array it can
-rebuild (Conv1D's im2col columns, the BiLSTM's tanh(c)) is recomputed in
-the backward instead (Chen et al. 2016, arXiv:1604.06174). An uncached
+rebuild (Conv1D's im2col columns, the BiLSTM's cell states and tanh(c)) is
+recomputed in the backward instead (Chen et al. 2016, arXiv:1604.06174),
+the cell states from one checkpoint per block of BLOCK steps. An uncached
 forward holds a buffer only as long as the next step reads it, as the
 BiLSTM's block of gates and the attention's block of projections.
 
@@ -497,8 +498,9 @@ class LSTMCell:
         return d_z @ self.params.weights["W"], d_z @ self.params.weights["U"], d_c_prev
 
 
-# Time steps per input-projection GEMM of an uncached BiLSTM forward, and
-# windows per scoring GEMM of an uncached Attention forward.
+# Time steps per input-projection GEMM of an uncached BiLSTM forward and
+# per cell checkpoint of a cached one, and windows per scoring GEMM of an
+# uncached Attention forward.
 BLOCK = 8
 
 
@@ -542,23 +544,28 @@ class BiLSTM:
       slabs, dU is one GEMM per direction, and the input gradient is one
       batched GEMM.
 
-    The forward keeps tanh(c) only in a (2, B, H) step buffer; the backward
-    recomputes np.tanh(cells[:, s]), which rounds as the forward's did, so
-    the (2, T, B, H) trajectory of tanh(c) is never cached (the trade of
-    Chen et al. 2016, arXiv:1604.06174). Nor is a hidden trajectory kept:
-    the cache holds the (B, T, 2H) output, the array the attention layer
-    above caches too, and the backward copies each direction's dU operand
-    out of it, so the model holds the BiLSTM's output once.
+    No (2, T, B, H) trajectory is cached (the trades of Chen et al. 2016,
+    arXiv:1604.06174, and of Gruslys et al. 2016, arXiv:1606.03401). The
+    forward steps through a ring of two cell states, (2, 2, B, H), and a
+    cached forward keeps the state entering each block of BLOCK steps, a
+    (2, ceil(T/BLOCK), B, H) array of checkpoints. Entering a block at its
+    last step, before any of its steps overwrites its gates with d_z, the
+    backward rebuilds the block's cells into a (2, BLOCK + 1, B, H) buffer
+    from its checkpoint and the cached gates, by the forward's own two ops,
+    so each cell rounds as it did there, and np.tanh of a cell rounds as
+    the forward's did. Nor is a hidden trajectory kept: the cache holds the
+    (B, T, 2H) output, the array the attention layer above caches too, and
+    the backward copies each direction's dU operand out of it, so the model
+    holds the BiLSTM's output once.
 
-    Only the backward reads the (2, T, B, 4H) gates and (2, T, B, H) cells,
-    so only a cached forward holds them, as one block of all T steps. With
-    cache=False the same loop projects blocks of BLOCK steps into a
-    (2, BLOCK + 1, B, 4H) gate buffer and keeps a ring of two cell states,
-    (2, 2, B, H): at the paper shape with B=256 that is 40 MB in place of
-    671 MB. A GEMM rounds each row alike whatever its row count, except a
-    one-row GEMM, which numpy runs as a matrix-vector product and no
-    block is given, so both modes give the same bytes (tested, not
-    assumed).
+    Only the backward reads the (2, T, B, 4H) gates, so only a cached
+    forward holds them, as one block of all T steps. With cache=False the
+    same loop projects blocks of BLOCK steps into a (2, BLOCK + 1, B, 4H)
+    gate buffer: with the ring, at the paper shape with B=256 that is
+    40 MB in place of 671 MB. A GEMM rounds each row alike whatever its
+    row count, except a one-row GEMM, which numpy runs as a matrix-vector
+    product and no block is given, so both modes give the same bytes
+    (tested, not assumed).
 
     The cell equations are the ones LSTMCell.step uses, so the layer equals
     an unrolled composition of the two cells' steps.
@@ -599,17 +606,19 @@ class BiLSTM:
             raise ShapeError(f"{self.name}: empty sequence")
         hs = self.hidden_size
         x_tm = x.transpose(1, 0, 2)
-        # The backward reads every step's gates and cells. Without it, a
-        # step reads the gates of its own block and a ring of two cell
-        # states, its own and the one before. Blocks are BLOCK steps, and a
-        # last block of one step joins the one before: for a one-window
-        # batch it would be a one-row GEMM, which numpy runs as a
-        # matrix-vector product that rounds differently.
-        block, ring = (steps, steps) if cache else (min(BLOCK + 1, steps), 2)
+        # The backward reads every step's gates. Without it, a step reads
+        # the gates of its own block. Blocks are BLOCK steps, and a last
+        # block of one step joins the one before: for a one-window batch it
+        # would be a one-row GEMM, which numpy runs as a matrix-vector
+        # product that rounds differently. Either way a step reads a ring of
+        # two cell states, its own and the one before, and a cached forward
+        # keeps the state entering each block of BLOCK steps.
+        block = steps if cache else min(BLOCK + 1, steps)
         flat_gates = np.empty((2, block * b_sz, 4 * hs), dtype=np.result_type(x, self._w))
         gates = flat_gates.reshape(2, block, b_sz, 4 * hs)
-        cells = np.empty((2, ring, b_sz, hs), dtype=gates.dtype)
+        cells = np.empty((2, 2, b_sz, hs), dtype=gates.dtype)
         zeros = np.zeros((2, b_sz, hs), dtype=gates.dtype)
+        checkpoints = np.zeros((2, -(-steps // BLOCK), b_sz, hs), gates.dtype) if cache else None
         tanh_c, h = np.empty_like(zeros), np.empty_like(zeros)
         recurrent = np.empty((2, b_sz, 4 * hs), dtype=gates.dtype)
         out = np.empty((b_sz, steps, 2 * hs), dtype=gates.dtype)
@@ -630,29 +639,43 @@ class BiLSTM:
             z = gates[:, s - start]
             if s:
                 z += np.matmul(h, u_t, out=recurrent)
-            _lstm_gates(z, cells[:, (s - 1) % ring] if s else zeros, cells[:, s % ring],
-                        tanh_c, h)
+            _lstm_gates(z, cells[:, (s - 1) % 2] if s else zeros, cells[:, s % 2], tanh_c, h)
+            if cache and (s + 1) % BLOCK == 0 and s + 1 < steps:
+                checkpoints[:, (s + 1) // BLOCK] = cells[:, s % 2]
             out[:, s, :hs] = h[0]
             out[:, steps - 1 - s, hs:] = h[1]
-        self._cache = (xs, gates, cells, out) if cache else None
+        self._cache = (xs, gates, checkpoints, out) if cache else None
         return out
 
     def backward(self, d_out):
         """d_out: (B, T, 2H) -> gradient w.r.t. the input sequence."""
-        xs, gates, cells, out = _take_cache(self, self.name)
-        _, steps, b_sz, hs = cells.shape
+        xs, gates, checkpoints, out = _take_cache(self, self.name)
+        b_sz, steps, _ = out.shape
+        hs = self.hidden_size
         _expect(self.name, d_out, out.shape)
         zeros = np.zeros((2, b_sz, hs), dtype=gates.dtype)
         d_h, d_c = zeros.copy(), zeros
         step_d_z = np.empty((2, b_sz, 4 * hs), dtype=gates.dtype)
+        # One block's cell states: the one entering it, then its steps'.
+        cells = np.empty((2, min(BLOCK, steps) + 1, b_sz, hs), dtype=gates.dtype)
         # Unwind the buffer steps backwards; d_h holds the recurrent
         # gradient and gains step s's upstream gradient for each direction.
         # Step s is the last to read gates[:, s], so its d_z replaces them.
         for s in range(steps - 1, -1, -1):
+            k = s % BLOCK
+            if k == BLOCK - 1 or s == steps - 1:
+                # Entering a block at its last step, before any of its steps
+                # overwrites its gates: its cells again, from the checkpoint,
+                # by the forward's own two ops.
+                cells[:, 0] = checkpoints[:, s // BLOCK]
+                for j in range(k + 1):
+                    i, f, g, _ = _split_gates(gates[:, s - k + j])
+                    np.multiply(f, cells[:, j], out=cells[:, j + 1])
+                    cells[:, j + 1] += i * g
             d_h[0] += d_out[:, s, :hs]
             d_h[1] += d_out[:, steps - 1 - s, hs:]
-            d_c = _lstm_gates_backward(d_h, d_c, gates[:, s], cells[:, s - 1] if s else zeros,
-                                       np.tanh(cells[:, s]), step_d_z)
+            d_c = _lstm_gates_backward(d_h, d_c, gates[:, s], cells[:, k],
+                                       np.tanh(cells[:, k + 1]), step_d_z)
             gates[:, s] = step_d_z
             if s:
                 np.matmul(gates[:, s], self._u, out=d_h)

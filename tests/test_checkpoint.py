@@ -162,6 +162,12 @@ class TestFormatGuards:
         with pytest.raises(DataError, match="magic"):
             ckpt.load_checkpoint(path)
 
+    def test_path_with_a_nul_raises_data_error_naming_it(self, tmp_path):
+        path = tmp_path / "model\x00.ckpt"
+        with pytest.raises(DataError, match="a path cannot hold a NUL") as err:
+            ckpt.load_checkpoint(path)
+        assert repr(str(path)) in str(err.value)
+
     def test_truncated_file_rejected(self, tmp_path):
         model = random_model(3)
         path = tmp_path / "model.ckpt"

@@ -522,6 +522,30 @@ class TestEdgeInputs:
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_config_path_with_a_nul_exits_2_without_checkpoint(self, tmp_path, capsys):
+        """A NUL, which no file name holds, in a path the config gives."""
+        config = tmp_path / "run.ini"
+        config.write_text(CONFIG + "\n[data]\naggregate = a\x00b.csv\n"
+                          "appliance = heater.csv\nappliance_name = heater\n")
+        out = tmp_path / "m.ckpt"
+        assert run(["train", "--config", config, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: 'a\\x00b.csv': a path cannot hold a NUL character")
+        assert not out.exists()
+
+    def test_appliance_name_utf8_cannot_encode_exits_2_without_results(
+            self, trained, tmp_path, capsys):
+        """An argument byte that does not decode reaches main as a lone
+        surrogate, which the UTF-8 results file cannot hold."""
+        _, house, _ = trained
+        out = tmp_path / "r.csv"
+        assert run(["evaluate", "--prediction", house / "heater.csv",
+                    "--truth", house / "heater.csv", "--appliance-name", "\udcff",
+                    "--out", out, "--period-k", "30"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {out}: '\\udcff' cannot be written as UTF-8")
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed_flag", [[], ["--seed", "-1"]],
                              ids=["config", "flag"])
     def test_negative_train_seed_exits_2_without_checkpoint(

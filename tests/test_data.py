@@ -220,6 +220,13 @@ class TestChannelCsv:
         assert loaded.t0 == 100
         np.testing.assert_array_equal(loaded.values, [1.0, 2.0, 3.0])
 
+    def test_path_with_a_nul_raises_data_error_naming_it(self, tmp_path):
+        # open would raise ValueError, which the CLI does not map to exit 2.
+        path = tmp_path / "a\x00b.csv"
+        with pytest.raises(DataError, match="a path cannot hold a NUL") as err:
+            data.load_channel_csv(path)
+        assert repr(str(path)) in str(err.value)
+
     def test_out_of_order_timestamps_rejected(self, tmp_path):
         path = tmp_path / "ch.csv"
         path.write_text("timestamp,power_w\n100,1.0\n94,2.0\n")
@@ -460,6 +467,14 @@ class TestChannelCsvWriter:
 TABLE_TEXT = st.text(st.characters(exclude_characters="\x00"), max_size=6)
 
 
+def utf8_encodable(text):
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 @st.composite
 def table_columns(draw):
     """One to four columns of one length: int64, float64 (WRITTEN_FLOATS
@@ -495,16 +510,31 @@ class TestTableWriter:
         rows = [[v for c in columns for v in np.atleast_1d(c[i]).tolist()]
                 for i in range(len(columns[0]))]
         path = tmp_path / "table.csv"
+        texts = header + [v for row in rows for v in row if isinstance(v, str)]
+        if not all(utf8_encodable(text) for text in texts):
+            # A lone surrogate: no UTF-8 file holds it.
+            with pytest.raises(DataError, match="cannot be written as UTF-8"):
+                data.write_table(path, header, columns)
+            assert not path.exists()
+            return
         data.write_table(path, header, columns)
         with open(path, newline="", encoding="utf-8") as fh:
             read = list(csv.reader(fh))
         assert read == [header] + [[v if isinstance(v, str) else repr(v) for v in row]
                                    for row in rows]
-        if not any("\r" in text for text in header + [v for row in rows for v in row
-                                                       if isinstance(v, str)]):
+        if not any("\r" in text for text in texts):
             with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh, lineterminator="\n").writerows([header] + rows)
             assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("where", ["header", "field"])
+    def test_text_utf8_cannot_encode_is_refused_before_the_file_is_made(
+            self, tmp_path, where):
+        path = tmp_path / "table.csv"
+        name, value = ("\udcff", "a") if where == "header" else ("name", "\udcff")
+        with pytest.raises(DataError, match=r"'\\udcff' cannot be written as UTF-8"):
+            data.write_table(path, [name], [np.array([value], dtype=object)])
+        assert not path.exists()
 
     def test_carriage_return_is_quoted(self, tmp_path):
         path = tmp_path / "table.csv"

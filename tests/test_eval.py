@@ -387,6 +387,12 @@ class TestReportCsv:
         ev.write_report_csv(path, [ev.evaluate(appliance, y, y, period_len_k=10)])
         assert [row["appliance"] for row in ev.read_report_csv(path)] == [appliance]
 
+    def test_path_with_a_nul_raises_data_error_naming_it(self, tmp_path):
+        path = tmp_path / "results\x00.csv"
+        with pytest.raises(DataError, match="a path cannot hold a NUL") as err:
+            ev.read_report_csv(path)
+        assert repr(str(path)) in str(err.value)
+
     HEADER = "appliance,mae_w,sae_w,precision,recall,f1,threshold_w,period_len_k\n"
     ROW = "kettle,1.5,0.25,0.5,0.75,0.6,15.0,1200\n"
 

@@ -398,6 +398,54 @@ class TestTrainStepMemory:
         assert list(above_entry) == [model.regression.bilstm]
         assert above_entry[model.regression.bilstm] < gates_nbytes
 
+    def test_classification_caches_are_freed_before_the_bilstm_backward(
+            self, monkeypatch):
+        """The classification backward runs first, so its caches are gone
+        before the regression backward allocates its largest arrays."""
+        windows, power, state = self.batch()
+        model = GatedAttentionModel.init(self.REG, self.CLS, seed=35)
+        cls_net = model.classification
+        cls_layers = cls_net.convs + [cls_net.fc1, cls_net.fc2]
+        backward = nn.BiLSTM.backward
+        seen = []
+
+        def watched_backward(layer, d_out):
+            seen.append([cls_layer._cache for cls_layer in cls_layers])
+            return backward(layer, d_out)
+
+        monkeypatch.setattr(nn.BiLSTM, "backward", watched_backward)
+        model.train_step_grads(windows, power, state)
+        assert len(seen) == 1 and all(cache is None for cache in seen[0])
+
+    def test_paper_step_peak_is_what_its_largest_arrays_need(self):
+        """Traced peak above entry of a train step at the paper's kettle
+        shape (L=128 F=32 K=8 H=512) and B=32, the grad vector made first.
+        The arrays alive at the regression backward's peak, in MiB: the
+        (2, T, B, 4H) gates 64, the (B, T, 2H) output 16 and its gradient
+        16, the attention's (B, T, H) projection 8, the (2, T/BLOCK, B, H)
+        cell checkpoints 2, the (2, T*B, F) stacked inputs 1 and the four
+        (B, F, L) conv outputs 2: 109 MiB. 111.2 MiB was measured. The
+        (2, T, B, H) cell trajectory would add 16, and classification
+        caches kept through the regression backward 4."""
+        reg = RegressionConfig(window=128, filters=32, kernel=8, hidden=512)
+        b_sz, steps, hs, f = 32, reg.window, reg.hidden, reg.filters
+        model = GatedAttentionModel.init(reg, seed=36)
+        rng = np.random.default_rng(36)
+        windows, power = rng.normal(size=(2, b_sz, steps))
+        state = (rng.random((b_sz, steps)) > 0.5).astype(float)
+        model.batch_loss(windows, power, state)     # fills lru caches
+        model.grads                   # makes the vector the backward writes
+        needed = 4 * (2 * steps * b_sz * 4 * hs                 # gates
+                      + 2 * b_sz * steps * 2 * hs               # output, gradient
+                      + b_sz * steps * hs                       # projection
+                      + 2 * -(-steps // nn.BLOCK) * b_sz * hs   # checkpoints
+                      + 2 * steps * b_sz * f                    # stacked inputs
+                      + 4 * b_sz * f * steps)                   # conv outputs
+        with traced_peak() as traced:
+            model.train_step_grads(windows, power, state)
+            peak = traced()[1]
+        assert peak < 1.05 * needed, f"{peak / 2**20:.1f} MiB"
+
     def test_dense_backward_writes_its_weight_gradient_in_place(self, monkeypatch):
         model, above_entry = self.backward_peaks(monkeypatch, nn.Dense, seed=33)
         fc1 = model.classification.fc1

@@ -242,6 +242,57 @@ class TestBiLSTMBackward:
                                            rtol=0, atol=1e-12)
         return layer
 
+    def test_cache_keeps_block_checkpoints_not_the_cell_trajectory(self):
+        """A cached forward keeps the stacked inputs, the gates, the output
+        and the cell state entering each block of BLOCK steps, the state the
+        unrolled cell holds there, and no (2, T, B, H) array."""
+        b_sz, steps, d, hs = 3, 2 * nn.BLOCK + 1, 5, 6
+        rng = np.random.default_rng(14)
+        layer = nn.BiLSTM("b", d, hs, rng=rng, dtype=np.float64)
+        nn.randomize_biases([layer.fw.params, layer.bw.params], rng)
+        x = rng.normal(size=(b_sz, steps, d))
+        out = layer.forward(x)
+        xs, gates, checkpoints, cached_out = layer._cache
+        assert cached_out is out
+        assert xs.shape == (2, steps * b_sz, d)
+        assert gates.shape == (2, steps, b_sz, 4 * hs)
+        assert checkpoints.shape == (2, 3, b_sz, hs)
+        assert all(a.shape != (2, steps, b_sz, hs) for a in layer._cache)
+        orders = (range(steps), range(steps - 1, -1, -1))
+        for k, (cell, order) in enumerate(zip((layer.fw, layer.bw), orders)):
+            h = c = np.zeros((b_sz, hs))
+            for s, t in enumerate(order):
+                if s % nn.BLOCK == 0:
+                    np.testing.assert_allclose(checkpoints[k, s // nn.BLOCK], c,
+                                               rtol=0, atol=1e-12)
+                h, c, _ = cell.step(x[:, t, :], h, c)
+
+    # (B, T, d, H): one window with T below and one past BLOCK, a last block
+    # of one step, a longer sequence, and the paper's kettle shape.
+    @pytest.mark.parametrize("shape", [
+        (1, nn.BLOCK - 1, 8, 32), (1, nn.BLOCK + 1, 8, 32), (3, 2 * nn.BLOCK + 1, 5, 6),
+        (3, 40, 5, 6), (2, 128, 32, 512)])
+    def test_backward_bytes_do_not_depend_on_the_checkpoint_interval(
+            self, shape, monkeypatch):
+        """The backward rebuilds each block's cells from its checkpoint with
+        the forward's own ops. With BLOCK past T one block rebuilds the
+        whole trajectory, which a cached forward once kept."""
+        b_sz, steps, d, hs = shape
+        rng = np.random.default_rng(15)
+        layer = nn.BiLSTM("b", d, hs, rng=rng)
+        nn.randomize_biases([layer.fw.params, layer.bw.params], rng)
+        x = rng.normal(size=(b_sz, steps, d)).astype(np.float32)
+        upstream = rng.normal(size=(b_sz, steps, 2 * hs)).astype(np.float32)
+        results = {}
+        for block in (1, 3, nn.BLOCK, steps + 1):
+            monkeypatch.setattr(nn, "BLOCK", block)
+            layer.forward(x)
+            d_x = layer.backward(upstream)
+            results[block] = [d_x.tobytes()] + [g.tobytes() for g in layer._grad_slabs()]
+        first, *rest = results.values()
+        for block, got in zip(list(results)[1:], rest):
+            assert got == first, f"BLOCK={block}"
+
     @pytest.mark.parametrize("seed", range(N_SEEDS))
     def test_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
