@@ -571,6 +571,8 @@ def synth_household(specs, duration_s, noise_std=0.0, seed=0, period_s=3,
     [min_on, 3*min_on] * duration_scale and level drawn from
     [2*on_threshold, max_power]. The aggregate adds Gaussian noise of the
     given standard deviation and is clamped at 0 W. Deterministic per seed.
+    An appliance whose longest off gap or activation is past the float
+    range raises DataError before anything is drawn.
     """
     if period_s < 1:
         raise DataError(f"period_s must be >= 1, got {period_s}")
@@ -585,14 +587,23 @@ def synth_household(specs, duration_s, noise_std=0.0, seed=0, period_s=3,
         raise DataError("duration too short for one sample")
     if n * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
         raise DataError(f"{n} samples are past numpy's index range")
-    rng = np.random.default_rng(seed)
-    appliance_series = []
-    total = np.zeros(n, dtype=np.float64)
     for spec in specs:
         if spec.max_power_w <= 2 * spec.on_threshold_w:
             raise DataError(
                 f"{spec.name}: max_power_w must exceed twice the on threshold "
                 f"for synthesis")
+        # The largest value each draw below can compute must be a float.
+        for key, value, longest in (
+                ("min_off_s", spec.min_off_s, 5.0 * spec.min_off_s),
+                ("min_on_s", spec.min_on_s, 3.0 * spec.min_on_s),
+                ("duration_scale", duration_scale, 3.0 * spec.min_on_s * duration_scale)):
+            if not isfinite(longest):
+                raise DataError(f"{spec.name}: {key} = {value} makes the longest "
+                                f"synthesized interval overflow")
+    rng = np.random.default_rng(seed)
+    appliance_series = []
+    total = np.zeros(n, dtype=np.float64)
+    for spec in specs:
         values = np.zeros(n, dtype=np.float64)
         t = 0
         while True:

@@ -94,11 +94,11 @@ def disaggregate(model, aggregate: PowerSeries, export_attention=False):
     """Predict the appliance load under the aggregate, sample for sample.
 
     Returns (prediction PowerSeries, alphas) where alphas is None or the
-    (N, L) attention weights of the N hop-1 windows, in the dtype of the
-    model's attention; row i is the window that starts at sample i. The
-    model must carry normalization metadata;
-    the output has the same length, period, and origin as the input and is
-    at least 0 W. A non-finite model output raises NumericalError.
+    (N, L) attention weights of the N hop-1 windows, in the model's dtype;
+    row i is the window that starts at sample i. The model must carry
+    normalization metadata; the output has the same length, period, and
+    origin as the input and is at least 0 W. A non-finite model output
+    raises NumericalError.
 
     Each forward batch of INFERENCE_BATCH windows goes straight to the
     median, so the windows' watts are never held for the whole series.
@@ -114,17 +114,14 @@ def disaggregate(model, aggregate: PowerSeries, export_attention=False):
     standardized = standardize_input(aggregate.values, meta)
     views = np.lib.stride_tricks.sliding_window_view(standardized, window)
     n = views.shape[0]
-    alphas = None
+    alphas = np.empty((n, window), model.dtype) if export_attention else None
 
     def watts(lo, hi):
-        nonlocal alphas
         result = model.forward(views[lo:hi], cache=False)
         if not np.isfinite(result.output).all():
             raise NumericalError(
                 f"model output is non-finite in windows {lo}..{hi - 1}")
         if export_attention:
-            if alphas is None:
-                alphas = np.empty((n, window), dtype=result.attention.dtype)
             alphas[lo:hi] = result.attention
         # clamped at 0 W, so the median of each sample is too
         return denormalize_target(result.output, meta)

@@ -7,6 +7,12 @@ dense decoder) estimates the appliance power; the classification branch
 probability. The final output is their elementwise product, and the joint
 training loss is MSE on the gated output plus BCE on the state estimate,
 with the MSE gradient flowing through the gate into both branches.
+
+Both branches open with a conv stack, stated once: _conv_stack builds a
+branch's layers from its (filters, kernels) table, _conv_forward and
+_conv_backward walk them, and parameter_count counts them from the same
+tables. Each branch builds its own stack at the point the v1 tensor order
+puts it, so the rng draws follow that order.
 """
 
 from __future__ import annotations
@@ -45,6 +51,11 @@ class RegressionConfig:
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be a positive integer")
 
+    @property
+    def conv_table(self):
+        """(filters, kernels) of the four identical conv layers."""
+        return (self.filters,) * 4, (self.kernel,) * 4
+
 
 @dataclass(frozen=True)
 class ClassificationConfig:
@@ -75,18 +86,38 @@ def parameter_count(reg_cfg: RegressionConfig, cls_cfg: ClassificationConfig):
     Computed from the dims alone, so a checkpoint loader can check a header
     against the file length before allocating anything.
     """
-    f, k, h = reg_cfg.filters, reg_cfg.kernel, reg_cfg.hidden
-    count = (f * k + f) + 3 * (f * f * k + f)          # four conv layers
-    count += 2 * 4 * h * (f + h + 1)                   # BiLSTM, W U b per direction
+    h, window = reg_cfg.hidden, reg_cfg.window
+    count = 0                                          # the two conv stacks
+    for filters, kernels in (reg_cfg.conv_table, (cls_cfg.filters, cls_cfg.kernels)):
+        count += sum(c * f * k + f for c, f, k in zip((1, *filters), filters, kernels))
+    count += 2 * 4 * h * (reg_cfg.filters + h + 1)     # BiLSTM, W U b per direction
     count += 2 * h * h + 2 * h                         # attention W b v
-    count += (2 * h * h + h) + (h + 1) * reg_cfg.window  # fc1, fc2
-    prev = 1
-    for filters, kernel in zip(cls_cfg.filters, cls_cfg.kernels):
-        count += filters * prev * kernel + filters
-        prev = filters
-    count += (prev * reg_cfg.window + 1) * cls_cfg.dense_units
-    count += (cls_cfg.dense_units + 1) * reg_cfg.window
+    count += (2 * h * h + h) + (h + 1) * window        # fc1, fc2
+    count += ((1, *cls_cfg.filters)[-1] * window + 1) * cls_cfg.dense_units
+    count += (cls_cfg.dense_units + 1) * window
     return count
+
+
+def _conv_stack(branch, filters, kernels, rng, arena):
+    """The ReLU conv layers {branch}.conv1.. of a (filters, kernels) table;
+    the first reads the window's one channel, each later one the filters of
+    the layer before it."""
+    return [nn.Conv1D(f"{branch}.conv{i + 1}", c, f, k, "relu", rng, arena=arena)
+            for i, (c, f, k) in enumerate(zip((1, *filters), filters, kernels))]
+
+
+def _conv_forward(convs, x, cache):
+    """(B, L) windows through a conv stack -> (B, F, L) features."""
+    feats = x[:, None, :]
+    for conv in convs:
+        feats = conv.forward(feats, cache)
+    return feats
+
+
+def _conv_backward(convs, d_feats):
+    """Backward through a conv stack; its input gradient has no reader."""
+    for conv in reversed(convs):
+        d_feats = conv.backward(d_feats)
 
 
 @dataclass
@@ -99,15 +130,12 @@ class ForwardResult:
 
 
 class RegressionNet:
-    """Conv encoder, BiLSTM, attention unit, and dense decoder."""
+    """Conv encoder (a stack of four like layers), BiLSTM, attention unit,
+    and dense decoder."""
 
     def __init__(self, cfg: RegressionConfig, rng, arena):
-        f, k, h = cfg.filters, cfg.kernel, cfg.hidden
-        self.convs = [
-            nn.Conv1D(f"reg.conv{i + 1}", 1 if i == 0 else f, f, k,
-                      "relu", rng, arena=arena)
-            for i in range(4)
-        ]
+        f, h = cfg.filters, cfg.hidden
+        self.convs = _conv_stack("reg", *cfg.conv_table, rng, arena)
         self.bilstm = nn.BiLSTM("reg.bilstm", f, h, rng, arena=arena)
         self.attention = nn.Attention("reg.attn", 2 * h, h, rng, arena=arena)
         self.fc1 = nn.Dense("reg.fc1", 2 * h, h, "relu", rng, arena=arena)
@@ -115,9 +143,7 @@ class RegressionNet:
 
     def forward(self, x, cache=True):
         """x: (B, L) standardized windows -> (power (B, L), alpha (B, L))."""
-        feats = x[:, None, :]
-        for conv in self.convs:
-            feats = conv.forward(feats, cache)
+        feats = _conv_forward(self.convs, x, cache)
         hidden = self.bilstm.forward(feats.transpose(0, 2, 1), cache)
         context, alpha = self.attention.forward(hidden, cache)
         return self.fc2.forward(self.fc1.forward(context, cache), cache), alpha
@@ -125,42 +151,29 @@ class RegressionNet:
     def backward(self, d_power):
         d_context = self.fc1.backward(self.fc2.backward(d_power))
         d_hidden = self.attention.backward(d_context)
-        d_feats = self.bilstm.backward(d_hidden).transpose(0, 2, 1)
-        for conv in reversed(self.convs):
-            d_feats = conv.backward(d_feats)
-        return d_feats[:, 0, :]
+        _conv_backward(self.convs, self.bilstm.backward(d_hidden).transpose(0, 2, 1))
 
 
 class ClassificationNet:
-    """Six conv layers, flatten, two dense layers ending in a sigmoid."""
+    """A conv stack (six layers in the paper), flatten, two dense layers
+    ending in a sigmoid. An empty layer table flattens the window itself."""
 
     def __init__(self, cfg: ClassificationConfig, window, rng, arena):
-        self.window = window
-        self.convs = []
-        prev = 1
-        for i, (f, k) in enumerate(zip(cfg.filters, cfg.kernels)):
-            self.convs.append(
-                nn.Conv1D(f"cls.conv{i + 1}", prev, f, k, "relu", rng, arena=arena))
-            prev = f
-        self.fc1 = nn.Dense("cls.fc1", prev * window, cfg.dense_units, "relu",
-                            rng, arena=arena)
+        self.convs = _conv_stack("cls", cfg.filters, cfg.kernels, rng, arena)
+        self.fc1 = nn.Dense("cls.fc1", (1, *cfg.filters)[-1] * window,
+                            cfg.dense_units, "relu", rng, arena=arena)
         self.fc2 = nn.Dense("cls.fc2", cfg.dense_units, window, "sigmoid",
                             rng, arena=arena)
 
     def forward(self, x, cache=True):
         """x: (B, L) standardized windows -> on probabilities (B, L)."""
-        feats = x[:, None, :]
-        for conv in self.convs:
-            feats = conv.forward(feats, cache)
-        flat = feats.reshape(feats.shape[0], -1)
+        feats = _conv_forward(self.convs, x, cache)
+        flat = feats.reshape(len(feats), -1)
         return self.fc2.forward(self.fc1.forward(flat, cache), cache)
 
     def backward(self, d_state):
         d_flat = self.fc1.backward(self.fc2.backward(d_state))
-        d_feats = d_flat.reshape(len(d_flat), -1, self.window)
-        for conv in reversed(self.convs):
-            d_feats = conv.backward(d_feats)
-        return d_feats[:, 0, :]
+        _conv_backward(self.convs, d_flat.reshape(len(d_flat), -1, self.fc2.units))
 
 
 def joint_loss(output, state, target_power, target_state):
@@ -294,6 +307,14 @@ class GatedAttentionModel:
         self.classification.backward(d_state)
         self.regression.backward(d_power)
 
+    def _joint_loss(self, windows, target_power, target_state, cache):
+        """Forward pass and joint loss of one mini-batch:
+        (loss, d_output, d_state_extra), as joint_loss returns them."""
+        result = self.forward(windows, cache)
+        return joint_loss(result.output, result.state,
+                          np.asarray(target_power, dtype=self.dtype),
+                          np.asarray(target_state, dtype=self.dtype))
+
     def train_step_grads(self, windows, target_power, target_state):
         """Forward + joint loss + backward for one mini-batch.
 
@@ -301,22 +322,14 @@ class GatedAttentionModel:
         all of `grads`, so the previous step's gradients need no reset.
         Returns the scalar loss.
         """
-        result = self.forward(windows)
-        loss, d_output, d_state = joint_loss(
-            result.output, result.state,
-            np.asarray(target_power, dtype=self.dtype),
-            np.asarray(target_state, dtype=self.dtype))
+        loss, d_output, d_state = self._joint_loss(
+            windows, target_power, target_state, cache=True)
         self.backward(d_output, d_state)
         return loss
 
     def batch_loss(self, windows, target_power, target_state):
         """Joint loss without touching gradients (validation path)."""
-        result = self.forward(windows, cache=False)
-        loss, _, _ = joint_loss(
-            result.output, result.state,
-            np.asarray(target_power, dtype=self.dtype),
-            np.asarray(target_state, dtype=self.dtype))
-        return loss
+        return self._joint_loss(windows, target_power, target_state, cache=False)[0]
 
     def snapshot_weights(self, out=None):
         """Copy of the flat weight vector, for best-epoch checkpointing.

@@ -17,7 +17,8 @@ needs. A layer caches its input and output, which the layers beside it
 hold anyway, plus what the backward cannot rebuild; a cheap array it can
 rebuild (Conv1D's im2col columns, the BiLSTM's cell states and tanh(c)) is
 recomputed in the backward instead (Chen et al. 2016, arXiv:1604.06174),
-the cell states from one checkpoint per block of BLOCK steps. An uncached
+the cell states from one checkpoint per block of BLOCK steps by
+_cell_state, the one cell update the forward also runs. An uncached
 forward holds a buffer only as long as the next step reads it, as the
 BiLSTM's block of gates and the attention's block of projections.
 
@@ -407,6 +408,17 @@ def _gate_activations(z):
     return z
 
 
+def _cell_state(i, f, g, c_prev, c):
+    """The cell update c = f * c_prev + i * g, written into c.
+
+    The one statement of the update: the forward's cells and the BiLSTM
+    backward's rebuilt cells both come from it, so a rebuilt cell rounds as
+    the forward's did.
+    """
+    np.multiply(f, c_prev, out=c)
+    c += i * g
+
+
 def _lstm_gates(z, c_prev, c, tanh_c, h):
     """The LSTM cell equations for one step, in place on preallocated arrays.
 
@@ -416,8 +428,7 @@ def _lstm_gates(z, c_prev, c, tanh_c, h):
     BiLSTM's (2, B) direction slabs do. Every argument may be a strided view.
     """
     i, f, g, o = _split_gates(_gate_activations(z))
-    np.multiply(f, c_prev, out=c)
-    c += i * g
+    _cell_state(i, f, g, c_prev, c)
     np.tanh(c, out=tanh_c)
     np.multiply(o, tanh_c, out=h)
 
@@ -551,12 +562,13 @@ class BiLSTM:
     (2, ceil(T/BLOCK), B, H) array of checkpoints. Entering a block at its
     last step, before any of its steps overwrites its gates with d_z, the
     backward rebuilds the block's cells into a (2, BLOCK + 1, B, H) buffer
-    from its checkpoint and the cached gates, by the forward's own two ops,
-    so each cell rounds as it did there, and np.tanh of a cell rounds as
-    the forward's did. Nor is a hidden trajectory kept: the cache holds the
-    (B, T, 2H) output, the array the attention layer above caches too, and
-    the backward copies each direction's dU operand out of it, so the model
-    holds the BiLSTM's output once.
+    from its checkpoint and the cached gates with _cell_state, the update
+    the forward's _lstm_gates calls, so each cell rounds as it did there,
+    and np.tanh of a cell rounds as the forward's did. Nor is a hidden
+    trajectory kept: the cache holds the (B, T, 2H) output, the array the
+    attention layer above caches too, and the backward copies each
+    direction's dU operand out of it, so the model holds the BiLSTM's
+    output once.
 
     Only the backward reads the (2, T, B, 4H) gates, so only a cached
     forward holds them, as one block of all T steps. With cache=False the
@@ -666,12 +678,11 @@ class BiLSTM:
             if k == BLOCK - 1 or s == steps - 1:
                 # Entering a block at its last step, before any of its steps
                 # overwrites its gates: its cells again, from the checkpoint,
-                # by the forward's own two ops.
+                # by the forward's own _cell_state.
                 cells[:, 0] = checkpoints[:, s // BLOCK]
                 for j in range(k + 1):
                     i, f, g, _ = _split_gates(gates[:, s - k + j])
-                    np.multiply(f, cells[:, j], out=cells[:, j + 1])
-                    cells[:, j + 1] += i * g
+                    _cell_state(i, f, g, cells[:, j], cells[:, j + 1])
             d_h[0] += d_out[:, s, :hs]
             d_h[1] += d_out[:, steps - 1 - s, hs:]
             d_c = _lstm_gates_backward(d_h, d_c, gates[:, s], cells[:, k],

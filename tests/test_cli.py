@@ -522,6 +522,25 @@ class TestEdgeInputs:
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("flags,config,key", [
+        ([], CONFIG.replace("min_off_s = 24", "min_off_s = 1e308"), "min_off_s"),
+        ([], CONFIG.replace("min_on_s = 24", "min_on_s = 1e308"), "min_on_s"),
+        (["--duration-scale", "1e308"], CONFIG, "duration_scale"),
+    ], ids=["min-off", "min-on", "duration-scale"])
+    def test_synth_interval_past_the_float_range_exits_2_without_files(
+            self, tmp_path, capsys, flags, config, key):
+        """Each value is finite, but the longest interval drawn from it is
+        not: 5 * min_off_s, 3 * min_on_s, or 3 * min_on_s * duration_scale."""
+        path = tmp_path / "run.ini"
+        path.write_text(config)
+        out = tmp_path / "house"
+        assert run(["synth", "--config", path, "--out", out,
+                    "--duration-s", "3000", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: heater: {key} = 1e+308 makes the longest ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_config_path_with_a_nul_exits_2_without_checkpoint(self, tmp_path, capsys):
         """A NUL, which no file name holds, in a path the config gives."""
         config = tmp_path / "run.ini"

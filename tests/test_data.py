@@ -509,7 +509,10 @@ class TestTableWriter:
         # Each row's Python values, as .tolist() gives them, a 2-D row's inline.
         rows = [[v for c in columns for v in np.atleast_1d(c[i]).tolist()]
                 for i in range(len(columns[0]))]
+        # tmp_path is one directory for every example, so an earlier
+        # example's file must not stand in for this one's.
         path = tmp_path / "table.csv"
+        path.unlink(missing_ok=True)
         texts = header + [v for row in rows for v in row if isinstance(v, str)]
         if not all(utf8_encodable(text) for text in texts):
             # A lone surrogate: no UTF-8 file holds it.

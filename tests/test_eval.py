@@ -326,6 +326,7 @@ class TestDisaggregate:
                                    attention=weights / weights.sum(axis=1, keepdims=True))
 
         model = SimpleNamespace(appliance="stub", window=window, forward=forward,
+                                dtype=np.float64,
                                 norm_meta=data.NormalizationMeta(10.0, 2.0, 0.0, 100.0))
         aggregate = data.PowerSeries(
             "agg", 3, 0, np.random.default_rng(n).uniform(0.0, 40.0, n + window - 1))

@@ -236,6 +236,57 @@ class TestParameterCounts:
         assert len(counts) == 1
 
 
+def v1_layout(reg, cls_cfg):
+    """(name, ((key, shape), ...)) of every tensor group in the v1 order,
+    written out from the architecture rather than from the model code."""
+    f, k, h, window = reg.filters, reg.kernel, reg.hidden, reg.window
+    layout = [(f"reg.conv{i + 1}", (("W", (f, 1 if i == 0 else f, k)), ("b", (f,))))
+              for i in range(4)]
+    layout += [(f"reg.bilstm.{d}", (("W", (4 * h, f)), ("U", (4 * h, h)), ("b", (4 * h,))))
+               for d in ("fw", "bw")]
+    layout += [("reg.attn", (("W", (h, 2 * h)), ("b", (h,)), ("v", (h,)))),
+               ("reg.fc1", (("W", (h, 2 * h)), ("b", (h,)))),
+               ("reg.fc2", (("W", (window, h)), ("b", (window,))))]
+    prev = 1
+    for i, (filters, kernel) in enumerate(zip(cls_cfg.filters, cls_cfg.kernels)):
+        layout.append((f"cls.conv{i + 1}", (("W", (filters, prev, kernel)), ("b", (filters,)))))
+        prev = filters
+    units = cls_cfg.dense_units
+    layout += [("cls.fc1", (("W", (units, prev * window)), ("b", (units,)))),
+               ("cls.fc2", (("W", (window, units)), ("b", (window,))))]
+    return layout
+
+
+class TestLayout:
+    """Group names, key order and shapes follow the v1 tensor order, and the
+    counted size is the built one, over seeded small configs."""
+
+    # (classification filters, kernels, regression kernel or None to draw)
+    TABLES = {"empty": ((), (), None), "one-layer": ((3,), (5,), None),
+              "unequal": ((2, 5, 3), (7, 4, 6), None),
+              "kernel-1": ((4, 2), (1, 1), 1)}
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("table", TABLES.values(), ids=list(TABLES))
+    def test_groups_follow_the_v1_layout(self, table, seed):
+        filters, kernels, reg_kernel = table
+        rng = np.random.default_rng(seed)
+        reg = RegressionConfig(window=int(rng.integers(2, 12)),
+                               filters=int(rng.integers(1, 5)),
+                               kernel=reg_kernel or int(rng.integers(1, 6)),
+                               hidden=int(rng.integers(1, 5)))
+        cls_cfg = ClassificationConfig(filters, kernels, int(rng.integers(1, 6)))
+        model = GatedAttentionModel.init(reg, cls_cfg, seed=seed)
+        groups = model.all_params()
+        assert [(p.name, tuple((key, w.shape) for key, w in p.weights.items()))
+                for p in groups] == v1_layout(reg, cls_cfg)
+        assert (parameter_count(reg, cls_cfg) == model.n_params
+                == sum(p.n_params for p in groups))
+        windows, power = rng.normal(size=(2, 3, reg.window))
+        loss = model.train_step_grads(windows, power, power > 0)
+        assert np.isfinite(loss) and np.isfinite(model.grads).all()
+
+
 class TestParameterArena:
     """Each test runs on a random and on a zero model."""
 
