@@ -17,7 +17,6 @@ puts it, so the rng draws follow that order.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,9 +114,10 @@ def _conv_forward(convs, x, cache):
 
 
 def _conv_backward(convs, d_feats):
-    """Backward through a conv stack; its input gradient has no reader."""
-    for conv in reversed(convs):
-        d_feats = conv.backward(d_feats)
+    """Backward through a conv stack. Nothing reads the gradient of the
+    windows, so the first layer computes none."""
+    for i in range(len(convs) - 1, -1, -1):
+        d_feats = convs[i].backward(d_feats, input_grad=i > 0)
 
 
 @dataclass
@@ -200,8 +200,9 @@ class GatedAttentionModel:
     a reshaped view into them. `all_params()` is the arena's record of the
     groups, in the order the layers took them. A built or loaded model
     holds only `weights`: the grad vector is made zero by its first reader
-    (a backward, `grads`, or training's optimizer) and lives until
-    `scoped_grads` releases it.
+    (a backward or `grads`). While an optimizer is `attached`, as in
+    training.train, the backwards hand their gradients to it instead and
+    make no grad vector.
     """
 
     def __init__(self, reg_cfg: RegressionConfig, cls_cfg: ClassificationConfig,
@@ -250,20 +251,11 @@ class GatedAttentionModel:
         """The flat grad vector, made zero if the model holds none."""
         return self._grad_vector.read()
 
-    @contextlib.contextmanager
-    def scoped_grads(self):
-        """Yield the grad vector; if the block made it, release it on exit.
-
-        A vector that existed before the block stays in place, because an
-        optimizer or a caller may still hold it and would otherwise read
-        gradients that no backward writes any more.
-        """
-        made = self._grad_vector.vector is None
-        try:
-            yield self.grads
-        finally:
-            if made:
-                self._grad_vector.release()
+    def attached(self, optimizer):
+        """Context manager: while it is open, each layer backward hands its
+        gradients to optimizer, an nn.SgdNesterov built without a grad
+        vector, as it returns (nn.GradVector.attached)."""
+        return self._grad_vector.attached(optimizer)
 
     def forward(self, windows, cache=True) -> ForwardResult:
         """Gated forward pass over (B, L) standardized windows.
@@ -286,15 +278,18 @@ class GatedAttentionModel:
         Both have the forward's (B, L) shape; any other raises ShapeError
         rather than broadcasting. The product rule routes d_output into both
         branches, and every layer writes its parameter gradients, so the
-        call sets every entry of `grads` and nothing needs zeroing first.
+        call sets every entry of `grads`, or hands every one to an attached
+        optimizer, and nothing needs zeroing first.
         The gate cache is handed off as every layer's is (nn._take_cache):
         the forward's cache feeds exactly one backward, which frees it, and
         a backward without one raises RuntimeError naming the model.
 
         The classification branch goes first. The branches write disjoint
-        gradients and their input gradients are dropped, so the order
-        changes no byte, and this one frees the classification caches
-        before the regression backward allocates its largest arrays.
+        gradients, neither reads the other's weights, and their input
+        gradients are dropped, so the order changes no byte, also with an
+        attached optimizer updating each layer as its backward returns; and
+        this one frees the classification caches before the regression
+        backward allocates its largest arrays.
         """
         power, state = nn._take_cache(self, "model")
         nn._expect("model", d_output, state.shape)
@@ -319,13 +314,27 @@ class GatedAttentionModel:
         """Forward + joint loss + backward for one mini-batch.
 
         Loss and gradients are means over the batch; the backward overwrites
-        all of `grads`, so the previous step's gradients need no reset.
+        all of `grads`, or hands every gradient to an attached optimizer, so
+        the previous step's gradients need no reset. A loss that is not
+        finite runs no backward, so no gradient is written or handed over;
+        the forward's caches are dropped as a backward would drop them.
         Returns the scalar loss.
         """
         loss, d_output, d_state = self._joint_loss(
             windows, target_power, target_state, cache=True)
-        self.backward(d_output, d_state)
+        if np.isfinite(loss):
+            self.backward(d_output, d_state)
+        else:
+            self._drop_caches()
         return loss
+
+    def _drop_caches(self):
+        """Drop the last forward's caches, which no backward will take."""
+        reg, cls_net = self.regression, self.classification
+        for layer in (*reg.convs, reg.bilstm, reg.attention, reg.fc1, reg.fc2,
+                      *cls_net.convs, cls_net.fc1, cls_net.fc2):
+            layer._cache = None
+        self._cache = None
 
     def batch_loss(self, windows, target_power, target_state):
         """Joint loss without touching gradients (validation path)."""

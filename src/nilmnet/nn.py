@@ -51,20 +51,26 @@ built as such a view, and a layer's initializer draws straight into it.
 The order in which layers take their views is the one statement of the
 parameter layout: the arena records each LayerParams it hands out, and
 GatedAttentionModel.all_params() and the checkpoint tensor table read that
-record. GatedAttentionModel sizes one arena for all its layers and the
-optimizer steps its two vectors, while the layers read and write their
-views in place (the BiLSTM through (2, ...) views across its two cells);
-a standalone layer gets an arena of exactly its own size. Assign into a
-view in place (w[...] = x, out=g): p.weights and p.grads are read-only
-mappings, so rebinding an entry, p.weights[k] += x included, raises
-TypeError.
+record. GatedAttentionModel sizes one arena for all its layers, while the
+layers read and write their views in place (the BiLSTM through (2, ...)
+views across its two cells); a standalone layer gets an arena of exactly
+its own size. Assign into a view in place (w[...] = x, out=g): p.weights
+and p.grads are read-only mappings, so rebinding an entry, p.weights[k]
++= x included, raises TypeError.
 
-A built arena holds no grad vector. Its first reader, a backward,
-p.grads or the model's grads, makes it zero, and grad views are taken
-from the current vector when they are read, never bound at build time.
-GradVector.release drops it, and the next read makes a fresh zero one;
-training.train releases a vector that its own call made, so a trained
-model holds its weights and no gradients.
+A built arena holds no grad vector. Each backward writes its parameters'
+gradients into the buffer that GradVector.take gives its segment, the
+layer's tensors, which are adjacent in the arena. While no optimizer is
+attached, that buffer is the segment of the grad vector, which the first
+reader (a backward, p.grads or the model's grads) makes zero; grad views
+are taken from the current vector when they are read, never bound at
+build time, and GradVector.release drops it. While an SgdNesterov is
+attached (GradVector.attached, as training.train attaches its own), the
+buffer holds the segment alone and goes to SgdNesterov.apply as the
+backward returns, after the backward's last read of its weights, so the
+update fuses with the backward (Lv et al. 2023, arXiv:2306.09782): no
+later backward reads those weights, no grad vector is made, and a step
+holds one layer's gradients at a time.
 
 Each parameter gets its gradient from exactly one backward call, so every
 backward, LSTMCell.step_backward included, writes every entry of its
@@ -75,6 +81,7 @@ sums the steps' gradients itself.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -125,19 +132,22 @@ ACTIVATIONS = {
 
 
 class GradVector:
-    """The zero grad vector of an arena, made by its first read.
+    """The zero grad vector of an arena, made by its first read, and the
+    optimizer its backwards hand their gradients to while one is attached.
 
     The arena and every LayerParams it hands out share this holder and
     read the vector through it, so release() frees the vector for all of
     them at once and the next read() makes a fresh zero one. The holder
-    refers to nothing else, so an arena and its groups form no reference
-    cycle and a dropped model is freed at once.
+    refers to no layer or model, an attached optimizer included, so an
+    arena and its groups form no reference cycle and a dropped model is
+    freed at once.
     """
 
-    __slots__ = ("size", "dtype", "vector")
+    __slots__ = ("size", "dtype", "vector", "optimizer")
 
     def __init__(self, size, dtype):
-        self.size, self.dtype, self.vector = size, dtype, None
+        self.size, self.dtype = size, dtype
+        self.vector = self.optimizer = None
 
     def read(self):
         """The grad vector, made (zero) if there is none."""
@@ -147,6 +157,35 @@ class GradVector:
 
     def release(self):
         self.vector = None
+
+    @contextlib.contextmanager
+    def take(self, segment):
+        """The flat buffer a backward writes segment's gradient into.
+
+        With no optimizer attached it is segment's view of the vector, made
+        if there is none. With one attached it is a buffer of the segment
+        alone: when the block exits, after the backward's last read of its
+        weights, it goes to optimizer.apply(segment, g) and is dropped. A
+        block that raises hands nothing over.
+        """
+        if self.optimizer is None:
+            yield self.read()[segment]
+            return
+        g = np.empty(segment.stop - segment.start, self.dtype)
+        yield g
+        self.optimizer.apply(segment, g)
+
+    @contextlib.contextmanager
+    def attached(self, optimizer):
+        """Hand every gradient a backward takes to optimizer, an
+        SgdNesterov without a grad vector, until the block exits."""
+        if optimizer.grads is not None:
+            raise ValueError("an attached optimizer takes no grad vector")
+        self.optimizer = optimizer
+        try:
+            yield
+        finally:
+            self.optimizer = None
 
 
 class Arena:
@@ -169,13 +208,11 @@ class Arena:
         self.groups = []
 
     def take(self, shape):
-        """The next weight view with the given shape, and its slice of the
-        arena, where the grad vector holds its gradient."""
+        """The next weight view with the given shape."""
         start, self.used = self.used, self.used + math.prod(shape)
         if self.used > self.weights.size:
             raise ShapeError(f"arena of {self.weights.size} entries is full")
-        segment = slice(start, self.used)
-        return self.weights[segment].reshape(shape), segment
+        return self.weights[start:self.used].reshape(shape)
 
 
 class LayerParams:
@@ -184,25 +221,40 @@ class LayerParams:
     shapes maps each key to its tensor shape; the weights are views taken
     from arena in that order, or from an arena of exactly this layer's
     size, in dtype, when none is given, and the arena records the group.
-    grads reads the same segments of the arena's current grad vector, and
-    makes the vector if there is none. Both mappings are read-only.
+    The group's tensors are one segment of the arena. grads reads that
+    segment of the arena's current grad vector, and makes the vector if
+    there is none; a backward writes through take_grads instead. Both
+    mappings are read-only.
     """
 
     def __init__(self, name, shapes, dtype, arena=None):
         if arena is None:
             arena = Arena(sum(math.prod(shape) for shape in shapes.values()), dtype)
-        views = {k: arena.take(shape) for k, shape in shapes.items()}
+        start = arena.used
         self.name = name
-        self.weights = MappingProxyType({k: w for k, (w, _) in views.items()})
-        self._segments = {k: segment for k, (_, segment) in views.items()}
+        self.weights = MappingProxyType({k: arena.take(shape) for k, shape in shapes.items()})
+        self._segment = slice(start, arena.used)
         self._grad_vector = arena.grad_vector
         arena.groups.append(self)
 
+    def _views(self, flat):
+        """Each tensor's view of flat, a buffer of the group's segment."""
+        views, lo = {}, 0
+        for k, w in self.weights.items():
+            views[k] = flat[lo:lo + w.size].reshape(w.shape)
+            lo += w.size
+        return MappingProxyType(views)
+
     @property
     def grads(self):
-        vector = self._grad_vector.read()
-        return MappingProxyType({k: vector[segment].reshape(self.weights[k].shape)
-                                 for k, segment in self._segments.items()})
+        return self._views(self._grad_vector.read()[self._segment])
+
+    @contextlib.contextmanager
+    def take_grads(self):
+        """The grads mapping a backward writes, over the buffer that
+        GradVector.take gives the group's segment."""
+        with self._grad_vector.take(self._segment) as flat:
+            yield self._views(flat)
 
     @property
     def n_params(self):
@@ -317,21 +369,29 @@ class Conv1D:
         self._cache = (x, out) if cache else None
         return out
 
-    def backward(self, d_out):
-        """d_out: (B, F, L) -> gradient w.r.t. the input, (B, C_in, L)."""
+    def backward(self, d_out, input_grad=True):
+        """d_out: (B, F, L) -> gradient w.r.t. the input, (B, C_in, L).
+
+        With input_grad=False, for an input whose gradient nothing reads,
+        the parameter gradients are written alike and None is returned.
+        """
         x, out = _take_cache(self, self.params.name)
         _expect(self.params.name, d_out, out.shape)
         d_pre = ACTIVATIONS[self.activation][1](d_out, out)
         w = self.params.weights["W"].reshape(self.filters, -1)
-        # The forward's columns, rebuilt by the same code, in one GEMM per
-        # batch item as a transposed operand (no copy), summed over the
-        # batch; they are freed before the input gradient's columns exist.
-        np.sum(d_pre @ self._columns(x).swapaxes(1, 2), axis=0,
-               out=self.params.grads["W"].reshape(self.filters, -1))
-        np.sum(d_pre, axis=(0, 2), out=self.params.grads["b"])
-        b_sz, _, length = out.shape
-        k = self.kernel
-        d_cols = (w.T @ d_pre).reshape(b_sz, self.in_channels, k, length)
+        with self.params.take_grads() as grads:
+            # The forward's columns, rebuilt by the same code, in one GEMM
+            # per batch item as a transposed operand (no copy), summed over
+            # the batch; they are freed before the input gradient's columns
+            # exist.
+            np.sum(d_pre @ self._columns(x).swapaxes(1, 2), axis=0,
+                   out=grads["W"].reshape(self.filters, -1))
+            np.sum(d_pre, axis=(0, 2), out=grads["b"])
+            if not input_grad:
+                return None
+            b_sz, _, length = out.shape
+            k = self.kernel
+            d_cols = (w.T @ d_pre).reshape(b_sz, self.in_channels, k, length)
         d_xp = np.zeros((b_sz, self.in_channels, length + k - 1), dtype=d_out.dtype)
         for j in range(k):
             d_xp[:, :, j:j + length] += d_cols[:, :, j]
@@ -370,9 +430,10 @@ class Dense:
         x, out = _take_cache(self, self.params.name)
         _expect(self.params.name, d_out, out.shape)
         d_pre = ACTIVATIONS[self.activation][1](d_out, out)
-        np.matmul(d_pre.T, x, out=self.params.grads["W"])
-        np.sum(d_pre, axis=0, out=self.params.grads["b"])
-        return d_pre @ self.params.weights["W"]
+        with self.params.take_grads() as grads:
+            np.matmul(d_pre.T, x, out=grads["W"])
+            np.sum(d_pre, axis=0, out=grads["b"])
+            return d_pre @ self.params.weights["W"]
 
 
 def _split_gates(z):
@@ -503,10 +564,11 @@ class LSTMCell:
         x, h_prev, c_prev, z, tanh_c = cache
         d_z = np.empty_like(z)
         d_c_prev = _lstm_gates_backward(d_h, d_c, z, c_prev, tanh_c, d_z)
-        np.matmul(d_z.T, x, out=self.params.grads["W"])
-        np.matmul(d_z.T, h_prev, out=self.params.grads["U"])
-        np.sum(d_z, axis=0, out=self.params.grads["b"])
-        return d_z @ self.params.weights["W"], d_z @ self.params.weights["U"], d_c_prev
+        with self.params.take_grads() as grads:
+            np.matmul(d_z.T, x, out=grads["W"])
+            np.matmul(d_z.T, h_prev, out=grads["U"])
+            np.sum(d_z, axis=0, out=grads["b"])
+            return d_z @ self.params.weights["W"], d_z @ self.params.weights["U"], d_c_prev
 
 
 # Time steps per input-projection GEMM of an uncached BiLSTM forward and
@@ -527,10 +589,10 @@ class BiLSTM:
     the two cells' W, U and b are read in place: the fw cell's tensors and
     then the bw cell's are adjacent in the arena, so the layer takes
     (2, 4H, d), (2, 4H, H) and (2, 4H) views across both. The weight views
-    are taken once, at build time; the grad views are taken from the
-    arena's current grad vector by each backward (_grad_slabs). Nothing
-    copies them per call, so an in-place edit of a cell's tensor reaches
-    the next forward.
+    are taken once, at build time; each backward takes the grad views of
+    both cells' segment at once, from GradVector.take (_grad_slabs).
+    Nothing copies them per call, so an in-place edit of a cell's tensor
+    reaches the next forward.
 
     Every buffer is direction-major, (2, T, B, .): row 0 is the forward
     cell in natural time, row 1 the backward cell in reversed time, so
@@ -595,20 +657,22 @@ class BiLSTM:
         self.bw = LSTMCell(f"{name}.bw", input_size, hidden_size, rng, dtype, arena)
         self._segment = slice(start, arena.used)
         self._grad_vector = arena.grad_vector
-        self._w, self._u, self._b = self._slabs(arena.weights)
+        self._w, self._u, self._b = self._slabs(arena.weights[self._segment])
         self._cache = None
 
     def _slabs(self, flat):
         """(2, 4H, d) W, (2, 4H, H) U and (2, 4H) b views of both cells in
-        flat, the arena's weight or grad vector."""
+        flat, the layer's segment of the weights or of a grad buffer."""
         h4 = 4 * self.hidden_size
-        w, u, b = np.split(flat[self._segment].reshape(2, -1),
-                           [h4 * self.input_size, -h4], axis=1)
+        w, u, b = np.split(flat.reshape(2, -1), [h4 * self.input_size, -h4], axis=1)
         return w.reshape(2, h4, self.input_size), u.reshape(2, h4, self.hidden_size), b
 
+    @contextlib.contextmanager
     def _grad_slabs(self):
-        """The dW, dU and db slabs of the arena's current grad vector."""
-        return self._slabs(self._grad_vector.read())
+        """The dW, dU and db slabs a backward writes, over the buffer that
+        GradVector.take gives both cells' segment."""
+        with self._grad_vector.take(self._segment) as flat:
+            yield self._slabs(flat)
 
     def forward(self, x, cache=True):
         """x: (B, T, d) -> (B, T, 2H). Initial states are zero."""
@@ -692,18 +756,18 @@ class BiLSTM:
                 np.matmul(gates[:, s], self._u, out=d_h)
         d_z = gates
         flat_d_z = d_z.reshape(2, steps * b_sz, 4 * hs)
-        dw, du, db = self._grad_slabs()
-        np.matmul(flat_d_z.transpose(0, 2, 1), xs, out=dw)
-        np.sum(flat_d_z, axis=1, out=db)
-        # The h each direction's steps 1..T-1 read, from the output: times
-        # 0..T-2 forward and T-1..1 backward.
-        h_read = (out[:, :-1, :hs], out[:, :0:-1, hs:])
-        for k in range(2):
-            # Every step but the first against the h it read, copied to one
-            # contiguous ((T-1)*B, H) operand in step order.
-            np.matmul(d_z[k, 1:].reshape(-1, 4 * hs).T,
-                      h_read[k].transpose(1, 0, 2).reshape(-1, hs), out=du[k])
-        d_xs = (flat_d_z @ self._w).reshape(2, steps, b_sz, -1)
+        with self._grad_slabs() as (dw, du, db):
+            np.matmul(flat_d_z.transpose(0, 2, 1), xs, out=dw)
+            np.sum(flat_d_z, axis=1, out=db)
+            # The h each direction's steps 1..T-1 read, from the output:
+            # times 0..T-2 forward and T-1..1 backward.
+            h_read = (out[:, :-1, :hs], out[:, :0:-1, hs:])
+            for k in range(2):
+                # Every step but the first against the h it read, copied to
+                # one contiguous ((T-1)*B, H) operand in step order.
+                np.matmul(d_z[k, 1:].reshape(-1, 4 * hs).T,
+                          h_read[k].transpose(1, 0, 2).reshape(-1, hs), out=du[k])
+            d_xs = (flat_d_z @ self._w).reshape(2, steps, b_sz, -1)
         return np.add(d_xs[0].transpose(1, 0, 2), d_xs[1, ::-1].transpose(1, 0, 2),
                       order="C")
 
@@ -769,18 +833,19 @@ class Attention:
         d_alpha = np.einsum("bs,bts->bt", d_context, hidden)
         # softmax Jacobian: couples all time steps of one sequence
         d_scores = alpha * (d_alpha - np.sum(alpha * d_alpha, axis=1, keepdims=True))
-        np.einsum("bt,btu->u", d_scores, m, out=self.params.grads["v"])
-        # d_pre = d_m * (1 - m * m), formed in m's buffer.
-        d_m = d_scores[:, :, None] * v
-        d_pre = np.multiply(m, m, out=m)
-        np.subtract(1.0, d_pre, out=d_pre)
-        d_pre *= d_m
-        del d_m
-        flat_pre = d_pre.reshape(-1, self.units)
-        flat_hidden = hidden.reshape(-1, self.state_size)
-        np.matmul(flat_pre.T, flat_hidden, out=self.params.grads["W"])
-        np.sum(flat_pre, axis=0, out=self.params.grads["b"])
-        d_hidden = d_pre @ w
+        with self.params.take_grads() as grads:
+            np.einsum("bt,btu->u", d_scores, m, out=grads["v"])
+            # d_pre = d_m * (1 - m * m), formed in m's buffer.
+            d_m = d_scores[:, :, None] * v
+            d_pre = np.multiply(m, m, out=m)
+            np.subtract(1.0, d_pre, out=d_pre)
+            d_pre *= d_m
+            del d_m
+            flat_pre = d_pre.reshape(-1, self.units)
+            flat_hidden = hidden.reshape(-1, self.state_size)
+            np.matmul(flat_pre.T, flat_hidden, out=grads["W"])
+            np.sum(flat_pre, axis=0, out=grads["b"])
+            d_hidden = d_pre @ w
         # Plus the alpha (x) d_context outer product, one sequence at a time,
         # so no second (B, T, S) array is allocated.
         for k in range(len(d_hidden)):
@@ -842,15 +907,24 @@ class SgdNesterov:
         v     <- mu * v - eta * g
         theta <- theta + mu * v - eta * g
 
-    weights and grads are the flat vectors of a model's arena, or any
-    pair of the same shape. The step updates weights and the velocity in
-    place and only reads grads, which are expected to hold the mini-batch
-    mean that the last backward wrote. Reading a model's grads makes its
-    grad vector, and the optimizer holds that vector: the model's backwards
-    write into it until the vector is released, which training.train does
-    only to a vector its own call made. With mu = 0 the update is exactly
-    plain gradient descent at the same rate. base_lr, momentum and decay
-    have no defaults here: training.TrainConfig holds them.
+    weights is the flat weight vector of a model's arena, or any vector,
+    and the optimizer updates it and its velocity in place. grads is how
+    the gradients g arrive:
+
+    - a vector of weights' shape, such as a model's grads, which step()
+      applies whole: it is expected to hold the mini-batch mean that the
+      last backward wrote, and the model's backwards keep writing into it
+      until it is released;
+    - None, for an optimizer attached to a model's grad vector
+      (GradVector.attached). Each layer backward then hands its segment's
+      gradient to apply as it returns, and step() only advances the step
+      count, so no whole grad vector is ever held (Lv et al. 2023,
+      arXiv:2306.09782).
+
+    The update of an entry is the same in both, so both give the same
+    bytes. With mu = 0 the update is exactly plain gradient descent at the
+    same rate. base_lr, momentum and decay have no defaults here:
+    training.TrainConfig holds them.
     """
 
     def __init__(self, weights, grads, base_lr, momentum, decay):
@@ -868,19 +942,27 @@ class SgdNesterov:
     def effective_lr(self):
         return self.base_lr / (1.0 + self.decay * self.step_count)
 
-    def step(self):
+    def apply(self, segment, g):
+        """Update weights[segment] and its velocity with g, that segment's
+        flat gradient, at the current step's rate."""
         lr = self.effective_lr
         mu = self.momentum
-        for lo in range(0, self.weights.size, STEP_BLOCK):
-            v = self.velocity[lo:lo + STEP_BLOCK]
+        weights, velocity = self.weights[segment], self.velocity[segment]
+        for lo in range(0, g.size, STEP_BLOCK):
+            v = velocity[lo:lo + STEP_BLOCK]
             lg, s = self._scratch[:, :v.size]
             # Same roundings as v = mu*v - lr*g; w += mu*v - lr*g.
-            np.multiply(self.grads[lo:lo + STEP_BLOCK], lr, out=lg)
+            np.multiply(g[lo:lo + STEP_BLOCK], lr, out=lg)
             v *= mu
             v -= lg
             np.multiply(v, mu, out=s)
             s -= lg
-            self.weights[lo:lo + STEP_BLOCK] += s
+            weights[lo:lo + STEP_BLOCK] += s
+
+    def step(self):
+        """End the step: apply grads first if the optimizer holds them."""
+        if self.grads is not None:
+            self.apply(slice(0, self.weights.size), self.grads)
         self.step_count += 1
 
 

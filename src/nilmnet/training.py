@@ -119,26 +119,27 @@ def train(model: GatedAttentionModel, train_ws, val_ws, cfg: TrainConfig):
     not the last one run. A 1-epoch run takes no snapshot, and a longer
     one holds the copy from the end of epoch 1 on.
 
-    The optimizer steps the model's grad vector. If the model held none
-    before the call, the call makes it and releases it when it returns or
-    raises, so a trained model holds its weights and no gradients; a
-    vector that existed before the call stays in place
-    (GatedAttentionModel.scoped_grads).
+    The optimizer is attached to the model for the call
+    (GatedAttentionModel.attached): each layer backward hands its
+    parameters' gradient to it as it returns, and the gradient is dropped
+    once applied, so the call makes no grad vector and holds one layer's
+    gradients at a time. A grad vector that existed before the call is
+    neither written nor read by it.
     """
     if len(train_ws) == 0:
         raise DataError("training set is empty")
-    with model.scoped_grads() as grads:
-        return _train(model, grads, train_ws, val_ws, cfg)
+    optimizer = nn.SgdNesterov(model.weights, None, cfg.base_lr,
+                               cfg.momentum, cfg.decay)
+    with model.attached(optimizer):
+        return _train(model, optimizer, train_ws, val_ws, cfg)
 
 
-def _train(model, grads, train_ws, val_ws, cfg):
-    """The epochs of train, stepping grads, the model's grad vector."""
+def _train(model, optimizer, train_ws, val_ws, cfg):
+    """The epochs of train, with optimizer attached to model."""
     monitor_train = len(val_ws) == 0
     train_ws = _in_model_dtype(train_ws, model.dtype)
     val_ws = _in_model_dtype(val_ws, model.dtype)
     rng = np.random.default_rng(cfg.seed)
-    optimizer = nn.SgdNesterov(model.weights, grads, cfg.base_lr,
-                               cfg.momentum, cfg.decay)
     record = TrainRecord()
     best_val = np.inf
     best_weights = None

@@ -669,6 +669,16 @@ class TestBadModelDims:
         assert capsys.readouterr().err.startswith(f"error: {key} must be")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_exits_3_without_checkpoint(self, trained, tmp_path, capsys):
+        _, house, _ = trained
+        config = tmp_path / "run.ini"
+        config.write_text(CONFIG.replace("base_lr = 0.05", "base_lr = 1e18"))
+        out = tmp_path / "d.ckpt"
+        assert self.train(config, house, out) == 3
+        assert "numerical failure: non-finite loss" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("period", [0, -1, -3])
     def test_period_below_one_second_exits_2_without_checkpoint(
             self, trained, tmp_path, capsys, period):

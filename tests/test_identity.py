@@ -105,13 +105,16 @@ def test_two_fresh_runs_on_this_checkout_write_the_same_artifacts(tmp_path):
         out.mkdir()
         identity.run_artifacts(str(identity.ROOT), str(out), paper=False)
     rows = identity.compare(*outs)
-    # Seven arrays per train step (three shapes, two dtypes), ten CLI files.
-    assert len(rows) == 3 * 2 * 7 + 10
+    # Seven arrays per train step (three shapes, two dtypes), twelve CLI
+    # files.
+    assert len(rows) == 3 * 2 * 7 + 12
     assert {status for *_, status, _ in rows} == {"same"}
     # The runs the artifact set names took place: an early stop that kept
     # an earlier epoch, and a disaggregation ending in a partial batch.
     assert (outs[0] / "early_stop_line.txt").read_text().startswith(
         "stopped=early_stop best_epoch=2 ")
+    # The grid search trained both of its points.
+    assert len((outs[0] / "train_grid_leaderboard.csv").read_text().splitlines()) == 1 + 2
     # 985 windows: three batches of 256 and one of 217.
     attention = (outs[0] / "disaggregate_attention.csv").read_text().splitlines()
     assert len(attention) == 1 + 985

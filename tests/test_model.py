@@ -374,6 +374,72 @@ class TestParameterArena:
                 gc.enable()
 
 
+def toy_batches(seed, count=3, batch=4):
+    """count (windows, power, state) float32 mini-batches of toy windows."""
+    rng = np.random.default_rng(seed)
+    shape = (count, batch, TOY_REG.window)
+    windows, power = rng.normal(size=(2, *shape)).astype(np.float32)
+    state = rng.integers(0, 2, size=shape).astype(np.float32)
+    return list(zip(windows, power, state))
+
+
+class TestAttachedOptimizer:
+    """An attached optimizer gets each layer's gradient as that layer's
+    backward returns, and the model makes no grad vector."""
+
+    @staticmethod
+    def optimizer(model, grads):
+        return nn.SgdNesterov(model.weights, grads, base_lr=0.05, momentum=0.9,
+                              decay=1e-3)
+
+    def test_updates_to_the_bytes_of_a_stepped_grad_vector(self):
+        kept, attached = toy_model(41), toy_model(41)
+        stepped = self.optimizer(kept, kept.grads)
+        fed = self.optimizer(attached, None)
+        with attached.attached(fed):
+            for batch in toy_batches(41):
+                kept.train_step_grads(*batch)
+                stepped.step()
+                attached.train_step_grads(*batch)
+                fed.step()
+                assert attached.weights.tobytes() == kept.weights.tobytes()
+        assert fed.velocity.tobytes() == stepped.velocity.tobytes()
+        assert attached._grad_vector.vector is None
+        assert attached._grad_vector.optimizer is None
+
+    def test_non_finite_loss_hands_over_no_gradient(self):
+        model = toy_model(42)
+        opt = self.optimizer(model, None)
+        first, (windows, power, state) = toy_batches(42, count=2)
+        windows[1, 5] = np.nan
+        with model.attached(opt):
+            model.train_step_grads(*first)
+            opt.step()
+            before = model.weights.tobytes(), opt.velocity.tobytes()
+            loss = model.train_step_grads(windows, power, state)
+        assert not np.isfinite(loss)
+        assert (model.weights.tobytes(), opt.velocity.tobytes()) == before
+        # Its caches are dropped, as a backward would drop them.
+        assert model._cache is None
+        assert all(layer._cache is None for layer in all_layers(model))
+
+    def test_first_conv_of_each_branch_computes_no_input_gradient(self, monkeypatch):
+        """Nothing reads the gradient of the windows, so the backward of
+        each branch's first conv skips it."""
+        returned = {}
+        backward = nn.Conv1D.backward
+
+        def watched(layer, *args, **kwargs):
+            returned[layer.params.name] = result = backward(layer, *args, **kwargs)
+            return result
+
+        monkeypatch.setattr(nn.Conv1D, "backward", watched)
+        toy_model(43).train_step_grads(*toy_batches(43, count=1)[0])
+        assert len(returned) == 10
+        assert {name for name, d_x in returned.items() if d_x is None} == {
+            "reg.conv1", "cls.conv1"}
+
+
 class TestBuildMemory:
     """A build allocates the weight arena and little besides: the grad
     vector is made by its first reader, not by the build."""

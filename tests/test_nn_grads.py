@@ -288,7 +288,8 @@ class TestBiLSTMBackward:
             monkeypatch.setattr(nn, "BLOCK", block)
             layer.forward(x)
             d_x = layer.backward(upstream)
-            results[block] = [d_x.tobytes()] + [g.tobytes() for g in layer._grad_slabs()]
+            with layer._grad_slabs() as slabs:
+                results[block] = [d_x.tobytes()] + [g.tobytes() for g in slabs]
         first, *rest = results.values()
         for block, got in zip(list(results)[1:], rest):
             assert got == first, f"BLOCK={block}"
@@ -442,6 +443,42 @@ class TestSgdNesterov:
         for _ in range(2):
             opt.step()
             assert grads.tobytes() == before
+
+    def test_segments_applied_then_step_equal_one_whole_step(self):
+        """An optimizer without a grad vector, fed each segment by apply,
+        updates to the bytes of one that steps a whole vector."""
+        rng = np.random.default_rng(14)
+        size = nn.STEP_BLOCK + 5
+        start = rng.normal(size=size).astype(np.float32)
+        whole, fed = start.copy(), start.copy()
+        grads = np.empty(size, np.float32)
+        stepped = nn.SgdNesterov(whole, grads, base_lr=0.01, momentum=0.9, decay=1e-3)
+        applied = nn.SgdNesterov(fed, None, base_lr=0.01, momentum=0.9, decay=1e-3)
+        cuts = (0, 7, nn.STEP_BLOCK + 1, size)
+        for _ in range(3):
+            grads[...] = rng.normal(size=size)
+            stepped.step()
+            for lo, hi in zip(cuts, cuts[1:]):
+                applied.apply(slice(lo, hi), grads[lo:hi].copy())
+            applied.step()
+            assert whole.tobytes() == fed.tobytes()
+            assert stepped.velocity.tobytes() == applied.velocity.tobytes()
+        assert applied.step_count == stepped.step_count == 3
+
+    def test_step_without_grads_only_counts(self):
+        weights = np.ones(4)
+        opt = nn.SgdNesterov(weights, None, base_lr=0.1, momentum=0.9, decay=0.0)
+        opt.step()
+        assert opt.step_count == 1 and weights.tobytes() == np.ones(4).tobytes()
+
+    def test_optimizer_with_grads_cannot_be_attached(self):
+        holder = nn.GradVector(4, np.float64)
+        opt = nn.SgdNesterov(np.ones(4), np.zeros(4), base_lr=0.1, momentum=0.9,
+                             decay=0.0)
+        with pytest.raises(ValueError, match="takes no grad vector"):
+            with holder.attached(opt):
+                pass
+        assert holder.optimizer is None
 
     def test_decay_schedule_exact(self):
         opt = nn.SgdNesterov(np.zeros(1), np.zeros(1), base_lr=0.01, momentum=0.9,

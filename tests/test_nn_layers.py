@@ -93,6 +93,22 @@ class TestConv1D:
                                      layer.params.weights["b"], activation)
             assert np.max(np.abs(out[item] - expected)) < 1e-10
 
+    @pytest.mark.parametrize("kernel", [1, 4, 5])
+    def test_backward_without_input_grad_writes_the_same_gradients(self, kernel):
+        """A backward whose input gradient nothing reads returns None and
+        writes the parameter gradients of a full backward, byte for byte."""
+        rng = np.random.default_rng(kernel)
+        x = rng.normal(size=(3, 2, 9)).astype(np.float32)
+        d_out = rng.normal(size=(3, 4, 9)).astype(np.float32)
+        grads = []
+        for input_grad in (True, False):
+            layer = nn.Conv1D("c", 2, 4, kernel, "relu", rng=np.random.default_rng(9))
+            layer.forward(x)
+            d_x = layer.backward(d_out, input_grad=input_grad)
+            assert (d_x is None) is not input_grad
+            grads.append(layer.params.grads["W"].base.tobytes())
+        assert grads[0] == grads[1]
+
     def test_channel_mismatch_raises(self):
         layer, _ = make_conv(0)
         with pytest.raises(nn.ShapeError):
@@ -279,16 +295,17 @@ class TestBiLSTM:
     @pytest.mark.parametrize("lead", [0, 7])
     def test_direction_slabs_are_the_cells_tensors(self, lead):
         """The (2, ...) W, U and b slabs and their grads are views of the two
-        cells' own tensors, also behind another layer's entries; the grad
-        slabs are read from the arena's current grad vector."""
+        cells' own tensors, also behind another layer's entries; with no
+        optimizer attached, the grad slabs are taken from the arena's
+        current grad vector."""
         d, hs = 5, 6
         arena = nn.Arena(lead + 8 * hs * (d + hs + 1), np.float32)
         arena.take((lead,))
         layer = nn.BiLSTM("b", d, hs, rng=np.random.default_rng(25), arena=arena)
         built = arena.grad_vector.read()
         arena.grad_vector.release()
-        slabs = {"weights": (layer._w, layer._u, layer._b),
-                 "grads": layer._grad_slabs()}
+        with layer._grad_slabs() as grad_slabs:
+            slabs = {"weights": (layer._w, layer._u, layer._b), "grads": grad_slabs}
         assert slabs["grads"][0].base is arena.grad_vector.vector is not built
         for k, cell in enumerate((layer.fw, layer.bw)):
             for kind, views in slabs.items():

@@ -150,8 +150,9 @@ class TestTrain:
 
 
 class TestGradVector:
-    """train makes the model's grad vector if there is none and releases
-    what it made; a vector that existed before the call stays."""
+    """train makes no grad vector: its optimizer is attached to the model
+    and gets each layer's gradient as that layer's backward returns. A
+    vector that existed before the call stays."""
 
     # A wide classification layer keeps what a run leaves in Python's and
     # numpy's caches, about 130 kB, near 4% of the model; a grad vector
@@ -176,6 +177,48 @@ class TestGradVector:
                                  cls_cfg=self.WIDE_CLS)
             held = traced()[0]
         assert held < 1.1 * result.best_model.weights.nbytes
+
+    def test_no_grad_vector_exists_during_the_call(self, monkeypatch):
+        train_ws, val_ws = toy_windows()
+        model = toy_model(seed=17)
+        seen = []
+        apply = nn.SgdNesterov.apply
+
+        def watched(optimizer, segment, g):
+            seen.append(model._grad_vector.vector)
+            apply(optimizer, segment, g)
+
+        monkeypatch.setattr(nn.SgdNesterov, "apply", watched)
+        train(model, train_ws, val_ws, TrainConfig(max_epochs=2, seed=17))
+        steps = 2 * -(-len(train_ws) // TrainConfig().batch_size)
+        # One hand-over per parameter group of every step: the BiLSTM
+        # hands over both cells at once.
+        assert len(seen) == steps * (len(model.all_params()) - 1)
+        assert all(vector is None for vector in seen)
+        assert model._grad_vector.vector is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_batch_updates_nothing_and_aborts(self, monkeypatch):
+        """A batch whose loss is not finite leaves every weight and the
+        velocity as they were before it, and the call raises."""
+        train_ws, val_ws = toy_windows()
+        step_grads = GatedAttentionModel.train_step_grads
+        kept = []
+
+        def watched(model, *batch):
+            optimizer = model._grad_vector.optimizer
+            before = model.weights.tobytes(), optimizer.velocity.tobytes()
+            loss = step_grads(model, *batch)
+            if not np.isfinite(loss):
+                kept.append(before == (model.weights.tobytes(),
+                                       optimizer.velocity.tobytes()))
+            return loss
+
+        monkeypatch.setattr(GatedAttentionModel, "train_step_grads", watched)
+        cfg = TrainConfig(max_epochs=20, base_lr=1e18, patience=20, seed=6)
+        with pytest.raises(NumericalError, match="non-finite loss"):
+            train(toy_model(seed=6), train_ws, val_ws, cfg)
+        assert kept == [True]
 
     def test_optimizer_built_before_train_steps_the_models_gradients_after(self):
         train_ws, val_ws = toy_windows()

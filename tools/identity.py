@@ -7,9 +7,11 @@ directory, so the repository's .git is only read. tools/identity_artifacts.py
 of this checkout then runs once per tree, each in a fresh interpreter with
 PYTHONPATH=<tree>/src, and writes its artifacts: train-step losses and
 gradients, uncached forwards and validation losses at several shapes in
-float32 and float64, and the files that synth, train, disaggregate and
-evaluate write for a tiny house. --paper adds a train step at the paper's
-kettle shape (L=128 F=32 K=8 H=512 B=32), which takes a few seconds more.
+float32 and float64, and the files that synth, train (a grid search
+included), disaggregate and evaluate write for a tiny house. --paper adds
+a train step at the paper's kettle shape (L=128 F=32 K=8 H=512 B=32) and
+the weights after two such steps of training.train, which take a few
+seconds more.
 
 One line is printed per artifact: its name, the sha256 of the parent's and
 of this checkout's copy, and `same` or `moved`. For a moved float array the

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 import nilmnet
-from nilmnet import cli
+from nilmnet import cli, data, training
 from nilmnet.model import ClassificationConfig, GatedAttentionModel, RegressionConfig
 
 BOTH = (np.float32, np.float64)
@@ -72,6 +72,8 @@ hidden = 4
 EARLY_STOP_CONFIG = (CONFIG.replace("max_epochs = 3", "max_epochs = 8")
                      .replace("patience = 3", "patience = 1")
                      .replace("base_lr = 0.05", "base_lr = 0.1"))
+# The grid search trains each point for one epoch, so it adds about a second.
+GRID_CONFIG = CONFIG.replace("max_epochs = 3", "max_epochs = 1")
 
 
 def train_step_artifacts(out, name, reg, cls_cfg, batch, dtype):
@@ -88,6 +90,23 @@ def train_step_artifacts(out, name, reg, cls_cfg, batch, dtype):
     for key in ("output", "power", "state", "attention"):
         np.save(f"{prefix}_uncached_{key}.npy", getattr(result, key))
     np.save(f"{prefix}_batch_loss.npy", np.asarray(model.batch_loss(windows, power, state)))
+
+
+def paper_train_artifacts(out):
+    """The weights after two B=32 steps of training.train at the paper
+    shape, from the seeded init of the paper train step and 64 windows of
+    seeded noise; the empty validation set makes the epoch monitor the
+    training loss."""
+    reg = PAPER_STEPS[0][1]
+    rng = np.random.default_rng(64)
+    n = 64 + reg.window - 1
+    x, y = rng.normal(size=(2, n))
+    ws = data.sliding_windows(x, y, (rng.random(n) > 0.5).astype(float), reg.window)
+    model = GatedAttentionModel.init(reg, seed=11)
+    with contextlib.redirect_stdout(io.StringIO()):
+        training.train(model, ws, ws.take(np.arange(0)),
+                       training.TrainConfig(max_epochs=1, batch_size=32))
+    np.save(os.path.join(out, "paper_train_weights.npy"), model.weights)
 
 
 def run_cli(*argv):
@@ -113,12 +132,14 @@ def without_wall_time(src, dst):
 
 
 def cli_artifacts(out):
-    """synth, train (3 epochs, and an early-stopped run), disaggregate
-    with the attention export, and evaluate, in a directory of their own."""
+    """synth, train (3 epochs, an early-stopped run, and a grid search),
+    disaggregate with the attention export, and evaluate, in a directory
+    of their own."""
     work = os.path.join(out, "work")
     os.makedirs(work)
     os.chdir(work)
-    for name, text in (("run.ini", CONFIG), ("early.ini", EARLY_STOP_CONFIG)):
+    for name, text in (("run.ini", CONFIG), ("early.ini", EARLY_STOP_CONFIG),
+                       ("grid.ini", GRID_CONFIG)):
         with open(name, "w", encoding="utf-8") as fh:
             fh.write(text)
     run_cli("synth", "--config", "run.ini", "--out", "house", "--duration-s", 3000,
@@ -127,6 +148,8 @@ def cli_artifacts(out):
               "--appliance-name", "heater")
     run_cli("train", "--config", "run.ini", *series, "--out", "model.ckpt")
     stopped = run_cli("train", "--config", "early.ini", *series, "--out", "early.ckpt")
+    run_cli("train", "--config", "grid.ini", *series, "--grid", "F=2,4;K=4;H=8",
+            "--out", "grid.ckpt")
     run_cli("disaggregate", "--checkpoint", "model.ckpt", "--input", "house/aggregate.csv",
             "--out", "prediction.csv", "--export-attention")
     run_cli("evaluate", "--prediction", "prediction.csv", "--truth", "house/heater.csv",
@@ -134,6 +157,8 @@ def cli_artifacts(out):
     for src, dst in (("house/aggregate.csv", "synth_aggregate.csv"),
                      ("house/heater.csv", "synth_heater.csv"),
                      ("model.ckpt", "train.ckpt"), ("early.ckpt", "early_stop.ckpt"),
+                     ("grid.ckpt", "train_grid.ckpt"),
+                     ("grid.grid.csv", "train_grid_leaderboard.csv"),
                      ("prediction.csv", "disaggregate_prediction.csv"),
                      ("prediction.attention.csv", "disaggregate_attention.csv"),
                      ("results.csv", "evaluate_results.csv")):
@@ -155,6 +180,8 @@ def main(argv):
     for name, reg, cls_cfg, batch, dtypes in STEPS + (PAPER_STEPS if paper else ()):
         for dtype in dtypes:
             train_step_artifacts(out, name, reg, cls_cfg, batch, dtype)
+    if paper:
+        paper_train_artifacts(out)
     cli_artifacts(out)
     print(f"nilmnet={os.path.dirname(os.path.realpath(nilmnet.__file__))}")
 
