@@ -572,21 +572,25 @@ def synth_household(specs, duration_s, noise_std=0.0, seed=0, period_s=3,
     [2*on_threshold, max_power]. The aggregate adds Gaussian noise of the
     given standard deviation and is clamped at 0 W. Deterministic per seed.
     An appliance whose longest off gap or activation is past the float
-    range raises DataError before anything is drawn.
+    range, or appliances whose max_power_w sum is, raise DataError before
+    anything is drawn; a noisy aggregate sample past it raises DataError.
     """
     if period_s < 1:
         raise DataError(f"period_s must be >= 1, got {period_s}")
-    if not noise_std >= 0:
-        raise DataError(f"noise_std must be >= 0, got {noise_std}")
+    if not (isfinite(noise_std) and noise_std >= 0):
+        raise DataError(f"noise_std must be finite and >= 0, got {noise_std}")
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
     if not (isfinite(duration_scale) and duration_scale > 0):
         raise DataError(f"duration_scale must be finite and > 0, got {duration_scale}")
     n = int(duration_s) // int(period_s)
-    if n < 1:
-        raise DataError("duration too short for one sample")
+    if n < 2:
+        # A channel CSV states its period by its first two rows.
+        raise DataError(f"duration too short for two samples, got {n}")
     if n * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
         raise DataError(f"{n} samples are past numpy's index range")
+    if not isfinite(sum(spec.max_power_w for spec in specs)):
+        raise DataError("the appliances' max_power_w sum is past the float range")
     for spec in specs:
         if spec.max_power_w <= 2 * spec.on_threshold_w:
             raise DataError(
@@ -619,6 +623,10 @@ def synth_household(specs, duration_s, noise_std=0.0, seed=0, period_s=3,
         appliance_series.append(PowerSeries(spec.name, period_s, 0, values))
         total += values
     if noise_std > 0:
-        total = total + rng.normal(0.0, noise_std, size=n)
+        # A sample past the float range is refused here, not warned about.
+        with np.errstate(over="ignore"):
+            total = total + rng.normal(0.0, noise_std, size=n)
+        if not np.isfinite(total).all():
+            raise DataError(f"noise_std = {noise_std} makes the aggregate overflow")
     aggregate = PowerSeries("aggregate", period_s, 0, np.maximum(total, 0.0))
     return aggregate, appliance_series

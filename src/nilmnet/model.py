@@ -199,10 +199,17 @@ class GatedAttentionModel:
     `weights` and `grads` are flat vectors, and every LayerParams tensor is
     a reshaped view into them. `all_params()` is the arena's record of the
     groups, in the order the layers took them. A built or loaded model
-    holds only `weights`: the grad vector is made zero by its first reader
-    (a backward or `grads`). While an optimizer is `attached`, as in
-    training.train, the backwards hand their gradients to it instead and
-    make no grad vector.
+    holds only `weights`. While an optimizer is `attached`, the backwards
+    hand their gradients to it and make no grad vector; training.train
+    does this, and so does a caller training by hand:
+
+        opt = nn.SgdNesterov(model.weights, base_lr, momentum, decay)
+        with model.attached(opt):
+            model.train_step_grads(windows, target_power, target_state)
+            opt.step()
+
+    With none attached, the backwards write the grad vector, which its
+    first reader (a backward or `grads`) makes zero.
     """
 
     def __init__(self, reg_cfg: RegressionConfig, cls_cfg: ClassificationConfig,
@@ -253,8 +260,9 @@ class GatedAttentionModel:
 
     def attached(self, optimizer):
         """Context manager: while it is open, each layer backward hands its
-        gradients to optimizer, an nn.SgdNesterov built without a grad
-        vector, as it returns (nn.GradVector.attached)."""
+        gradients to optimizer, an nn.SgdNesterov, as it returns; on exit
+        the optimizer attached before, if any, takes them again
+        (nn.GradVector.attached)."""
         return self._grad_vector.attached(optimizer)
 
     def forward(self, windows, cache=True) -> ForwardResult:

@@ -46,8 +46,8 @@ analytic gradients can be compared against central finite differences.
 
 Parameters live in an Arena: a flat zero weight vector that hands out
 reshaped views in order, and a twin grad vector of the same layout that
-exists only while something reads it. Every LayerParams weight tensor is
-built as such a view, and a layer's initializer draws straight into it.
+its first reader makes. Every LayerParams weight tensor is built as such
+a view, and a layer's initializer draws straight into it.
 The order in which layers take their views is the one statement of the
 parameter layout: the arena records each LayerParams it hands out, and
 GatedAttentionModel.all_params() and the checkpoint tensor table read that
@@ -60,17 +60,25 @@ and p.grads are read-only mappings, so rebinding an entry, p.weights[k]
 
 A built arena holds no grad vector. Each backward writes its parameters'
 gradients into the buffer that GradVector.take gives its segment, the
-layer's tensors, which are adjacent in the arena. While no optimizer is
-attached, that buffer is the segment of the grad vector, which the first
-reader (a backward, p.grads or the model's grads) makes zero; grad views
-are taken from the current vector when they are read, never bound at
-build time, and GradVector.release drops it. While an SgdNesterov is
-attached (GradVector.attached, as training.train attaches its own), the
-buffer holds the segment alone and goes to SgdNesterov.apply as the
-backward returns, after the backward's last read of its weights, so the
-update fuses with the backward (Lv et al. 2023, arXiv:2306.09782): no
-later backward reads those weights, no grad vector is made, and a step
-holds one layer's gradients at a time.
+layer's tensors, which are adjacent in the arena. While an SgdNesterov is
+attached (GradVector.attached), the buffer holds the segment alone and
+goes to SgdNesterov.apply as the backward returns, after the backward's
+last read of its weights, so the update fuses with the backward (Lv et
+al. 2023, arXiv:2306.09782): no later backward reads those weights, no
+grad vector is made, and a step holds one layer's gradients at a time.
+This is the one way an update is applied, in training.train and by hand:
+
+    opt = SgdNesterov(model.weights, base_lr, momentum, decay)
+    with model.attached(opt):
+        for batch in batches:
+            model.train_step_grads(*batch)
+            opt.step()
+
+While no optimizer is attached, the buffer is the segment of the grad
+vector, which its first reader (a backward, p.grads or the model's grads)
+makes zero, for a caller that reads the gradients, as gradient_check
+does; grad views are taken from the vector when they are read, never
+bound at build time.
 
 Each parameter gets its gradient from exactly one backward call, so every
 backward, LSTMCell.step_backward included, writes every entry of its
@@ -136,11 +144,9 @@ class GradVector:
     optimizer its backwards hand their gradients to while one is attached.
 
     The arena and every LayerParams it hands out share this holder and
-    read the vector through it, so release() frees the vector for all of
-    them at once and the next read() makes a fresh zero one. The holder
-    refers to no layer or model, an attached optimizer included, so an
-    arena and its groups form no reference cycle and a dropped model is
-    freed at once.
+    read the vector through it. The holder refers to no layer or model, an
+    attached optimizer included, so an arena and its groups form no
+    reference cycle and a dropped model is freed at once.
     """
 
     __slots__ = ("size", "dtype", "vector", "optimizer")
@@ -155,37 +161,34 @@ class GradVector:
             self.vector = np.zeros(self.size, self.dtype)
         return self.vector
 
-    def release(self):
-        self.vector = None
-
     @contextlib.contextmanager
-    def take(self, segment):
-        """The flat buffer a backward writes segment's gradient into.
+    def take(self, segment, views):
+        """views(buffer) of the flat buffer a backward writes segment's
+        gradient into.
 
-        With no optimizer attached it is segment's view of the vector, made
-        if there is none. With one attached it is a buffer of the segment
-        alone: when the block exits, after the backward's last read of its
-        weights, it goes to optimizer.apply(segment, g) and is dropped. A
-        block that raises hands nothing over.
+        With no optimizer attached the buffer is segment's view of the
+        vector, made if there is none. With one attached it is a buffer of
+        the segment alone: when the block exits, after the backward's last
+        read of its weights, it goes to optimizer.apply(segment, g) and is
+        dropped. A block that raises hands nothing over.
         """
         if self.optimizer is None:
-            yield self.read()[segment]
+            yield views(self.read()[segment])
             return
         g = np.empty(segment.stop - segment.start, self.dtype)
-        yield g
+        yield views(g)
         self.optimizer.apply(segment, g)
 
     @contextlib.contextmanager
     def attached(self, optimizer):
         """Hand every gradient a backward takes to optimizer, an
-        SgdNesterov without a grad vector, until the block exits."""
-        if optimizer.grads is not None:
-            raise ValueError("an attached optimizer takes no grad vector")
-        self.optimizer = optimizer
+        SgdNesterov, until the block exits; then the optimizer attached
+        before, if any, takes them again."""
+        replaced, self.optimizer = self.optimizer, optimizer
         try:
             yield
         finally:
-            self.optimizer = None
+            self.optimizer = replaced
 
 
 class Arena:
@@ -249,12 +252,10 @@ class LayerParams:
     def grads(self):
         return self._views(self._grad_vector.read()[self._segment])
 
-    @contextlib.contextmanager
     def take_grads(self):
-        """The grads mapping a backward writes, over the buffer that
-        GradVector.take gives the group's segment."""
-        with self._grad_vector.take(self._segment) as flat:
-            yield self._views(flat)
+        """Context manager: the grads mapping a backward writes, over the
+        buffer that GradVector.take gives the group's segment."""
+        return self._grad_vector.take(self._segment, self._views)
 
     @property
     def n_params(self):
@@ -667,12 +668,10 @@ class BiLSTM:
         w, u, b = np.split(flat.reshape(2, -1), [h4 * self.input_size, -h4], axis=1)
         return w.reshape(2, h4, self.input_size), u.reshape(2, h4, self.hidden_size), b
 
-    @contextlib.contextmanager
     def _grad_slabs(self):
-        """The dW, dU and db slabs a backward writes, over the buffer that
-        GradVector.take gives both cells' segment."""
-        with self._grad_vector.take(self._segment) as flat:
-            yield self._slabs(flat)
+        """Context manager: the dW, dU and db slabs a backward writes, over
+        the buffer that GradVector.take gives both cells' segment."""
+        return self._grad_vector.take(self._segment, self._slabs)
 
     def forward(self, x, cache=True):
         """x: (B, T, d) -> (B, T, 2H). Initial states are zero."""
@@ -908,27 +907,22 @@ class SgdNesterov:
         theta <- theta + mu * v - eta * g
 
     weights is the flat weight vector of a model's arena, or any vector,
-    and the optimizer updates it and its velocity in place. grads is how
-    the gradients g arrive:
+    and the optimizer updates it and its velocity in place. The gradients
+    g arrive through apply, one flat segment at a time. Attached to a
+    model (GatedAttentionModel.attached), it gets each layer's segment as
+    that layer's backward returns, so no whole grad vector is held (Lv et
+    al. 2023, arXiv:2306.09782); a whole vector, such as a model's grads,
+    is the one segment slice(0, weights.size). step() ends the step: it
+    advances the step count, and with it the rate of the next apply.
 
-    - a vector of weights' shape, such as a model's grads, which step()
-      applies whole: it is expected to hold the mini-batch mean that the
-      last backward wrote, and the model's backwards keep writing into it
-      until it is released;
-    - None, for an optimizer attached to a model's grad vector
-      (GradVector.attached). Each layer backward then hands its segment's
-      gradient to apply as it returns, and step() only advances the step
-      count, so no whole grad vector is ever held (Lv et al. 2023,
-      arXiv:2306.09782).
-
-    The update of an entry is the same in both, so both give the same
-    bytes. With mu = 0 the update is exactly plain gradient descent at the
-    same rate. base_lr, momentum and decay have no defaults here:
-    training.TrainConfig holds them.
+    Each entry's update is the same whichever segments carry it. With
+    mu = 0 the update is exactly plain gradient descent at the same rate.
+    base_lr, momentum and decay have no defaults here: training.TrainConfig
+    holds them.
     """
 
-    def __init__(self, weights, grads, base_lr, momentum, decay):
-        self.weights, self.grads = weights, grads
+    def __init__(self, weights, base_lr, momentum, decay):
+        self.weights = weights
         self.velocity = np.zeros_like(self.weights)
         # Two block buffers: lr * g, and the weight update.
         self._scratch = np.empty((2, min(STEP_BLOCK, self.weights.size)),
@@ -960,9 +954,7 @@ class SgdNesterov:
             weights[lo:lo + STEP_BLOCK] += s
 
     def step(self):
-        """End the step: apply grads first if the optimizer holds them."""
-        if self.grads is not None:
-            self.apply(slice(0, self.weights.size), self.grads)
+        """End the step: the next apply runs at the next step's rate."""
         self.step_count += 1
 
 

@@ -119,17 +119,17 @@ def train(model: GatedAttentionModel, train_ws, val_ws, cfg: TrainConfig):
     not the last one run. A 1-epoch run takes no snapshot, and a longer
     one holds the copy from the end of epoch 1 on.
 
-    The optimizer is attached to the model for the call
-    (GatedAttentionModel.attached): each layer backward hands its
-    parameters' gradient to it as it returns, and the gradient is dropped
-    once applied, so the call makes no grad vector and holds one layer's
-    gradients at a time. A grad vector that existed before the call is
-    neither written nor read by it.
+    The optimizer is attached to the model for the call, as a caller
+    training by hand attaches one (GatedAttentionModel.attached): each
+    layer backward hands its parameters' gradient to it as it returns, and
+    the gradient is dropped once applied, so the call makes no grad vector
+    and holds one layer's gradients at a time. A grad vector that existed
+    before the call is neither written nor read by it, and an optimizer
+    attached before the call is attached again when it returns.
     """
     if len(train_ws) == 0:
         raise DataError("training set is empty")
-    optimizer = nn.SgdNesterov(model.weights, None, cfg.base_lr,
-                               cfg.momentum, cfg.decay)
+    optimizer = nn.SgdNesterov(model.weights, cfg.base_lr, cfg.momentum, cfg.decay)
     with model.attached(optimizer):
         return _train(model, optimizer, train_ws, val_ws, cfg)
 

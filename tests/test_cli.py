@@ -3,6 +3,7 @@
 import configparser
 import inspect
 import re
+import tempfile
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -135,6 +136,89 @@ class TestSynth:
                     "--duration-s", "300"]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "house").exists()
+
+
+# Values no config or flag should get through to a traceback: zero, a
+# negative, NaN, both infinities, the largest and the smallest positive
+# float, an empty value and non-ASCII text (the fullwidth digits parse as
+# 12 in Python).
+HOSTILE = ("0", "-1", "nan", "inf", "-inf", "1e308", "5e-324", "", "\u00e9", "\uff11\uff12")
+# A small valid range of each [appliance ...] key, from which synth can
+# write a house: an on level drawn above twice the threshold.
+VALID_APPLIANCE = {
+    "window_l": st.integers(1, 64),
+    "on_threshold_w": st.floats(1.0, 100.0),
+    "min_on_s": st.floats(1.0, 600.0),
+    "min_off_s": st.floats(1.0, 600.0),
+    "max_power_w": st.floats(201.0, 3000.0),
+}
+# The synth flags, each with its type and a valid range, hostile values
+# aside; --duration-s stays <= 3000 so that an example writes at most 3000
+# rows per channel.
+VALID_SYNTH_FLAGS = {
+    "--noise-std": (float, st.floats(0.0, 50.0)),
+    "--period-s": (int, st.integers(1, 10)),
+    "--duration-scale": (float, st.floats(0.1, 4.0)),
+    "--seed": (int, st.integers(0, 2**32)),
+}
+
+
+def parses(kind, text):
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
+
+
+def hostile_or(valid):
+    """A valid value as text in about six draws of eight, else a hostile
+    text or None for a value left out, so that a fair share of the
+    examples write a house."""
+    return st.integers(0, 7).flatmap(
+        lambda k: valid.map(str) if k < 6 else st.sampled_from(HOSTILE) if k == 6
+        else st.none())
+
+
+class TestSynthProperty:
+    # About 3 s on 2 vCPU.
+    @given(st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exits_0_or_2_and_every_written_channel_loads(self, tmp_path, draw):
+        """Hostile or valid [appliance ...] values and synth flags: main
+        exits 0 or 2 and raises nothing, and after 0 every channel CSV it
+        wrote loads. A flag value that does not parse as the flag's type
+        is a usage error, exit 1. Each flag is given as --flag=value, so
+        that a value such as -inf reaches its type and is not taken for
+        another option."""
+        assert set(VALID_APPLIANCE) == set(cli.SCHEMAS["appliance"][0])
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        names = ("heater", "fridge")[:draw.draw(st.integers(1, 2))]
+        lines = []
+        for name in names:
+            lines.append(f"[appliance {name}]")
+            for key, valid in VALID_APPLIANCE.items():
+                value = draw.draw(hostile_or(valid), label=f"{name}.{key}")
+                if value is not None:
+                    lines.append(f"{key} = {value}")
+        (work / "run.ini").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        duration = draw.draw(st.integers(-10, 3000), label="--duration-s")
+        argv = ["synth", "--config", work / "run.ini", "--out", work / "house",
+                f"--duration-s={duration}"]
+        usage_error = False
+        for flag, (kind, valid) in VALID_SYNTH_FLAGS.items():
+            value = draw.draw(hostile_or(valid), label=flag)
+            if value is not None:
+                argv.append(f"{flag}={value}")
+                usage_error |= not parses(kind, value)
+        code = run(argv)
+        assert code in ((1,) if usage_error else (0, 2))
+        if code == 0:
+            written = sorted((work / "house").glob("*.csv"))
+            assert [p.stem for p in written] == sorted(("aggregate", *names))
+            for path in written:
+                data.load_channel_csv(path)
 
 
 @pytest.fixture(scope="module")
@@ -491,10 +575,12 @@ class TestUsageErrors:
 
 
 class TestEdgeInputs:
-    """Out-of-range seeds, periods, noise levels and step sizes exit 2."""
+    """Out-of-range seeds, periods, noise levels and step sizes exit 2, as
+    does a synth house of one sample, which no channel CSV can hold."""
 
     @pytest.mark.parametrize("argv,config", [
         (["synth", "--period-s", "0"], CONFIG),
+        (["synth", "--period-s", "3000"], CONFIG),
         (["synth", "--noise-std", "-1"], CONFIG),
         (["synth", "--seed", "-1"], CONFIG),
         (["synth"], NEGATIVE_SEED_CONFIG),
@@ -507,8 +593,9 @@ class TestEdgeInputs:
         (["gradcheck", "--cls-dense", "-3"], None),
         (["gradcheck", "--tol", "nan"], None),
         (["gradcheck", "--tol", "-1"], None),
-    ], ids=["synth-period-0", "synth-noise-negative", "synth-seed-negative",
-            "synth-config-seed-negative", "synth-duration-scale-negative",
+    ], ids=["synth-period-0", "synth-one-sample", "synth-noise-negative",
+            "synth-seed-negative", "synth-config-seed-negative",
+            "synth-duration-scale-negative",
             "synth-duration-scale-nan", "gradcheck-step-0", "gradcheck-step-inf",
             "gradcheck-seed-negative", "gradcheck-cls-dense-0",
             "gradcheck-cls-dense-negative", "gradcheck-tol-nan",
@@ -539,6 +626,26 @@ class TestEdgeInputs:
         err = capsys.readouterr().err
         assert err.startswith(f"error: heater: {key} = 1e+308 makes the longest ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,config,message", [
+        ([], CONFIG.replace("max_power_w = 200", "max_power_w = 1e308")
+         + "[appliance fridge]\nwindow_l = 16\nmax_power_w = 1e308\n",
+         "the appliances' max_power_w sum is past the float range"),
+        (["--noise-std", "1e308"], CONFIG.replace("max_power_w = 200", "max_power_w = 1e308"),
+         "noise_std = 1e+308 makes the aggregate overflow"),
+        (["--noise-std", "inf"], CONFIG, "noise_std must be finite and >= 0, got inf"),
+    ], ids=["max-power-sum", "noise-sum", "noise-inf"])
+    def test_synth_aggregate_past_the_float_range_exits_2_without_files(
+            self, tmp_path, capsys, flags, config, message):
+        """Two loads, or a load and its noise, whose sum overflows: refused
+        with one error line, not a RuntimeWarning and an infinite sample."""
+        path = tmp_path / "run.ini"
+        path.write_text(config)
+        out = tmp_path / "house"
+        assert run(["synth", "--config", path, "--out", out,
+                    "--duration-s", "3000", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_config_path_with_a_nul_exits_2_without_checkpoint(self, tmp_path, capsys):

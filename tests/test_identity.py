@@ -105,9 +105,9 @@ def test_two_fresh_runs_on_this_checkout_write_the_same_artifacts(tmp_path):
         out.mkdir()
         identity.run_artifacts(str(identity.ROOT), str(out), paper=False)
     rows = identity.compare(*outs)
-    # Seven arrays per train step (three shapes, two dtypes), twelve CLI
-    # files.
-    assert len(rows) == 3 * 2 * 7 + 12
+    # Seven arrays per train step (three shapes, two dtypes), four of the
+    # B=256 inference batch, twelve CLI files.
+    assert len(rows) == 3 * 2 * 7 + 4 + 12
     assert {status for *_, status, _ in rows} == {"same"}
     # The runs the artifact set names took place: an early stop that kept
     # an earlier epoch, and a disaggregation ending in a partial batch.

@@ -113,10 +113,11 @@ def test_paper_train_step_holds_one_layers_gradients(monkeypatch):
     B=32 holds its activations plus the gradients of at most one layer:
     each is applied and dropped as its layer's backward returns. The
     activations are measured as a step that writes a grad vector made
-    beforehand: 111.2 MiB traced. The step under train, less the velocity,
-    read 123.7 MiB, 12.5 above, at cls.fc1's backward, whose 25 MiB
-    gradient is the largest; the whole 38.6 MiB grad vector held through
-    the step added 38.9."""
+    before tracing starts, so the vector is in neither traced peak:
+    111.2 MiB traced. The step under train, less the velocity, read
+    123.7 MiB, 12.5 above, at cls.fc1's backward, whose 25 MiB gradient is
+    the largest; the whole 38.6 MiB grad vector held through the step
+    added 38.9."""
     reg = RegressionConfig(window=128, filters=32, kernel=8, hidden=512)
     rng = np.random.default_rng(37)
     n = 32 + reg.window - 1
@@ -129,7 +130,6 @@ def test_paper_train_step_holds_one_layers_gradients(monkeypatch):
     with traced_peak() as traced:
         model.train_step_grads(*batch)
         activations = traced()[1]
-    model._grad_vector.release()
 
     step_grads = GatedAttentionModel.train_step_grads
     peaks = []

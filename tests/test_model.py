@@ -16,9 +16,11 @@ from nilmnet.model import (
     joint_loss,
     parameter_count,
 )
+from nilmnet.training import TrainConfig, train
 
 from conftest import assert_arena_views, traced_peak
 from oracles import finite_difference, max_rel_err
+from test_train import toy_windows
 
 TOY_REG = RegressionConfig(window=16, filters=2, kernel=4, hidden=3)
 TOY_CLS = ClassificationConfig(filters=(3, 3, 4, 5, 5, 5),
@@ -299,18 +301,19 @@ class TestParameterArena:
     def test_optimizer_copies_nothing_and_restore_is_bit_exact(self):
         for build in toy_builds(6):
             model = build()
-            weights, grads = model.weights, model.grads
-            opt = nn.SgdNesterov(model.weights, model.grads, base_lr=0.05,
-                                 momentum=0.9, decay=1e-6)
-            assert opt.weights is weights and opt.grads is grads
+            weights = model.weights
+            opt = nn.SgdNesterov(model.weights, base_lr=0.05, momentum=0.9,
+                                 decay=1e-6)
+            assert opt.weights is weights
             saved = model.snapshot_weights()
             assert not np.shares_memory(saved, weights)
             rng = np.random.default_rng(7)
-            for _ in range(2):
-                model.train_step_grads(rng.normal(size=(4, 16)),
-                                       rng.normal(size=(4, 16)),
-                                       rng.integers(0, 2, size=(4, 16)))
-                opt.step()
+            with model.attached(opt):
+                for _ in range(2):
+                    model.train_step_grads(rng.normal(size=(4, 16)),
+                                           rng.normal(size=(4, 16)),
+                                           rng.integers(0, 2, size=(4, 16)))
+                    opt.step()
             assert weights.tobytes() != saved.tobytes()
             model.restore_weights(saved)
             assert weights.tobytes() == saved.tobytes()
@@ -388,17 +391,18 @@ class TestAttachedOptimizer:
     backward returns, and the model makes no grad vector."""
 
     @staticmethod
-    def optimizer(model, grads):
-        return nn.SgdNesterov(model.weights, grads, base_lr=0.05, momentum=0.9,
-                              decay=1e-3)
+    def optimizer(model):
+        return nn.SgdNesterov(model.weights, base_lr=0.05, momentum=0.9, decay=1e-3)
 
     def test_updates_to_the_bytes_of_a_stepped_grad_vector(self):
+        """The attached updates equal the model's whole grad vector applied
+        as one segment, step by step."""
         kept, attached = toy_model(41), toy_model(41)
-        stepped = self.optimizer(kept, kept.grads)
-        fed = self.optimizer(attached, None)
+        stepped, fed = self.optimizer(kept), self.optimizer(attached)
         with attached.attached(fed):
             for batch in toy_batches(41):
                 kept.train_step_grads(*batch)
+                stepped.apply(slice(0, kept.n_params), kept.grads)
                 stepped.step()
                 attached.train_step_grads(*batch)
                 fed.step()
@@ -407,9 +411,29 @@ class TestAttachedOptimizer:
         assert attached._grad_vector.vector is None
         assert attached._grad_vector.optimizer is None
 
+    def test_train_inside_an_attached_block_leaves_the_optimizer_attached(self):
+        """train attaches its own optimizer for the call and then the one it
+        replaced again, so the caller's next step updates the weights as
+        the same step of a twin does, and makes no grad vector."""
+        train_ws, val_ws = toy_windows()
+        batch = toy_batches(44, count=1)[0]
+        model, twin = toy_model(44), toy_model(44)
+        opt, twin_opt = self.optimizer(model), self.optimizer(twin)
+        with model.attached(opt):
+            train(model, train_ws, val_ws, TrainConfig(max_epochs=1, seed=44))
+            twin.weights[...] = model.weights
+            model.train_step_grads(*batch)
+            opt.step()
+        with twin.attached(twin_opt):
+            twin.train_step_grads(*batch)
+            twin_opt.step()
+        assert model._grad_vector.vector is None
+        assert model._grad_vector.optimizer is None
+        assert model.weights.tobytes() == twin.weights.tobytes()
+
     def test_non_finite_loss_hands_over_no_gradient(self):
         model = toy_model(42)
-        opt = self.optimizer(model, None)
+        opt = self.optimizer(model)
         first, (windows, power, state) = toy_batches(42, count=2)
         windows[1, 5] = np.nan
         with model.attached(opt):
@@ -636,11 +660,11 @@ class TestDeterminism:
 
         def run():
             model = toy_model(77)
-            opt = nn.SgdNesterov(model.weights, model.grads, base_lr=0.01,
-                                 momentum=0.9, decay=1e-6)
-            for i in range(3):
-                model.train_step_grads(windows[i], tp[i], ts[i])
-                opt.step()
+            opt = nn.SgdNesterov(model.weights, base_lr=0.01, momentum=0.9, decay=1e-6)
+            with model.attached(opt):
+                for i in range(3):
+                    model.train_step_grads(windows[i], tp[i], ts[i])
+                    opt.step()
             return model
 
         first, second = run(), run()

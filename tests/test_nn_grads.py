@@ -403,61 +403,63 @@ class TestLossGradients:
 
 
 class TestSgdNesterov:
+    @staticmethod
+    def step(opt, g):
+        """One step on the whole flat gradient g, as one segment."""
+        opt.apply(slice(0, g.size), g)
+        opt.step()
+
     def test_zero_momentum_is_plain_gradient_descent(self):
         rng = np.random.default_rng(11)
         w = rng.normal(size=6).astype(np.float32)
         g = rng.normal(size=6).astype(np.float32)
         weights = w.copy()
-        opt = nn.SgdNesterov(weights, g.copy(), base_lr=0.05, momentum=0.0,
-                             decay=0.0)
-        opt.step()
+        opt = nn.SgdNesterov(weights, base_lr=0.05, momentum=0.0, decay=0.0)
+        self.step(opt, g.copy())
         expected = w - np.float32(0.05) * g
         np.testing.assert_array_equal(weights, expected)
 
     def test_zero_gradient_leaves_params_unchanged(self):
         weights = np.ones(4)
-        opt = nn.SgdNesterov(weights, np.zeros(4), base_lr=0.1, momentum=0.9,
-                             decay=1e-6)
+        opt = nn.SgdNesterov(weights, base_lr=0.1, momentum=0.9, decay=1e-6)
         for _ in range(5):
-            opt.step()
+            self.step(opt, np.zeros(4))
         np.testing.assert_array_equal(weights, np.ones(4))
 
     def test_two_step_hand_computed_sequence(self):
         # theta0=1, eta=0.1, mu=0.9, g1=0.5, g2=0.2:
         #   v1 = -0.05,  theta1 = 1 + 0.9*(-0.05) - 0.05  = 0.905
         #   v2 = -0.065, theta2 = 0.905 + 0.9*(-0.065) - 0.02 = 0.8265
-        weights, grads = np.array([1.0]), np.zeros(1)
-        opt = nn.SgdNesterov(weights, grads, base_lr=0.1, momentum=0.9, decay=0.0)
-        grads[:] = 0.5
-        opt.step()
+        weights = np.array([1.0])
+        opt = nn.SgdNesterov(weights, base_lr=0.1, momentum=0.9, decay=0.0)
+        self.step(opt, np.array([0.5]))
         assert abs(weights[0] - 0.905) < 1e-12
-        grads[:] = 0.2
-        opt.step()
+        self.step(opt, np.array([0.2]))
         assert abs(weights[0] - 0.8265) < 1e-12
 
     def test_step_leaves_grads_bit_identical(self):
         grads = np.random.default_rng(13).normal(size=nn.STEP_BLOCK + 5)
         before = grads.tobytes()
-        opt = nn.SgdNesterov(np.ones_like(grads), grads, base_lr=0.01, momentum=0.9,
+        opt = nn.SgdNesterov(np.ones_like(grads), base_lr=0.01, momentum=0.9,
                              decay=1e-6)
         for _ in range(2):
-            opt.step()
+            self.step(opt, grads)
             assert grads.tobytes() == before
 
     def test_segments_applied_then_step_equal_one_whole_step(self):
-        """An optimizer without a grad vector, fed each segment by apply,
-        updates to the bytes of one that steps a whole vector."""
+        """Each segment fed by apply updates to the bytes of one whole
+        gradient applied as one segment."""
         rng = np.random.default_rng(14)
         size = nn.STEP_BLOCK + 5
         start = rng.normal(size=size).astype(np.float32)
         whole, fed = start.copy(), start.copy()
         grads = np.empty(size, np.float32)
-        stepped = nn.SgdNesterov(whole, grads, base_lr=0.01, momentum=0.9, decay=1e-3)
-        applied = nn.SgdNesterov(fed, None, base_lr=0.01, momentum=0.9, decay=1e-3)
+        stepped = nn.SgdNesterov(whole, base_lr=0.01, momentum=0.9, decay=1e-3)
+        applied = nn.SgdNesterov(fed, base_lr=0.01, momentum=0.9, decay=1e-3)
         cuts = (0, 7, nn.STEP_BLOCK + 1, size)
         for _ in range(3):
             grads[...] = rng.normal(size=size)
-            stepped.step()
+            self.step(stepped, grads)
             for lo, hi in zip(cuts, cuts[1:]):
                 applied.apply(slice(lo, hi), grads[lo:hi].copy())
             applied.step()
@@ -467,29 +469,18 @@ class TestSgdNesterov:
 
     def test_step_without_grads_only_counts(self):
         weights = np.ones(4)
-        opt = nn.SgdNesterov(weights, None, base_lr=0.1, momentum=0.9, decay=0.0)
+        opt = nn.SgdNesterov(weights, base_lr=0.1, momentum=0.9, decay=0.0)
         opt.step()
         assert opt.step_count == 1 and weights.tobytes() == np.ones(4).tobytes()
 
-    def test_optimizer_with_grads_cannot_be_attached(self):
-        holder = nn.GradVector(4, np.float64)
-        opt = nn.SgdNesterov(np.ones(4), np.zeros(4), base_lr=0.1, momentum=0.9,
-                             decay=0.0)
-        with pytest.raises(ValueError, match="takes no grad vector"):
-            with holder.attached(opt):
-                pass
-        assert holder.optimizer is None
-
     def test_decay_schedule_exact(self):
-        opt = nn.SgdNesterov(np.zeros(1), np.zeros(1), base_lr=0.01, momentum=0.9,
-                             decay=1e-6)
+        opt = nn.SgdNesterov(np.zeros(1), base_lr=0.01, momentum=0.9, decay=1e-6)
         for k in range(100):
             assert opt.effective_lr == 0.01 / (1.0 + 1e-6 * k)
             opt.step()
 
     def test_lr_non_increasing(self):
-        opt = nn.SgdNesterov(np.zeros(1), np.zeros(1), base_lr=0.01, momentum=0.9,
-                             decay=1e-4)
+        opt = nn.SgdNesterov(np.zeros(1), base_lr=0.01, momentum=0.9, decay=1e-4)
         last = np.inf
         for _ in range(50):
             lr = opt.effective_lr

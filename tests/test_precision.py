@@ -116,8 +116,9 @@ def test_float32_stays_inside_the_envelope_of_its_float64_twin(shape):
     probe = batch(rng, reg.window)
     check_envelope(model, twin, *probe)
     cfg = TrainConfig()
-    opt = nn.SgdNesterov(model.weights, model.grads, cfg.base_lr, cfg.momentum, cfg.decay)
-    for _ in range(steps):
-        model.train_step_grads(*batch(rng, reg.window))
-        opt.step()
+    opt = nn.SgdNesterov(model.weights, cfg.base_lr, cfg.momentum, cfg.decay)
+    with model.attached(opt):
+        for _ in range(steps):
+            model.train_step_grads(*batch(rng, reg.window))
+            opt.step()
     check_envelope(model, twin, *probe)

@@ -221,18 +221,22 @@ class TestGradVector:
         assert kept == [True]
 
     def test_optimizer_built_before_train_steps_the_models_gradients_after(self):
+        """A grad vector made before train, and an optimizer built on the
+        weights before it, are left as they were: the model's next backward
+        writes that vector, and the optimizer applies it."""
         train_ws, val_ws = toy_windows()
         made, kept = toy_model(seed=15), toy_model(seed=15)
-        opt = nn.SgdNesterov(kept.weights, kept.grads, base_lr=0.01, momentum=0.9,
-                             decay=0.0)
+        grads = kept.grads
+        opt = nn.SgdNesterov(kept.weights, base_lr=0.01, momentum=0.9, decay=0.0)
         for model in (made, kept):
             train(model, train_ws, val_ws, TrainConfig(max_epochs=1, seed=15))
         assert made._grad_vector.vector is None
-        assert kept.grads is opt.grads
+        assert kept.grads is grads
         kept.train_step_grads(*train_ws.batch(np.arange(8)))
         made.train_step_grads(*train_ws.batch(np.arange(8)))
-        assert opt.grads.tobytes() == made.grads.tobytes()
+        assert grads.tobytes() == made.grads.tobytes()
         before = kept.weights.copy()
+        opt.apply(slice(0, kept.n_params), grads)
         opt.step()
         assert kept.weights.tobytes() != before.tobytes()
 

@@ -86,10 +86,23 @@ def train_step_artifacts(out, name, reg, cls_cfg, batch, dtype):
     prefix = os.path.join(out, f"{name}_{np.dtype(dtype).name}")
     np.save(f"{prefix}_loss.npy", np.asarray(model.train_step_grads(windows, power, state)))
     np.save(f"{prefix}_grads.npy", model.grads)
+    uncached_forward_artifacts(prefix, model, windows)
+    np.save(f"{prefix}_batch_loss.npy", np.asarray(model.batch_loss(windows, power, state)))
+
+
+def uncached_forward_artifacts(prefix, model, windows):
+    """The output, power, state and attention of an uncached forward."""
     result = model.forward(windows, cache=False)
     for key in ("output", "power", "state", "attention"):
         np.save(f"{prefix}_uncached_{key}.npy", getattr(result, key))
-    np.save(f"{prefix}_batch_loss.npy", np.asarray(model.batch_loss(windows, power, state)))
+
+
+def inference_batch_artifacts(out):
+    """The uncached forward of one B=256 batch, the batch disaggregate
+    runs, of seeded toy windows through the float32 toy model."""
+    model = GatedAttentionModel.init(TOY, ClassificationConfig(), seed=11)
+    windows = np.random.default_rng(256).normal(size=(256, TOY.window))
+    uncached_forward_artifacts(os.path.join(out, "toy_b256_float32"), model, windows)
 
 
 def paper_train_artifacts(out):
@@ -180,6 +193,7 @@ def main(argv):
     for name, reg, cls_cfg, batch, dtypes in STEPS + (PAPER_STEPS if paper else ()):
         for dtype in dtypes:
             train_step_artifacts(out, name, reg, cls_cfg, batch, dtype)
+    inference_batch_artifacts(out)
     if paper:
         paper_train_artifacts(out)
     cli_artifacts(out)
