@@ -35,6 +35,10 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 APPLIANCE_SECTION = "appliance"
+# The flags that name a file or directory, by dest; main refuses a NUL in
+# any of them before a command runs (exit 2), as no file name can hold one.
+PATH_FLAGS = ("config", "out", "aggregate", "appliance", "checkpoint", "input",
+              "prediction", "truth")
 RECORD_COLUMNS = ("epoch", "train_loss", "val_loss", "wall_time_s", "is_best")
 
 
@@ -453,6 +457,9 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code else EXIT_OK
     try:
+        for dest in PATH_FLAGS:
+            if getattr(args, dest, None) is not None:
+                data.refuse_nul(getattr(args, dest))
         return args.func(args)
     except (DataError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

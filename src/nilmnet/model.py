@@ -150,8 +150,10 @@ class RegressionNet:
 
     def backward(self, d_power):
         d_context = self.fc1.backward(self.fc2.backward(d_power))
-        d_hidden = self.attention.backward(d_context)
-        _conv_backward(self.convs, self.bilstm.backward(d_hidden).transpose(0, 2, 1))
+        # The attention's input gradient is passed on unnamed, so the BiLSTM
+        # backward holds its one reference and frees it after its time loop.
+        d_feats = self.bilstm.backward(self.attention.backward(d_context))
+        _conv_backward(self.convs, d_feats.transpose(0, 2, 1))
 
 
 class ClassificationNet:

@@ -20,7 +20,9 @@ recomputed in the backward instead (Chen et al. 2016, arXiv:1604.06174),
 the cell states from one checkpoint per block of BLOCK steps by
 _cell_state, the one cell update the forward also runs. An uncached
 forward holds a buffer only as long as the next step reads it, as the
-BiLSTM's block of gates and the attention's block of projections.
+BiLSTM's block of gates and the attention's block of projections, and a
+backward drops an array once its last reader is done, as the BiLSTM drops
+its upstream gradient after its time loop.
 
 Arrays are batch-first throughout:
 
@@ -59,14 +61,18 @@ and p.grads are read-only mappings, so rebinding an entry, p.weights[k]
 += x included, raises TypeError.
 
 A built arena holds no grad vector. Each backward writes its parameters'
-gradients into the buffer that GradVector.take gives its segment, the
-layer's tensors, which are adjacent in the arena. While an SgdNesterov is
-attached (GradVector.attached), the buffer holds the segment alone and
-goes to SgdNesterov.apply as the backward returns, after the backward's
-last read of its weights, so the update fuses with the backward (Lv et
-al. 2023, arXiv:2306.09782): no later backward reads those weights, no
-grad vector is made, and a step holds one layer's gradients at a time.
-This is the one way an update is applied, in training.train and by hand:
+gradients into buffers that GradVector.take gives segments of the layer's
+tensors, which are adjacent in the arena: a Dense or Attention W in row
+blocks of about GRAD_BLOCK entries (LayerParams.write_grad_rows), each
+LSTM cell's tensors at once, and a layer's other tensors together. While
+an SgdNesterov is attached (GradVector.attached), a buffer holds its
+segment alone and goes to SgdNesterov.apply as soon as it is written,
+after the backward's last read of those weights (a backward computes its
+input gradient first), so the update fuses with the backward (Lv et al.
+2023, arXiv:2306.09782): no later backward reads those weights, no grad
+vector is made, and a step holds one block of gradients at a time, at
+most one LSTM cell's. This is the one way an update is applied, in
+training.train and by hand:
 
     opt = SgdNesterov(model.weights, base_lr, momentum, decay)
     with model.attached(opt):
@@ -141,7 +147,9 @@ ACTIVATIONS = {
 
 class GradVector:
     """The zero grad vector of an arena, made by its first read, and the
-    optimizer its backwards hand their gradients to while one is attached.
+    optimizer its backwards hand their gradients to while one is attached,
+    one segment at a time: a group's tensors, some of them, or a block of
+    rows of one.
 
     The arena and every LayerParams it hands out share this holder and
     read the vector through it. The holder refers to no layer or model, an
@@ -226,8 +234,8 @@ class LayerParams:
     size, in dtype, when none is given, and the arena records the group.
     The group's tensors are one segment of the arena. grads reads that
     segment of the arena's current grad vector, and makes the vector if
-    there is none; a backward writes through take_grads instead. Both
-    mappings are read-only.
+    there is none; a backward writes through take_grads and
+    write_grad_rows instead. Both mappings are read-only.
     """
 
     def __init__(self, name, shapes, dtype, arena=None):
@@ -235,27 +243,60 @@ class LayerParams:
             arena = Arena(sum(math.prod(shape) for shape in shapes.values()), dtype)
         start = arena.used
         self.name = name
-        self.weights = MappingProxyType({k: arena.take(shape) for k, shape in shapes.items()})
+        self._starts = {}
+        weights = {}
+        for k, shape in shapes.items():
+            self._starts[k] = arena.used
+            weights[k] = arena.take(shape)
+        self.weights = MappingProxyType(weights)
         self._segment = slice(start, arena.used)
         self._grad_vector = arena.grad_vector
         arena.groups.append(self)
 
-    def _views(self, flat):
-        """Each tensor's view of flat, a buffer of the group's segment."""
+    def _views(self, keys, flat):
+        """Each of keys' tensor views of flat, a buffer of their segment."""
         views, lo = {}, 0
-        for k, w in self.weights.items():
+        for k in keys:
+            w = self.weights[k]
             views[k] = flat[lo:lo + w.size].reshape(w.shape)
             lo += w.size
         return MappingProxyType(views)
 
     @property
     def grads(self):
-        return self._views(self._grad_vector.read()[self._segment])
+        return self._views(self.weights, self._grad_vector.read()[self._segment])
 
-    def take_grads(self):
-        """Context manager: the grads mapping a backward writes, over the
-        buffer that GradVector.take gives the group's segment."""
-        return self._grad_vector.take(self._segment, self._views)
+    def take_grads(self, *keys):
+        """Context manager: the grads mapping a backward writes for keys,
+        adjacent tensors in the group's order, or for every tensor when
+        none is named, over the buffer that GradVector.take gives their
+        segment."""
+        keys = keys or tuple(self.weights)
+        end = self._starts[keys[-1]] + self.weights[keys[-1]].size
+        return self._grad_vector.take(slice(self._starts[keys[0]], end),
+                                      functools.partial(self._views, keys))
+
+    def write_grad_rows(self, key, a, b):
+        """Write the gradient of the 2-D tensor key, a.T @ b, in blocks of
+        about GRAD_BLOCK entries, each handed over through GradVector.take
+        as it is written, so an attached optimizer updates the block before
+        the next one is made. Nothing may read the tensor's weights after
+        the call.
+
+        Every block has at least two rows, and a last block of one row
+        joins the block before it: a one-row GEMM runs as a matrix-vector
+        product, which rounds differently, so each row of a block rounds as
+        it does in the whole-tensor GEMM.
+        """
+        rows, cols = self.weights[key].shape
+        start, per = self._starts[key], max(2, GRAD_BLOCK // cols)
+        lo = 0
+        while lo < rows:
+            hi = rows if rows - lo < per + 2 else lo + per
+            with self._grad_vector.take(slice(start + lo * cols, start + hi * cols),
+                                        lambda flat: flat.reshape(-1, cols)) as g:
+                np.matmul(a.T[lo:hi], b, out=g)
+            lo = hi
 
     @property
     def n_params(self):
@@ -401,7 +442,13 @@ class Conv1D:
 
 
 class Dense:
-    """Fully connected layer: out = act(x @ W.T + b)."""
+    """Fully connected layer: out = act(x @ W.T + b).
+
+    The backward reads W for the input gradient first, then writes W's
+    gradient in row blocks of about GRAD_BLOCK entries, each handed over as
+    it is written (LayerParams.write_grad_rows), and b's after: at the
+    paper shape cls.fc1's 25 MiB gradient is never held whole.
+    """
 
     def __init__(self, name, in_features, units, activation="linear",
                  rng=None, dtype=np.float32, arena=None):
@@ -428,13 +475,15 @@ class Dense:
         return out
 
     def backward(self, d_out):
+        """d_out: (B, m) -> gradient w.r.t. the input, (B, n)."""
         x, out = _take_cache(self, self.params.name)
         _expect(self.params.name, d_out, out.shape)
         d_pre = ACTIVATIONS[self.activation][1](d_out, out)
-        with self.params.take_grads() as grads:
-            np.matmul(d_pre.T, x, out=grads["W"])
+        d_x = d_pre @ self.params.weights["W"]
+        self.params.write_grad_rows("W", d_pre, x)
+        with self.params.take_grads("b") as grads:
             np.sum(d_pre, axis=0, out=grads["b"])
-            return d_pre @ self.params.weights["W"]
+        return d_x
 
 
 def _split_gates(z):
@@ -590,10 +639,8 @@ class BiLSTM:
     the two cells' W, U and b are read in place: the fw cell's tensors and
     then the bw cell's are adjacent in the arena, so the layer takes
     (2, 4H, d), (2, 4H, H) and (2, 4H) views across both. The weight views
-    are taken once, at build time; each backward takes the grad views of
-    both cells' segment at once, from GradVector.take (_grad_slabs).
-    Nothing copies them per call, so an in-place edit of a cell's tensor
-    reaches the next forward.
+    are taken once, at build time. Nothing copies them per call, so an
+    in-place edit of a cell's tensor reaches the next forward.
 
     Every buffer is direction-major, (2, T, B, .): row 0 is the forward
     cell in natural time, row 1 the backward cell in reversed time, so
@@ -613,10 +660,11 @@ class BiLSTM:
       one batched recurrent GEMM d_z @ U per step. Step s's d_z goes through
       one (2, B, 4H) scratch into the gate slab gates[:, s], which that step
       was the last to read, so the gate buffer becomes the d_z buffer and no
-      second (2, T, B, 4H) array is allocated. After the loop, dW and db of
-      both directions are each one batched call written into the grad
-      slabs, dU is one GEMM per direction, and the input gradient is one
-      batched GEMM.
+      second (2, T, B, 4H) array is allocated. After the loop the upstream
+      gradient is dropped, the input gradient is one batched GEMM with
+      both cells' W, and then each cell in turn writes its dW, dU and db,
+      one GEMM or sum each, into its take_grads buffer, which an attached
+      optimizer applies before the other cell's is made.
 
     No (2, T, B, H) trajectory is cached (the trades of Chen et al. 2016,
     arXiv:1604.06174, and of Gruslys et al. 2016, arXiv:1606.03401). The
@@ -656,22 +704,11 @@ class BiLSTM:
         start = arena.used
         self.fw = LSTMCell(f"{name}.fw", input_size, hidden_size, rng, dtype, arena)
         self.bw = LSTMCell(f"{name}.bw", input_size, hidden_size, rng, dtype, arena)
-        self._segment = slice(start, arena.used)
-        self._grad_vector = arena.grad_vector
-        self._w, self._u, self._b = self._slabs(arena.weights[self._segment])
+        # (2, 4H, d) W, (2, 4H, H) U and (2, 4H) b views across both cells.
+        w, u, self._b = np.split(arena.weights[start:arena.used].reshape(2, -1),
+                                 [h4 * d, -h4], axis=1)
+        self._w, self._u = w.reshape(2, h4, d), u.reshape(2, h4, hidden_size)
         self._cache = None
-
-    def _slabs(self, flat):
-        """(2, 4H, d) W, (2, 4H, H) U and (2, 4H) b views of both cells in
-        flat, the layer's segment of the weights or of a grad buffer."""
-        h4 = 4 * self.hidden_size
-        w, u, b = np.split(flat.reshape(2, -1), [h4 * self.input_size, -h4], axis=1)
-        return w.reshape(2, h4, self.input_size), u.reshape(2, h4, self.hidden_size), b
-
-    def _grad_slabs(self):
-        """Context manager: the dW, dU and db slabs a backward writes, over
-        the buffer that GradVector.take gives both cells' segment."""
-        return self._grad_vector.take(self._segment, self._slabs)
 
     def forward(self, x, cache=True):
         """x: (B, T, d) -> (B, T, 2H). Initial states are zero."""
@@ -753,20 +790,24 @@ class BiLSTM:
             gates[:, s] = step_d_z
             if s:
                 np.matmul(gates[:, s], self._u, out=d_h)
+        # No later step reads the upstream gradient: a caller that passed
+        # it as a temporary frees it here, before the weight GEMMs.
+        del d_out
         d_z = gates
         flat_d_z = d_z.reshape(2, steps * b_sz, 4 * hs)
-        with self._grad_slabs() as (dw, du, db):
-            np.matmul(flat_d_z.transpose(0, 2, 1), xs, out=dw)
-            np.sum(flat_d_z, axis=1, out=db)
-            # The h each direction's steps 1..T-1 read, from the output:
-            # times 0..T-2 forward and T-1..1 backward.
-            h_read = (out[:, :-1, :hs], out[:, :0:-1, hs:])
-            for k in range(2):
+        # The input gradient reads both cells' W before either is handed on.
+        d_xs = (flat_d_z @ self._w).reshape(2, steps, b_sz, -1)
+        # The h each direction's steps 1..T-1 read, from the output:
+        # times 0..T-2 forward and T-1..1 backward.
+        h_read = (out[:, :-1, :hs], out[:, :0:-1, hs:])
+        for k, cell in enumerate((self.fw, self.bw)):
+            with cell.params.take_grads() as grads:
+                np.matmul(flat_d_z[k].T, xs[k], out=grads["W"])
                 # Every step but the first against the h it read, copied to
                 # one contiguous ((T-1)*B, H) operand in step order.
                 np.matmul(d_z[k, 1:].reshape(-1, 4 * hs).T,
-                          h_read[k].transpose(1, 0, 2).reshape(-1, hs), out=du[k])
-            d_xs = (flat_d_z @ self._w).reshape(2, steps, b_sz, -1)
+                          h_read[k].transpose(1, 0, 2).reshape(-1, hs), out=grads["U"])
+                np.sum(flat_d_z[k], axis=0, out=grads["b"])
         return np.add(d_xs[0].transpose(1, 0, 2), d_xs[1, ::-1].transpose(1, 0, 2),
                       order="C")
 
@@ -783,6 +824,10 @@ class Attention:
     m once the block before is scored: at the paper shape with B=256 that
     is 2 MB in place of 64 MB. Each row rounds as it does in one
     whole-batch GEMM, so both modes give the same bytes (tested).
+
+    The backward hands b's and v's gradients over together, then computes
+    the input gradient with W and writes W's gradient in row blocks
+    (LayerParams.write_grad_rows), as Dense does.
     """
 
     def __init__(self, name, state_size, units, rng=None, dtype=np.float32, arena=None):
@@ -832,7 +877,7 @@ class Attention:
         d_alpha = np.einsum("bs,bts->bt", d_context, hidden)
         # softmax Jacobian: couples all time steps of one sequence
         d_scores = alpha * (d_alpha - np.sum(alpha * d_alpha, axis=1, keepdims=True))
-        with self.params.take_grads() as grads:
+        with self.params.take_grads("b", "v") as grads:
             np.einsum("bt,btu->u", d_scores, m, out=grads["v"])
             # d_pre = d_m * (1 - m * m), formed in m's buffer.
             d_m = d_scores[:, :, None] * v
@@ -841,10 +886,9 @@ class Attention:
             d_pre *= d_m
             del d_m
             flat_pre = d_pre.reshape(-1, self.units)
-            flat_hidden = hidden.reshape(-1, self.state_size)
-            np.matmul(flat_pre.T, flat_hidden, out=grads["W"])
             np.sum(flat_pre, axis=0, out=grads["b"])
-            d_hidden = d_pre @ w
+        d_hidden = d_pre @ w
+        self.params.write_grad_rows("W", flat_pre, hidden.reshape(-1, self.state_size))
         # Plus the alpha (x) d_context outer product, one sequence at a time,
         # so no second (B, T, S) array is allocated.
         for k in range(len(d_hidden)):
@@ -896,6 +940,9 @@ def bce_loss(pred, target):
 
 # Elements per optimizer step block, small enough to stay in cache.
 STEP_BLOCK = 32768
+# Entries per block of a weight gradient that a backward writes and hands
+# over at a time (LayerParams.write_grad_rows): 1 MiB of float32.
+GRAD_BLOCK = 8 * STEP_BLOCK
 
 
 class SgdNesterov:

@@ -659,6 +659,36 @@ class TestEdgeInputs:
             "error: 'a\\x00b.csv': a path cannot hold a NUL character")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flag,name", [
+        ("train", "--out", "m\x00.ckpt"),
+        ("disaggregate", "--out", "p\x00.csv"),
+        ("synth", "--out", "h\x00"),
+        ("evaluate", "--out", "r\x00.csv"),
+        ("evaluate", "--config", "c\x00.ini"),
+    ], ids=["train-out", "disaggregate-out", "synth-out", "evaluate-out",
+            "evaluate-config"])
+    def test_path_flag_with_a_nul_exits_2_before_writing(
+            self, trained, tmp_path, capsys, command, flag, name):
+        """A NUL in a path the command writes or reads, given by flag,
+        exits 2 with one error line before anything is written."""
+        config, house, ckpt = trained
+        flags = {
+            "train": {"--config": config, "--aggregate": house / "aggregate.csv",
+                      "--appliance": house / "heater.csv", "--appliance-name": "heater",
+                      "--out": tmp_path / "m.ckpt"},
+            "disaggregate": {"--checkpoint": ckpt, "--input": house / "aggregate.csv",
+                             "--out": tmp_path / "p.csv"},
+            "synth": {"--config": config, "--out": tmp_path / "h", "--duration-s": 300},
+            "evaluate": {"--prediction": house / "heater.csv",
+                         "--truth": house / "heater.csv", "--appliance-name": "heater",
+                         "--out": tmp_path / "r.csv", "--config": config},
+        }[command]
+        flags[flag] = tmp_path / name
+        assert run([command, *(v for item in flags.items() for v in item)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {str(tmp_path / name)!r}: a path cannot hold a NUL character\n")
+        assert not any(tmp_path.iterdir())
+
     def test_appliance_name_utf8_cannot_encode_exits_2_without_results(
             self, trained, tmp_path, capsys):
         """An argument byte that does not decode reaches main as a lone

@@ -294,24 +294,19 @@ class TestBiLSTM:
 
     @pytest.mark.parametrize("lead", [0, 7])
     def test_direction_slabs_are_the_cells_tensors(self, lead):
-        """The (2, ...) W, U and b slabs and their grads are views of the two
-        cells' own tensors, also behind another layer's entries; with no
-        optimizer attached, the grad slabs are taken from the arena's grad
-        vector, which the build did not make and their taking does."""
+        """The (2, ...) W, U and b slabs are views of the two cells' own
+        tensors, also behind another layer's entries, and the build makes
+        no grad vector."""
         d, hs = 5, 6
         arena = nn.Arena(lead + 8 * hs * (d + hs + 1), np.float32)
         arena.take((lead,))
         layer = nn.BiLSTM("b", d, hs, rng=np.random.default_rng(25), arena=arena)
         assert arena.grad_vector.vector is None
-        with layer._grad_slabs() as grad_slabs:
-            slabs = {"weights": (layer._w, layer._u, layer._b), "grads": grad_slabs}
-        assert slabs["grads"][0].base is arena.grad_vector.vector is not None
         for k, cell in enumerate((layer.fw, layer.bw)):
-            for kind, views in slabs.items():
-                for slab, key in zip(views, ("W", "U", "b")):
-                    tensor = getattr(cell.params, kind)[key]
-                    assert (slab[k].__array_interface__ == tensor.__array_interface__
-                            and slab.base is tensor.base)
+            for slab, key in zip((layer._w, layer._u, layer._b), ("W", "U", "b")):
+                tensor = cell.params.weights[key]
+                assert (slab[k].__array_interface__ == tensor.__array_interface__
+                        and slab.base is tensor.base)
 
     def test_in_place_weight_edit_reaches_the_next_forward(self):
         b_sz, steps, d, hs = 3, 6, 4, 5
@@ -623,3 +618,105 @@ class TestStandaloneParameters:
         again = params[-1].grads["W"].base
         assert again is first
         assert_arena_views(params, params[0].weights["W"].base, again)
+
+
+class RecordingSgd(nn.SgdNesterov):
+    """SgdNesterov that keeps a copy of every (segment, gradient) it applies."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.handed = []
+
+    def apply(self, segment, g):
+        self.handed.append((segment, g.copy()))
+        super().apply(segment, g)
+
+
+# Each entry builds a layer in arena, its input in dtype, and the sizes of
+# the hand-overs its backward makes with GRAD_BLOCK = 16, in order. Dense
+# hands over W in blocks of max(2, 16 // 6) = 2 rows, its seven rows as
+# 2, 2, 3 (the one-row remainder joins the block before), then b; the
+# attention its b and v, then W's five rows as 2, 3; the BiLSTM each cell's
+# W, U and b.
+HAND_OVER_LAYERS = {
+    "dense": (lambda rng, dtype, arena: (
+        nn.Dense("d", 6, 7, "relu", rng=rng, dtype=dtype, arena=arena),
+        rng.normal(size=(3, 6)).astype(dtype)), [12, 12, 18, 7]),
+    "attention": (lambda rng, dtype, arena: (
+        nn.Attention("a", 6, 5, rng=rng, dtype=dtype, arena=arena),
+        rng.normal(size=(3, 4, 6)).astype(dtype)), [10, 12, 18]),
+    "bilstm": (lambda rng, dtype, arena: (
+        nn.BiLSTM("b", 3, 4, rng=rng, dtype=dtype, arena=arena),
+        rng.normal(size=(2, 5, 3)).astype(dtype)), [128, 128]),
+}
+
+
+class TestGradHandOver:
+    """A backward hands its weight gradients over in blocks: dense and
+    attention W in row blocks, the BiLSTM one cell at a time."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", sorted(HAND_OVER_LAYERS))
+    def test_attached_blocks_update_as_the_whole_unattached_gradient(
+            self, kind, dtype, monkeypatch):
+        """Attached, the blocks tile the layer's segment and hold the bytes
+        of the unattached grad vector, and the input gradient, weights and
+        velocity equal those of the whole vector applied as one segment."""
+        monkeypatch.setattr(nn, "GRAD_BLOCK", 16)
+        build, sizes = HAND_OVER_LAYERS[kind]
+        runs = {}
+        for attached in (False, True):
+            rng = np.random.default_rng(40)
+            arena = nn.Arena(512, dtype)
+            layer, x = build(rng, dtype, arena)
+            nn.randomize_biases(arena.groups, rng)
+            out = layer.forward(x)
+            out = out[0] if kind == "attention" else out
+            upstream = rng.normal(size=out.shape).astype(dtype)
+            opt = RecordingSgd(arena.weights, 0.1, 0.9, 0.0)
+            opt.velocity[:] = 0.01
+            if attached:
+                with arena.grad_vector.attached(opt):
+                    d_x = layer.backward(upstream)
+                assert arena.grad_vector.vector is None
+            else:
+                d_x = layer.backward(upstream)
+                opt.apply(slice(0, arena.used), arena.grad_vector.read()[:arena.used])
+            runs[attached] = opt.handed, [
+                a.tobytes() for a in (d_x, arena.weights, opt.velocity)]
+        (whole, unattached), (blocks, attached) = runs[False], runs[True]
+        assert attached == unattached
+        assert [g.size for _, g in blocks] == sizes
+        blocks.sort(key=lambda block: block[0].start)
+        assert [s.start for s, _ in blocks] == [0] + [s.stop for s, _ in blocks[:-1]]
+        assert blocks[-1][0].stop == arena.used
+        assert (np.concatenate([g for _, g in blocks]).tobytes()
+                == whole[0][1].tobytes())
+
+    # 4096 inputs give blocks of GRAD_BLOCK // 4096 = 64 rows: 129 units
+    # leave a one-row remainder, which joins the block before; 130 leave a
+    # last block of two rows; one unit is one block of one row, as whole.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("units", [1, 129, 130])
+    def test_dense_blocks_round_as_the_whole_matrix_gemm(self, units, dtype):
+        n = 4096
+        assert nn.GRAD_BLOCK // n == 64
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(32, n)).astype(dtype)
+        d_out = rng.normal(size=(32, units)).astype(dtype)
+        whole = np.concatenate([np.matmul(d_out.T, x).reshape(-1), np.sum(d_out, axis=0)])
+        for attached in (False, True):
+            layer = nn.Dense("d", n, units, rng=np.random.default_rng(42), dtype=dtype)
+            weights = layer.params.weights["W"].base
+            want_d_x = d_out @ layer.params.weights["W"]
+            want = weights.copy()
+            nn.SgdNesterov(want, 0.1, 0.9, 0.0).apply(slice(0, want.size), whole)
+            layer.forward(x)
+            if attached:
+                with layer.params._grad_vector.attached(nn.SgdNesterov(weights, 0.1, 0.9, 0.0)):
+                    d_x = layer.backward(d_out)
+                assert weights.tobytes() == want.tobytes()
+            else:
+                d_x = layer.backward(d_out)
+                assert layer.params.grads["W"].base.tobytes() == whole.tobytes()
+            assert d_x.tobytes() == want_d_x.tobytes()

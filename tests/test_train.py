@@ -189,11 +189,26 @@ class TestGradVector:
             apply(optimizer, segment, g)
 
         monkeypatch.setattr(nn.SgdNesterov, "apply", watched)
+        # Blocks of a few rows, so most weight gradients take several.
+        monkeypatch.setattr(nn, "GRAD_BLOCK", 16)
         train(model, train_ws, val_ws, TrainConfig(max_epochs=2, seed=17))
         steps = 2 * -(-len(train_ws) // TrainConfig().batch_size)
-        # One hand-over per parameter group of every step: the BiLSTM
-        # hands over both cells at once.
-        assert len(seen) == steps * (len(model.all_params()) - 1)
+
+        def row_blocks(rows, cols):
+            """Blocks of max(2, GRAD_BLOCK // cols) rows; a last block of
+            one row joins the one before."""
+            per = max(2, 16 // cols)
+            return max(1, rows // per + (rows % per >= 2))
+
+        # Per step: each conv layer and each LSTM cell hands over its
+        # gradients at once; a dense layer its W in row blocks, then b; the
+        # attention its b and v, then its W in row blocks.
+        reg, cls_net = model.regression, model.classification
+        per_step = len(reg.convs) + len(cls_net.convs) + 2 + sum(
+            row_blocks(*layer.params.weights["W"].shape) + 1
+            for layer in (reg.attention, reg.fc1, reg.fc2, cls_net.fc1, cls_net.fc2))
+        assert per_step == 41
+        assert len(seen) == steps * per_step
         assert all(vector is None for vector in seen)
         assert model._grad_vector.vector is None
 
