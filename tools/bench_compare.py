@@ -14,8 +14,10 @@ pair to pair.
 BENCH_<short-sha>.json, written at the root of this checkout, holds the
 environment stamp of the first run, every run's metrics, and per workload
 and end-to-end metric both medians, both quartile pairs, the parent's
-spread, the pairs the change read better and a verdict, read as
-perfbench/README.md's "How to read a comparison" reads it:
+spread, change_vs_parent (the share of the parent's median by which the
+change's is better; negative when worse), the pairs the change read better
+and a verdict, read as perfbench/README.md's "How to read a comparison"
+reads it:
 
 - worse: the change's median is worse than the parent's by more than the
   metric's bound in BENCHMARK.json;
